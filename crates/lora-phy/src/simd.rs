@@ -12,17 +12,23 @@
 //! ingest path dispatch through the same backend selection; `analog::simd`
 //! re-exports it under its original path.
 //!
-//! # Backend selection
+//! # Backends
+//!
+//! There are three: `scalar` (each stage's own loop), `avx2` and `avx512`.
+//! The two wide backends differ in one kernel only. Under `avx512` the FIR
+//! convolution ([`convolve_block`]) runs 8 × f64 lanes of AVX-512F; every
+//! other kernel runs its AVX2 implementation under both. Targets other than
+//! `x86_64` always run `scalar`.
 //!
 //! A backend is selected once per process, on first use:
 //!
 //! 1. If the [`BACKEND_ENV`] environment variable (`SAIYAN_SIMD`) is set to
-//!    `scalar`, `portable`, `sse2`, `avx2` or `avx512`, that backend is forced
-//!    (and the process panics early if the CPU cannot run it — a forced
-//!    backend silently falling back would defeat its testing purpose).
+//!    `scalar`, `avx2` or `avx512`, that backend is forced (and the process
+//!    panics early on any other value, or if the CPU cannot run it — a
+//!    forced backend silently falling back would defeat its testing
+//!    purpose).
 //! 2. Otherwise the widest backend the CPU supports is picked via
-//!    `is_x86_feature_detected!`: AVX-512F → AVX2 → SSE2 on `x86_64`, and the
-//!    portable tile everywhere else.
+//!    `is_x86_feature_detected!`: AVX-512F (with AVX2) → AVX2 → scalar.
 //!
 //! [`simd_report`] exposes the decision (backend name, f64 lane count,
 //! whether it was forced) so benchmark snapshots can record the ISA they were
@@ -54,56 +60,50 @@
 //!   log-step carry (Kogge–Stone) chain — no per-sample branch, identical
 //!   booleans.
 //!
-//! # Adding a lane width
+//! # Adding a kernel
 //!
-//! Implement the tile shape for the new width (see the `convolve_*` kernels:
+//! Write the wide loop as an `unsafe` `#[target_feature]` function over the
+//! largest multiple of its lane count (see the `convolve_*` kernels:
 //! broadcast tap, load `LANES` contiguous samples per parity, `add(acc,
-//! sub(mul, mul))`), keep the scalar-order tail for `m % LANES` outputs, add
-//! the variant to [`Backend`] with its feature detection, and extend the
-//! `tests/simd_equivalence.rs` matrix — the proptests there are
-//! backend-parametric and will pin the new width against the scalar reference
-//! automatically.
+//! sub(mul, mul))`), dispatch to it behind the CPU feature check, and keep
+//! the scalar-order tail for the remainder. The `tests/simd_equivalence.rs`
+//! proptests run every kernel under every available backend and pin it
+//! against the scalar reference bit for bit. Add a second copy of a kernel
+//! for another lane width only with a measured end-to-end gain. The
+//! convolution is the one such kernel: in alternating `perfbench` runs with
+//! `SAIYAN_SIMD=avx2` and `avx512` on a 2-vCPU AVX-512 Xeon, the AVX-512
+//! copy raised gateway-4ch `realtime_x` by a median 16% and cut serve-super
+//! `frame_latency_p50_ms` by 7%, winning 10 of 10 pairs on both.
 
 use crate::iq::Iq;
 use std::sync::OnceLock;
 
 /// Environment variable that forces a specific kernel backend
-/// (`scalar` | `portable` | `sse2` | `avx2` | `avx512`).
+/// (`scalar` | `avx2` | `avx512`).
 pub const BACKEND_ENV: &str = "SAIYAN_SIMD";
 
 /// A kernel backend. `Scalar` means "use the stage's original loop"; the
 /// others select a wide implementation in this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// The original per-stage scalar loops (the golden reference).
+    /// The original per-stage scalar loops (the golden reference), and the
+    /// only backend on targets other than `x86_64`.
     Scalar,
-    /// The portable fixed-width tile ([`F64x4`]/[`F32x8`]): plain arrays the
-    /// autovectorizer widens, available on every architecture.
-    Portable,
-    /// `std::arch` SSE2 intrinsics, 2 × f64 lanes (x86-64 baseline).
-    Sse2,
     /// `std::arch` AVX2 intrinsics, 4 × f64 lanes.
     Avx2,
-    /// `std::arch` AVX-512F intrinsics, 8 × f64 lanes.
+    /// AVX-512F intrinsics (8 × f64 lanes) for the FIR convolution, the AVX2
+    /// kernels for everything else.
     Avx512,
 }
 
 impl Backend {
     /// Every backend, in widening order. Used by the equivalence-test matrix.
-    pub const ALL: [Backend; 5] = [
-        Backend::Scalar,
-        Backend::Portable,
-        Backend::Sse2,
-        Backend::Avx2,
-        Backend::Avx512,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Avx2, Backend::Avx512];
 
     /// Stable lower-case name, matching the [`BACKEND_ENV`] syntax.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Portable => "portable",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
             Backend::Avx512 => "avx512",
         }
@@ -113,22 +113,22 @@ impl Backend {
     pub fn f64_lanes(self) -> usize {
         match self {
             Backend::Scalar => 1,
-            Backend::Sse2 => 2,
-            Backend::Portable | Backend::Avx2 => 4,
+            Backend::Avx2 => 4,
             Backend::Avx512 => 8,
         }
     }
 
-    /// Whether the running CPU can execute this backend.
+    /// Whether the running CPU can execute this backend. `Avx512` needs AVX2
+    /// too, since it runs the AVX2 kernels everywhere but the convolution.
     pub fn available(self) -> bool {
         match self {
-            Backend::Scalar | Backend::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => true, // architectural baseline on x86-64
+            Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => is_x86_feature_detected!("avx512f"),
+            Backend::Avx512 => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -137,8 +137,6 @@ impl Backend {
     fn parse(s: &str) -> Option<Backend> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
-            "portable" => Some(Backend::Portable),
-            "sse2" => Some(Backend::Sse2),
             "avx2" => Some(Backend::Avx2),
             "avx512" => Some(Backend::Avx512),
             _ => None,
@@ -147,21 +145,18 @@ impl Backend {
 }
 
 fn best_available() -> Backend {
-    for b in [Backend::Avx512, Backend::Avx2, Backend::Sse2] {
-        if b.available() {
-            return b;
-        }
-    }
-    Backend::Portable
+    [Backend::Avx512, Backend::Avx2]
+        .into_iter()
+        .find(|b| b.available())
+        .unwrap_or(Backend::Scalar)
 }
 
 fn selection() -> (Backend, bool) {
     static SEL: OnceLock<(Backend, bool)> = OnceLock::new();
     *SEL.get_or_init(|| match std::env::var(BACKEND_ENV) {
         Ok(v) => {
-            let b = Backend::parse(&v).unwrap_or_else(|| {
-                panic!("{BACKEND_ENV}={v:?}: expected scalar|portable|sse2|avx2|avx512")
-            });
+            let b = Backend::parse(&v)
+                .unwrap_or_else(|| panic!("{BACKEND_ENV}={v:?}: expected scalar|avx2|avx512"));
             assert!(
                 b.available(),
                 "{BACKEND_ENV}={v:?}: backend {} is not available on this CPU",
@@ -212,99 +207,6 @@ impl std::fmt::Display for SimdReport {
         )
     }
 }
-
-// ---------------------------------------------------------------------------
-// Portable tile abstraction
-// ---------------------------------------------------------------------------
-
-/// A fixed-width lane tile: the portable backend's unit of work.
-///
-/// Implementations are plain arrays with elementwise ops written so LLVM can
-/// widen them on any target; the `std::arch` backends replace the whole tile
-/// loop with intrinsics instead of going through this trait.
-pub trait Tile: Copy {
-    /// Element type of one lane.
-    type Elem: Copy;
-    /// Lane count.
-    const LANES: usize;
-    /// Broadcasts one value into every lane.
-    fn splat(x: Self::Elem) -> Self;
-    /// Loads `LANES` consecutive elements (panics if `src` is shorter).
-    fn load(src: &[Self::Elem]) -> Self;
-    /// Stores `LANES` consecutive elements (panics if `dst` is shorter).
-    fn store(self, dst: &mut [Self::Elem]);
-    /// Lanewise addition.
-    fn add(self, rhs: Self) -> Self;
-    /// Lanewise subtraction.
-    fn sub(self, rhs: Self) -> Self;
-    /// Lanewise multiplication.
-    fn mul(self, rhs: Self) -> Self;
-}
-
-macro_rules! array_tile {
-    ($name:ident, $elem:ty, $lanes:expr, $doc:literal) => {
-        #[doc = $doc]
-        #[derive(Debug, Clone, Copy, PartialEq)]
-        pub struct $name(pub [$elem; $lanes]);
-
-        impl Tile for $name {
-            type Elem = $elem;
-            const LANES: usize = $lanes;
-            #[inline(always)]
-            fn splat(x: $elem) -> Self {
-                $name([x; $lanes])
-            }
-            #[inline(always)]
-            fn load(src: &[$elem]) -> Self {
-                let mut out = [0.0; $lanes];
-                out.copy_from_slice(&src[..$lanes]);
-                $name(out)
-            }
-            #[inline(always)]
-            fn store(self, dst: &mut [$elem]) {
-                dst[..$lanes].copy_from_slice(&self.0);
-            }
-            #[inline(always)]
-            fn add(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for (o, r) in out.iter_mut().zip(rhs.0.iter()) {
-                    *o += *r;
-                }
-                $name(out)
-            }
-            #[inline(always)]
-            fn sub(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for (o, r) in out.iter_mut().zip(rhs.0.iter()) {
-                    *o -= *r;
-                }
-                $name(out)
-            }
-            #[inline(always)]
-            fn mul(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for (o, r) in out.iter_mut().zip(rhs.0.iter()) {
-                    *o *= *r;
-                }
-                $name(out)
-            }
-        }
-    };
-}
-
-array_tile!(
-    F64x4,
-    f64,
-    4,
-    "Four `f64` lanes — the portable backend's double-precision tile."
-);
-array_tile!(
-    F32x8,
-    f32,
-    8,
-    "Eight `f32` lanes — the portable single-precision tile (same width in \
-     bytes as [`F64x4`]; provided for future f32 pipelines)."
-);
 
 /// Reinterprets a slice of [`Iq`] as its interleaved `re,im,re,im,…` lanes.
 /// Sound because `Iq` is `repr(C)` over two `f64`s.
@@ -397,36 +299,22 @@ pub fn convolve_block<const ACCUM: bool>(
     assert!(buf_re.len() >= m - 1 + l && buf_im.len() >= m - 1 + l);
     assert!(out_re.len() >= m && out_im.len() >= m);
     let m_wide = match backend {
-        Backend::Scalar => 0,
-        Backend::Portable => {
-            let mw = m & !(F64x4::LANES - 1);
-            convolve_tiles::<F64x4, ACCUM>(tr, ti, buf_re, buf_im, out_re, out_im, mw);
-            mw
-        }
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => {
-            let mw = m & !1;
-            // SAFETY: SSE2 is the x86-64 baseline; bounds asserted above.
-            unsafe { convolve_sse2::<ACCUM>(tr, ti, buf_re, buf_im, out_re, out_im, mw) };
-            mw
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
+        Backend::Avx2 if Backend::Avx2.available() => {
             let mw = m & !3;
-            // SAFETY: the backend is only selected when AVX2 is detected;
-            // bounds asserted above.
+            // SAFETY: AVX2 availability checked in the guard; bounds asserted
+            // above.
             unsafe { convolve_avx2::<ACCUM>(tr, ti, buf_re, buf_im, out_re, out_im, mw) };
             mw
         }
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => {
+        Backend::Avx512 if Backend::Avx512.available() => {
             let mw = m & !7;
-            // SAFETY: the backend is only selected when AVX-512F is detected;
-            // bounds asserted above.
+            // SAFETY: AVX-512F availability checked in the guard; bounds
+            // asserted above.
             unsafe { convolve_avx512::<ACCUM>(tr, ti, buf_re, buf_im, out_re, out_im, mw) };
             mw
         }
-        #[cfg(not(target_arch = "x86_64"))]
         _ => 0,
     };
     for i in m_wide..m {
@@ -435,71 +323,10 @@ pub fn convolve_block<const ACCUM: bool>(
     }
 }
 
-/// The tile loop over the portable abstraction: `T::LANES` outputs per tile,
-/// scalar summation order per lane.
-fn convolve_tiles<T: Tile<Elem = f64>, const ACCUM: bool>(
-    tr: &[f64],
-    ti: &[f64],
-    buf_re: &[f64],
-    buf_im: &[f64],
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    m_wide: usize,
-) {
-    let l = tr.len();
-    let l2 = l & !1;
-    let mut i = 0usize;
-    while i < m_wide {
-        let mut ar0 = T::splat(0.0);
-        let mut ar1 = T::splat(0.0);
-        let mut ai0 = T::splat(0.0);
-        let mut ai1 = T::splat(0.0);
-        let mut j = 0usize;
-        while j < l2 {
-            {
-                let t_re = T::splat(tr[j]);
-                let t_im = T::splat(ti[j]);
-                let s_re = T::load(&buf_re[i + j..]);
-                let s_im = T::load(&buf_im[i + j..]);
-                ar0 = ar0.add(t_re.mul(s_re).sub(t_im.mul(s_im)));
-                ai0 = ai0.add(t_re.mul(s_im).add(t_im.mul(s_re)));
-            }
-            {
-                let t_re = T::splat(tr[j + 1]);
-                let t_im = T::splat(ti[j + 1]);
-                let s_re = T::load(&buf_re[i + j + 1..]);
-                let s_im = T::load(&buf_im[i + j + 1..]);
-                ar1 = ar1.add(t_re.mul(s_re).sub(t_im.mul(s_im)));
-                ai1 = ai1.add(t_re.mul(s_im).add(t_im.mul(s_re)));
-            }
-            j += 2;
-        }
-        if j < l {
-            let t_re = T::splat(tr[j]);
-            let t_im = T::splat(ti[j]);
-            let s_re = T::load(&buf_re[i + j..]);
-            let s_im = T::load(&buf_im[i + j..]);
-            ar0 = ar0.add(t_re.mul(s_re).sub(t_im.mul(s_im)));
-            ai0 = ai0.add(t_re.mul(s_im).add(t_im.mul(s_re)));
-        }
-        let res_re = ar0.add(ar1);
-        let res_im = ai0.add(ai1);
-        if ACCUM {
-            let prev_re = T::load(&out_re[i..]);
-            let prev_im = T::load(&out_im[i..]);
-            prev_re.add(res_re).store(&mut out_re[i..]);
-            prev_im.add(res_im).store(&mut out_im[i..]);
-        } else {
-            res_re.store(&mut out_re[i..]);
-            res_im.store(&mut out_im[i..]);
-        }
-        i += T::LANES;
-    }
-}
-
-/// Generates one `std::arch` convolution kernel: the same tile loop as
-/// [`convolve_tiles`] with the lane ops spelled as intrinsics (broadcast tap,
-/// unaligned lane load per parity, `add(acc, sub(mul, mul))` — never FMA).
+/// Generates one `std::arch` convolution kernel computing `$lanes` outputs
+/// per tile, output `q` in lane `q`, each lane in the scalar order of
+/// [`dot_scalar_order`]: broadcast tap, unaligned lane load per parity,
+/// `add(acc, sub(mul, mul))` — never FMA.
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_convolve {
     ($name:ident, $feature:literal, $lanes:expr, $vec:ty,
@@ -572,19 +399,6 @@ macro_rules! x86_convolve {
 
 #[cfg(target_arch = "x86_64")]
 x86_convolve!(
-    convolve_sse2,
-    "sse2",
-    2,
-    std::arch::x86_64::__m128d,
-    _mm_set1_pd,
-    _mm_loadu_pd,
-    _mm_storeu_pd,
-    _mm_add_pd,
-    _mm_sub_pd,
-    _mm_mul_pd
-);
-#[cfg(target_arch = "x86_64")]
-x86_convolve!(
     convolve_avx2,
     "avx2",
     4,
@@ -640,7 +454,6 @@ pub fn rotate_chains_into(
     assert_eq!(anchor_im.len(), chains);
     assert!(out.len() >= chains * block);
     let wide = match backend {
-        Backend::Scalar => 0,
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let cw = chains & !3;
@@ -657,18 +470,7 @@ pub fn rotate_chains_into(
             };
             cw
         }
-        _ => {
-            let cw = chains & !3;
-            rotate_chains_portable(
-                &anchor_re[..cw],
-                &anchor_im[..cw],
-                step_re,
-                step_im,
-                block,
-                out,
-            );
-            cw
-        }
+        _ => 0,
     };
     // Remaining chains: the scalar rotation, one chain at a time.
     for c in wide..chains {
@@ -678,31 +480,6 @@ pub fn rotate_chains_into(
             out[c * block + t] = z_re;
             let re = z_re * step_re - z_im * step_im;
             z_im = z_re * step_im + z_im * step_re;
-            z_re = re;
-        }
-    }
-}
-
-/// Four chains per tile on the portable abstraction.
-fn rotate_chains_portable(
-    anchor_re: &[f64],
-    anchor_im: &[f64],
-    step_re: f64,
-    step_im: f64,
-    block: usize,
-    out: &mut [f64],
-) {
-    let sre = F64x4::splat(step_re);
-    let sim = F64x4::splat(step_im);
-    for g in (0..anchor_re.len()).step_by(4) {
-        let mut z_re = F64x4::load(&anchor_re[g..]);
-        let mut z_im = F64x4::load(&anchor_im[g..]);
-        for t in 0..block {
-            for lane in 0..4 {
-                out[(g + lane) * block + t] = z_re.0[lane];
-            }
-            let re = z_re.mul(sre).sub(z_im.mul(sim));
-            z_im = z_re.mul(sim).add(z_im.mul(sre));
             z_re = re;
         }
     }
@@ -756,17 +533,7 @@ pub fn rotate_by_table_in_place(backend: Backend, out: &mut [Iq], anchor: Iq, ta
     let n = out.len();
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = n & !3;
-            // SAFETY: AVX-512F availability checked in the guard; `table` is
-            // at least as long as `out`.
-            unsafe {
-                rotate_table_avx512(iq_lanes_mut(out), anchor.re, anchor.im, iq_lanes(table), nw)
-            };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if Backend::Avx2.available() => {
+        Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = n & !1;
             // SAFETY: AVX2 availability checked in the guard; bounds above.
             unsafe {
@@ -779,52 +546,6 @@ pub fn rotate_by_table_in_place(backend: Backend, out: &mut [Iq], anchor: Iq, ta
     for k in n_wide..n {
         let c = anchor * table[k];
         out[k] *= c;
-    }
-}
-
-/// Four complex samples per iteration. `addsub` is emulated by flipping the
-/// sign bit of the even lanes (IEEE `x − y` ≡ `x + (−y)`, so the emulation is
-/// exact).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn rotate_table_avx512(
-    flat_out: &mut [f64],
-    anchor_re: f64,
-    anchor_im: f64,
-    flat_table: &[f64],
-    n_wide: usize,
-) {
-    use std::arch::x86_64::*;
-    let arv = _mm512_set1_pd(anchor_re);
-    let aiv = _mm512_set1_pd(anchor_im);
-    let neg_even = _mm512_castsi512_pd(_mm512_setr_epi64(
-        i64::MIN,
-        0,
-        i64::MIN,
-        0,
-        i64::MIN,
-        0,
-        i64::MIN,
-        0,
-    ));
-    let tp = flat_table.as_ptr();
-    let op = flat_out.as_mut_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let w = _mm512_loadu_pd(tp.add(2 * k));
-        // c = anchor · w: even lanes ar·wr − ai·wi, odd lanes ar·wi + ai·wr.
-        let t1 = _mm512_mul_pd(arv, w);
-        let t2 = _mm512_mul_pd(aiv, _mm512_permute_pd::<0b0101_0101>(w));
-        let c = _mm512_add_pd(t1, _mm512_xor_pd(t2, neg_even));
-        // y · c via two swapped products folded per pair.
-        let v = _mm512_loadu_pd(op.add(2 * k));
-        let p1 = _mm512_mul_pd(v, c);
-        let p2 = _mm512_mul_pd(v, _mm512_permute_pd::<0b0101_0101>(c));
-        let e = _mm512_sub_pd(p1, _mm512_permute_pd::<0b0101_0101>(p1));
-        let o = _mm512_add_pd(p2, _mm512_permute_pd::<0b0101_0101>(p2));
-        let res = _mm512_mask_blend_pd(0b1010_1010, e, _mm512_permute_pd::<0b0101_0101>(o));
-        _mm512_storeu_pd(op.add(2 * k), res);
-        k += 4;
     }
 }
 
@@ -878,14 +599,6 @@ pub fn accumulate_in_place(backend: Backend, out: &mut [Iq], src: &[Iq]) {
     let n = out.len();
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = n & !3;
-            // SAFETY: AVX-512F availability checked in the guard; equal
-            // lengths asserted above.
-            unsafe { accumulate_avx512(iq_lanes_mut(out), iq_lanes(src), nw) };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = n & !1;
             // SAFETY: AVX2 availability checked in the guard; equal lengths
@@ -897,24 +610,6 @@ pub fn accumulate_in_place(backend: Backend, out: &mut [Iq], src: &[Iq]) {
     };
     for k in n_wide..n {
         out[k] += src[k];
-    }
-}
-
-/// Four `Iq` samples (eight f64 lanes) per iteration.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn accumulate_avx512(flat_out: &mut [f64], flat_src: &[f64], n_wide: usize) {
-    use std::arch::x86_64::*;
-    let op = flat_out.as_mut_ptr();
-    let sp = flat_src.as_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let acc = _mm512_add_pd(
-            _mm512_loadu_pd(op.add(2 * k)),
-            _mm512_loadu_pd(sp.add(2 * k)),
-        );
-        _mm512_storeu_pd(op.add(2 * k), acc);
-        k += 4;
     }
 }
 
@@ -958,14 +653,6 @@ pub fn scaled_product<const ACCUM: bool>(
     let n = out.len();
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = n & !7;
-            // SAFETY: AVX-512F availability checked in the guard; equal
-            // lengths asserted above.
-            unsafe { scaled_product_avx512::<ACCUM>(a, b, k, out, nw) };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = n & !3;
             // SAFETY: AVX2 availability checked in the guard; equal lengths
@@ -982,33 +669,6 @@ pub fn scaled_product<const ACCUM: bool>(
         } else {
             out[j] = v;
         }
-    }
-}
-
-/// Eight f64 lanes per iteration.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn scaled_product_avx512<const ACCUM: bool>(
-    a: &[f64],
-    b: &[f64],
-    k: f64,
-    out: &mut [f64],
-    n_wide: usize,
-) {
-    use std::arch::x86_64::*;
-    let kv = _mm512_set1_pd(k);
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut j = 0usize;
-    while j < n_wide {
-        let prod = _mm512_mul_pd(_mm512_loadu_pd(ap.add(j)), _mm512_loadu_pd(bp.add(j)));
-        let mut v = _mm512_mul_pd(kv, prod);
-        if ACCUM {
-            v = _mm512_add_pd(_mm512_loadu_pd(op.add(j)), v);
-        }
-        _mm512_storeu_pd(op.add(j), v);
-        j += 8;
     }
 }
 
@@ -1063,23 +723,6 @@ pub fn rotate_table_accumulate(
     let n = out.len();
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = n & !3;
-            // SAFETY: AVX-512F availability checked in the guard; lengths
-            // asserted above.
-            unsafe {
-                rotate_accumulate_avx512(
-                    iq_lanes_mut(out),
-                    iq_lanes(src),
-                    anchor.re,
-                    anchor.im,
-                    iq_lanes(table),
-                    nw,
-                )
-            };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = n & !1;
             // SAFETY: AVX2 availability checked in the guard; lengths
@@ -1101,56 +744,6 @@ pub fn rotate_table_accumulate(
     for k in n_wide..n {
         let c = anchor * table[k];
         out[k] += src[k] * c;
-    }
-}
-
-/// Four complex samples per iteration; the anchor·table product and the
-/// src·rotation product both use the swapped-product/fold sequence of
-/// [`rotate_by_table_in_place`]'s wide paths, followed by one vector add
-/// into `out`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn rotate_accumulate_avx512(
-    flat_out: &mut [f64],
-    flat_src: &[f64],
-    anchor_re: f64,
-    anchor_im: f64,
-    flat_table: &[f64],
-    n_wide: usize,
-) {
-    use std::arch::x86_64::*;
-    let arv = _mm512_set1_pd(anchor_re);
-    let aiv = _mm512_set1_pd(anchor_im);
-    let neg_even = _mm512_castsi512_pd(_mm512_setr_epi64(
-        i64::MIN,
-        0,
-        i64::MIN,
-        0,
-        i64::MIN,
-        0,
-        i64::MIN,
-        0,
-    ));
-    let tp = flat_table.as_ptr();
-    let sp = flat_src.as_ptr();
-    let op = flat_out.as_mut_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let w = _mm512_loadu_pd(tp.add(2 * k));
-        // c = anchor · w: even lanes ar·wr − ai·wi, odd lanes ar·wi + ai·wr.
-        let t1 = _mm512_mul_pd(arv, w);
-        let t2 = _mm512_mul_pd(aiv, _mm512_permute_pd::<0b0101_0101>(w));
-        let c = _mm512_add_pd(t1, _mm512_xor_pd(t2, neg_even));
-        // p = src · c via two swapped products folded per pair.
-        let v = _mm512_loadu_pd(sp.add(2 * k));
-        let p1 = _mm512_mul_pd(v, c);
-        let p2 = _mm512_mul_pd(v, _mm512_permute_pd::<0b0101_0101>(c));
-        let e = _mm512_sub_pd(p1, _mm512_permute_pd::<0b0101_0101>(p1));
-        let o = _mm512_add_pd(p2, _mm512_permute_pd::<0b0101_0101>(p2));
-        let p = _mm512_mask_blend_pd(0b1010_1010, e, _mm512_permute_pd::<0b0101_0101>(o));
-        let acc = _mm512_add_pd(_mm512_loadu_pd(op.add(2 * k)), p);
-        _mm512_storeu_pd(op.add(2 * k), acc);
-        k += 4;
     }
 }
 
@@ -1213,23 +806,6 @@ pub fn rf_mix_into(
     out.resize(samples.len(), Iq::ZERO);
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = samples.len() & !3;
-            // SAFETY: AVX-512F availability checked in the guard; `out` was
-            // resized to `samples.len()` above.
-            unsafe {
-                rf_mix_avx512(
-                    iq_lanes(samples),
-                    clock,
-                    feedthrough,
-                    gain,
-                    iq_lanes_mut(out),
-                    nw,
-                )
-            };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = samples.len() & !1;
             // SAFETY: AVX2 availability checked in the guard; `out` was
@@ -1251,38 +827,6 @@ pub fn rf_mix_into(
     for k in n_wide..samples.len() {
         let s = samples[k];
         out[k] = s.scale(feedthrough) + s.scale(gain * clock[k]);
-    }
-}
-
-/// Four `Iq` samples per iteration: the four `gain·clock` factors are
-/// computed once in a 256-bit lane and spread to component pairs with one
-/// permute.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn rf_mix_avx512(
-    flat_in: &[f64],
-    clock: &[f64],
-    feedthrough: f64,
-    gain: f64,
-    flat_out: &mut [f64],
-    n_wide: usize,
-) {
-    use std::arch::x86_64::*;
-    let ft = _mm512_set1_pd(feedthrough);
-    let g = _mm256_set1_pd(gain);
-    let spread = _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
-    let ip = flat_in.as_ptr();
-    let cp = clock.as_ptr();
-    let op = flat_out.as_mut_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let v = _mm512_loadu_pd(ip.add(2 * k));
-        let gc4 = _mm256_mul_pd(g, _mm256_loadu_pd(cp.add(k)));
-        // Only lanes 0..4 of the widened register are read by the permute.
-        let gc = _mm512_permutexvar_pd(spread, _mm512_castpd256_pd512(gc4));
-        let res = _mm512_add_pd(_mm512_mul_pd(v, ft), _mm512_mul_pd(v, gc));
-        _mm512_storeu_pd(op.add(2 * k), res);
-        k += 4;
     }
 }
 
@@ -1325,13 +869,6 @@ pub fn bb_mix_in_place(backend: Backend, data: &mut [f64], clock: &[f64], gain: 
     let n = data.len();
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = n & !7;
-            // SAFETY: AVX-512F availability checked in the guard.
-            unsafe { bb_mix_avx512(data, clock, gain, nw) };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = n & !3;
             // SAFETY: AVX2 availability checked in the guard.
@@ -1342,23 +879,6 @@ pub fn bb_mix_in_place(backend: Backend, data: &mut [f64], clock: &[f64], gain: 
     };
     for k in n_wide..n {
         data[k] = gain * data[k] * clock[k];
-    }
-}
-
-/// Eight lanes per iteration.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn bb_mix_avx512(data: &mut [f64], clock: &[f64], gain: f64, n_wide: usize) {
-    use std::arch::x86_64::*;
-    let g = _mm512_set1_pd(gain);
-    let p = data.as_mut_ptr();
-    let cp = clock.as_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let v = _mm512_loadu_pd(p.add(k));
-        let c = _mm512_loadu_pd(cp.add(k));
-        _mm512_storeu_pd(p.add(k), _mm512_mul_pd(_mm512_mul_pd(g, v), c));
-        k += 8;
     }
 }
 
@@ -1393,14 +913,6 @@ pub fn envelope_noiseless_into(
     out.resize(samples.len(), 0.0);
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = samples.len() & !7;
-            // SAFETY: AVX-512F availability checked in the guard; out sized
-            // above.
-            unsafe { envelope_avx512(iq_lanes(samples), gain, dc, out, nw) };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = samples.len() & !3;
             // SAFETY: AVX2 availability checked in the guard; out sized above.
@@ -1411,31 +923,6 @@ pub fn envelope_noiseless_into(
     };
     for k in n_wide..samples.len() {
         out[k] = gain * samples[k].norm_sqr() + dc;
-    }
-}
-
-/// Eight `Iq` samples per iteration: two cross-register permutes split the
-/// components, then `re² + im²` per sample (the `norm_sqr` order) stays in
-/// stream order with no unscramble.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn envelope_avx512(flat_in: &[f64], gain: f64, dc: f64, out: &mut [f64], n_wide: usize) {
-    use std::arch::x86_64::*;
-    let g = _mm512_set1_pd(gain);
-    let d = _mm512_set1_pd(dc);
-    let idx_re = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-    let idx_im = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-    let ip = flat_in.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let a = _mm512_loadu_pd(ip.add(2 * k));
-        let b = _mm512_loadu_pd(ip.add(2 * k + 8));
-        let re = _mm512_permutex2var_pd(a, idx_re, b);
-        let im = _mm512_permutex2var_pd(a, idx_im, b);
-        let ns = _mm512_add_pd(_mm512_mul_pd(re, re), _mm512_mul_pd(im, im));
-        _mm512_storeu_pd(op.add(k), _mm512_add_pd(_mm512_mul_pd(g, ns), d));
-        k += 8;
     }
 }
 
@@ -1483,14 +970,6 @@ pub fn lna_quiet_into(
     out.resize(samples.len(), Iq::ZERO);
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = samples.len() & !7;
-            // SAFETY: AVX-512F availability checked in the guard; out sized
-            // above.
-            unsafe { lna_quiet_avx512(samples, gain_amp, comp_amp, out, nw) };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = samples.len() & !3;
             // SAFETY: AVX2 availability checked in the guard; out sized above.
@@ -1507,52 +986,6 @@ pub fn lna_quiet_into(
             v = v.scale(limited / a);
         }
         out[k] = v;
-    }
-}
-
-/// Eight `Iq` samples per iteration; the amplitude check runs on
-/// permute-split component planes (mask lane `i` is sample `k + i`, no
-/// unscramble), and compressed samples are patched scalar afterwards.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn lna_quiet_avx512(
-    samples: &[Iq],
-    gain_amp: f64,
-    comp_amp: f64,
-    out: &mut [Iq],
-    n_wide: usize,
-) {
-    use std::arch::x86_64::*;
-    let g = _mm512_set1_pd(gain_amp);
-    let ca = _mm512_set1_pd(comp_amp);
-    let idx_re = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-    let idx_im = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-    let ip = iq_lanes(samples).as_ptr();
-    let op = iq_lanes_mut(out).as_mut_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let v0 = _mm512_mul_pd(_mm512_loadu_pd(ip.add(2 * k)), g);
-        let v1 = _mm512_mul_pd(_mm512_loadu_pd(ip.add(2 * k + 8)), g);
-        _mm512_storeu_pd(op.add(2 * k), v0);
-        _mm512_storeu_pd(op.add(2 * k + 8), v1);
-        let re = _mm512_permutex2var_pd(v0, idx_re, v1);
-        let im = _mm512_permutex2var_pd(v0, idx_im, v1);
-        let a = _mm512_sqrt_pd(_mm512_add_pd(_mm512_mul_pd(re, re), _mm512_mul_pd(im, im)));
-        let over = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(a, ca);
-        if over != 0 {
-            for lane in 0..8usize {
-                if over & (1 << lane) != 0 {
-                    let idx = 2 * (k + lane);
-                    let v = Iq::new(*op.add(idx), *op.add(idx + 1));
-                    let amp = v.abs();
-                    let limited = comp_amp * (1.0 + (amp / comp_amp - 1.0).tanh());
-                    let v = v.scale(limited / amp);
-                    *op.add(idx) = v.re;
-                    *op.add(idx + 1) = v.im;
-                }
-            }
-        }
-        k += 8;
     }
 }
 
@@ -1626,15 +1059,7 @@ pub fn deinterleave_extend(
     let dst_im = &mut out_im[im_base..];
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = n & !7;
-            // SAFETY: AVX-512F availability checked in the guard; both
-            // destination tails were resized to `n` above.
-            unsafe { deinterleave_avx512(iq_lanes(samples), dst_re, dst_im, nw) };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if Backend::Avx2.available() => {
+        Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = n & !3;
             // SAFETY: AVX2 availability checked in the guard; tails sized above.
             unsafe { deinterleave_avx2(iq_lanes(samples), dst_re, dst_im, nw) };
@@ -1645,27 +1070,6 @@ pub fn deinterleave_extend(
     for k in n_wide..n {
         dst_re[k] = samples[k].re;
         dst_im[k] = samples[k].im;
-    }
-}
-
-/// Eight `Iq` samples (two 512-bit loads) per iteration, split with two
-/// cross-register permutes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn deinterleave_avx512(flat: &[f64], dst_re: &mut [f64], dst_im: &mut [f64], n_wide: usize) {
-    use std::arch::x86_64::*;
-    let idx_re = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-    let idx_im = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-    let ip = flat.as_ptr();
-    let rp = dst_re.as_mut_ptr();
-    let mp = dst_im.as_mut_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let a = _mm512_loadu_pd(ip.add(2 * k));
-        let b = _mm512_loadu_pd(ip.add(2 * k + 8));
-        _mm512_storeu_pd(rp.add(k), _mm512_permutex2var_pd(a, idx_re, b));
-        _mm512_storeu_pd(mp.add(k), _mm512_permutex2var_pd(a, idx_im, b));
-        k += 8;
     }
 }
 
@@ -1707,15 +1111,7 @@ pub fn interleave_extend(backend: Backend, re: &[f64], im: &[f64], out: &mut Vec
     let dst = &mut out[base..];
     let n_wide = match backend {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if Backend::Avx512.available() => {
-            let nw = n & !7;
-            // SAFETY: AVX-512F availability checked in the guard; `dst` holds
-            // exactly `n` samples.
-            unsafe { interleave_avx512(re, im, iq_lanes_mut(dst), nw) };
-            nw
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if Backend::Avx2.available() => {
+        Backend::Avx2 | Backend::Avx512 if Backend::Avx2.available() => {
             let nw = n & !3;
             // SAFETY: AVX2 availability checked in the guard; dst sized above.
             unsafe { interleave_avx2(re, im, iq_lanes_mut(dst), nw) };
@@ -1725,26 +1121,6 @@ pub fn interleave_extend(backend: Backend, re: &[f64], im: &[f64], out: &mut Vec
     };
     for k in n_wide..n {
         dst[k] = Iq::new(re[k], im[k]);
-    }
-}
-
-/// Eight `Iq` outputs per iteration via two cross-register permutes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn interleave_avx512(re: &[f64], im: &[f64], flat_out: &mut [f64], n_wide: usize) {
-    use std::arch::x86_64::*;
-    let idx_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
-    let idx_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
-    let rp = re.as_ptr();
-    let mp = im.as_ptr();
-    let op = flat_out.as_mut_ptr();
-    let mut k = 0usize;
-    while k < n_wide {
-        let r = _mm512_loadu_pd(rp.add(k));
-        let i = _mm512_loadu_pd(mp.add(k));
-        _mm512_storeu_pd(op.add(2 * k), _mm512_permutex2var_pd(r, idx_lo, i));
-        _mm512_storeu_pd(op.add(2 * k + 8), _mm512_permutex2var_pd(r, idx_hi, i));
-        k += 8;
     }
 }
 
@@ -1793,7 +1169,8 @@ fn resolve_word(a: u64, b: u64, carry: bool) -> u64 {
     g
 }
 
-/// Builds one word of comparator masks with scalar compares (portable path).
+/// Builds one word of comparator masks with scalar compares (scalar backend
+/// and partial words).
 #[inline]
 fn mask_word_scalar(
     values: &[f64],
@@ -1839,19 +1216,7 @@ pub fn hysteresis_words(
         let n = (values.len() - base).min(64);
         let (a, b) = match backend {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 if n == 64 && Backend::Avx512.available() => {
-                // SAFETY: AVX-512F availability checked in the guard; the
-                // slices all hold at least 64 elements from `base`.
-                unsafe {
-                    mask_word_avx512(
-                        &values[base..base + 64],
-                        &highs[base..base + 64],
-                        &lows[base..base + 64],
-                    )
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 if n == 64 && Backend::Avx2.available() => {
+            Backend::Avx2 | Backend::Avx512 if n == 64 && Backend::Avx2.available() => {
                 // SAFETY: AVX2 availability checked in the guard.
                 unsafe {
                     mask_word_avx2(
@@ -1906,12 +1271,7 @@ pub fn hysteresis_scan(
         let n = (values.len() - base).min(64);
         let (a, b) = match backend {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 if n == 64 && Backend::Avx512.available() => {
-                // SAFETY: AVX-512F availability checked in the guard.
-                unsafe { mask_word_fixed_avx512(&values[base..base + 64], high, low) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 if n == 64 && Backend::Avx2.available() => {
+            Backend::Avx2 | Backend::Avx512 if n == 64 && Backend::Avx2.available() => {
                 // SAFETY: AVX2 availability checked in the guard.
                 unsafe { mask_word_fixed_avx2(&values[base..base + 64], high, low) }
             }
@@ -1947,26 +1307,6 @@ unsafe fn mask_word_avx2(values: &[f64], highs: &[f64], lows: &[f64]) -> (u64, u
     (a, b)
 }
 
-/// One 64-sample compare word with AVX-512: 8 × 8-lane mask compares.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn mask_word_avx512(values: &[f64], highs: &[f64], lows: &[f64]) -> (u64, u64) {
-    use std::arch::x86_64::*;
-    let vp = values.as_ptr();
-    let hp = highs.as_ptr();
-    let lp = lows.as_ptr();
-    let mut a = 0u64;
-    let mut b = 0u64;
-    for g in 0..8 {
-        let v = _mm512_loadu_pd(vp.add(8 * g));
-        let ca = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, _mm512_loadu_pd(hp.add(8 * g)));
-        let cb = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, _mm512_loadu_pd(lp.add(8 * g)));
-        a |= (ca as u64) << (8 * g);
-        b |= (cb as u64) << (8 * g);
-    }
-    (a, b)
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn mask_word_fixed_avx2(values: &[f64], high: f64, low: f64) -> (u64, u64) {
@@ -1980,23 +1320,6 @@ unsafe fn mask_word_fixed_avx2(values: &[f64], high: f64, low: f64) -> (u64, u64
         let v = _mm256_loadu_pd(vp.add(4 * g));
         a |= (_mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(v, h)) as u64) << (4 * g);
         b |= (_mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(v, l)) as u64) << (4 * g);
-    }
-    (a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn mask_word_fixed_avx512(values: &[f64], high: f64, low: f64) -> (u64, u64) {
-    use std::arch::x86_64::*;
-    let vp = values.as_ptr();
-    let h = _mm512_set1_pd(high);
-    let l = _mm512_set1_pd(low);
-    let mut a = 0u64;
-    let mut b = 0u64;
-    for g in 0..8 {
-        let v = _mm512_loadu_pd(vp.add(8 * g));
-        a |= (_mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, h) as u64) << (8 * g);
-        b |= (_mm512_cmp_pd_mask::<_CMP_GE_OQ>(v, l) as u64) << (8 * g);
     }
     (a, b)
 }
@@ -2032,20 +1355,6 @@ mod tests {
         assert_eq!(r.backend, active_backend().name());
         assert_eq!(r.f64_lanes, active_backend().f64_lanes());
         assert!(!format!("{r}").is_empty());
-    }
-
-    #[test]
-    fn tile_ops_elementwise() {
-        let a = F64x4([1.0, 2.0, 3.0, 4.0]);
-        let b = F64x4::splat(2.0);
-        assert_eq!(a.add(b).0, [3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.sub(b).0, [-1.0, 0.0, 1.0, 2.0]);
-        assert_eq!(a.mul(b).0, [2.0, 4.0, 6.0, 8.0]);
-        let mut buf = [0.0; 4];
-        a.store(&mut buf);
-        assert_eq!(F64x4::load(&buf), a);
-        let f = F32x8::splat(1.5).mul(F32x8::splat(2.0));
-        assert_eq!(f.0, [3.0f32; 8]);
     }
 
     #[test]
@@ -2276,5 +1585,20 @@ mod tests {
         assert_eq!(Backend::parse("scalar"), Some(Backend::Scalar));
         assert_eq!(Backend::parse("avx512"), Some(Backend::Avx512));
         assert_eq!(Backend::parse("neon"), None);
+        // Removed backends are rejected, not mapped to a neighbour.
+        assert_eq!(Backend::parse("sse2"), None);
+        assert_eq!(Backend::parse("portable"), None);
+        for b in Backend::ALL {
+            assert_eq!(Backend::parse(b.name()), Some(b));
+        }
+    }
+
+    #[test]
+    fn auto_selection_is_the_widest_available() {
+        let best = best_available();
+        assert!(best.available());
+        assert!(Backend::ALL
+            .iter()
+            .all(|b| !b.available() || b.f64_lanes() <= best.f64_lanes()));
     }
 }

@@ -18,8 +18,10 @@ use lora_phy::iq::Iq;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-/// Every backend the running CPU can execute (always includes `Scalar`,
-/// `Portable`, and on x86-64 `Sse2`).
+/// Every backend the running CPU can execute: `Scalar` everywhere, plus
+/// `Avx2` and `Avx512` on x86-64 CPUs that have them. `Avx512` differs from
+/// `Avx2` only in `convolve_block`; the other kernels run their AVX2 code
+/// under both, which this matrix pins too.
 fn backends() -> Vec<Backend> {
     Backend::ALL.into_iter().filter(|b| b.available()).collect()
 }
