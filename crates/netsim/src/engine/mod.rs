@@ -1,21 +1,20 @@
 //! # The discrete-event network engine
 //!
-//! One `Scenario`-driven simulator for whole Saiyan deployments, unifying
-//! what used to be two disconnected halves: the analytical
-//! [`DeploymentSim`](crate::event::DeploymentSim)-style event loop and the
-//! waveform generators (`longtrace` / `multichannel`) that never saw MAC
-//! feedback. An [`EngineScenario`] describes the workload once — tag
-//! population, channel grid, traffic model ([`TrafficModel`]), MAC policy
-//! ([`MacPolicy`]), ARQ budget, jammer, injected losses — and runs at two
-//! fidelity levels:
+//! One `Scenario`-driven simulator for whole Saiyan deployments, closing
+//! the MAC feedback loop at two fidelity levels. An [`EngineScenario`]
+//! describes the workload once — tag population, channel grid, traffic
+//! model ([`TrafficModel`]), MAC policy ([`MacPolicy`]), ARQ budget,
+//! jammer, injected losses — and runs:
 //!
 //! * [`NetworkEngine::run_analytic`] — link-abstraction coin flips with
 //!   real airtime collision tracking ([`occupancy::ChannelOccupancy`]),
 //!   sharded into spatial cells over a worker pool with conservative
 //!   lookahead windows; a million-tag city completes faster than realtime
 //!   and stays bit-reproducible for a fixed seed across worker counts;
-//! * [`NetworkEngine::run_waveform`] — IQ synthesized in bounded chunks and
-//!   streamed straight into a real receiver (by default a lockstep
+//! * [`NetworkEngine::run_waveform`] — IQ synthesized in bounded chunks
+//!   through the same [`EmissionMixer`](crate::synthesis::EmissionMixer)
+//!   the `longtrace` / `multichannel` trace presets use, and streamed
+//!   straight into a real receiver (by default a lockstep
 //!   multi-channel [`Gateway`] — see
 //!   [`NetworkEngine::default_gateway_config`]), whose decoded
 //!   packets drive `saiyan_mac::AccessPoint` ARQ and hopping feedback that
@@ -23,12 +22,11 @@
 //!   tags the scenario carries, and the whole run is bit-reproducible for a
 //!   fixed seed across chunk sizes and worker counts.
 //!
-//! Both paths share the same scheduler module — the waveform path pops the
-//! reference [`scheduler::EventQueue`] heap, the analytic cells pop the
-//! O(1) [`scheduler::CalendarQueue`] cross-checked against it — the same
-//! MAC semantics, and the same [`EngineReport`] (PRR, goodput, delivery
-//! latency), so "how much does real demodulation change the answer?" is a
-//! one-argument diff. Receiver backends are swappable through the
+//! Both paths pop the same O(1) [`scheduler::CalendarQueue`] (the
+//! [`scheduler::EventQueue`] heap is kept only as its test oracle), share
+//! the same MAC semantics, and fill the same [`EngineReport`] (PRR,
+//! goodput, delivery latency), so "how much does real demodulation change
+//! the answer?" is a one-argument diff. Receiver backends are swappable through the
 //! `saiyan::Receiver` trait via [`NetworkEngine::run_waveform_with`] — the
 //! plain streaming demodulator and the `baselines` detection adapters slot
 //! in the same way.

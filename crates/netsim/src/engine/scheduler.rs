@@ -2,12 +2,12 @@
 //!
 //! Two implementations with identical observable semantics:
 //!
-//! * [`EventQueue`] — a thin wrapper over [`BinaryHeap`]; the reference
-//!   implementation (O(log n) per operation);
 //! * [`CalendarQueue`] — an NS-2-style calendar/bucket queue with amortised
-//!   O(1) push/pop at high event rates, which is what the sharded analytic
-//!   backend runs on at city scale. Cross-checked against the heap by the
-//!   `engine_scale` property tests.
+//!   O(1) push/pop at high event rates: the one production queue, popped by
+//!   the waveform loop and by every sharded analytic cell;
+//! * [`EventQueue`] — a thin wrapper over [`BinaryHeap`] (O(log n) per
+//!   operation), kept only as the reference oracle the calendar is
+//!   cross-checked against here and in the `engine_scale` property tests.
 //!
 //! Both fix the two things a reproducible discrete-event simulator needs
 //! and a bare priority queue does not give:

@@ -19,7 +19,8 @@
 //! Every run of the same scenario produces the same [`EngineReport`],
 //! whatever the chunk size or the receiver's worker count:
 //!
-//! * events are handled in deterministic `(time, push-order)` order, and
+//! * events are handled in deterministic `(time, push-order)` order (the
+//!   same [`CalendarQueue`] the analytic cells pop), and
 //!   all events inside a chunk's window are handled before the chunk is
 //!   synthesized — so emission placement is keyed to absolute sample
 //!   indices only;
@@ -52,7 +53,7 @@ use saiyan_mac::packet::UplinkPacket;
 use super::harness::{Ev, MacHarness};
 use super::report::EngineOutcome;
 use super::scenario::EngineScenario;
-use super::scheduler::EventQueue;
+use super::scheduler::CalendarQueue;
 use crate::synthesis::EmissionMixer;
 
 /// Runs the scenario's waveform path through the given receiver.
@@ -86,12 +87,11 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
     let tail_s = scenario.horizon_s() + 6.0 * scenario.lora.symbol_duration();
 
     let mut harness = MacHarness::new(scenario);
-    let mut queue: EventQueue<Ev> = EventQueue::new();
     // `end_time` is the activity watermark: synthesis runs to it plus the
     // tail. Every scheduled event extends it past its own airtime, so the
     // stream length is an event-driven quantity, not a chunk-count one.
     let mut end_time: f64 = scenario.lead_in_s;
-    let schedule = |queue: &mut EventQueue<Ev>, end_time: &mut f64, t: f64, ev: Ev| {
+    let schedule = |queue: &mut CalendarQueue<Ev>, end_time: &mut f64, t: f64, ev: Ev| {
         *end_time = end_time.max(t + packet_dur);
         queue.push(t, ev);
     };
@@ -102,6 +102,7 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
          larger populations run on the sharded analytic backend",
         super::scenario::MAX_TAGS_PER_CELL
     );
+    let mut arrivals: Vec<(f64, u16)> = Vec::new();
     for tag in 0..scenario.n_tags as u16 {
         let mut rng = MacHarness::traffic_rng(scenario, tag as u32);
         for t in scenario.traffic.arrivals(
@@ -109,8 +110,16 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
             scenario.phase_s(tag as u32),
             &mut rng,
         ) {
-            schedule(&mut queue, &mut end_time, t, Ev::Arrival { tag });
+            end_time = end_time.max(t + packet_dur);
+            arrivals.push((t, tag));
         }
+    }
+    // About one bucket per expected event over the arrival span plus the
+    // feedback tail; later events overflow and still pop in order.
+    let span = end_time - scenario.lead_in_s + scenario.feedback_delay_s;
+    let mut queue = CalendarQueue::for_span(scenario.lead_in_s, span, arrivals.len() * 3 + 16);
+    for (t, tag) in arrivals {
+        queue.push(t, Ev::Arrival { tag });
     }
     if let Some(jam) = scenario.jammer {
         // A raw push, like the scans below: the jammer switching on is not
@@ -342,7 +351,7 @@ fn emit(
 fn drain_packets(
     harness: &mut MacHarness,
     scenario: &EngineScenario,
-    queue: &mut EventQueue<Ev>,
+    queue: &mut CalendarQueue<Ev>,
     end_time: &mut f64,
     packets: Vec<saiyan::gateway::GatewayPacket>,
     feedback: bool,

@@ -10,19 +10,20 @@
 //! * [`longtrace`] — long multi-packet IQ traces for the streaming receiver
 //!   and the golden-fixture serialisation behind `tests/golden_traces.rs`;
 //! * [`multichannel`] — multi-tag, multi-channel wideband traces (per-tag
-//!   hopping schedules, per-packet power/CFO) for the gateway;
+//!   hopping schedules, per-packet power/CFO) for the gateway (both trace
+//!   generators are layout presets over [`synthesis::EmissionMixer`]);
 //! * [`backscatter`] — the two-hop backscatter uplink (Fig. 2);
 //! * [`casestudy`] — retransmission, channel hopping and multi-tag ALOHA
 //!   case studies (Figs. 26/27, §4.4);
-//! * [`synthesis`] — the waveform synthesis fast path: start-sorted
-//!   emission mixing with fused CFO/channel rotation, anchored on the
+//! * [`synthesis`] — the one emission mixer every IQ synthesizer (trace
+//!   generators and the engine's waveform path) rotates and sums through:
+//!   start-sorted emissions with fused CFO/channel rotation, anchored on the
 //!   absolute sample grid for chunk invariance;
 //! * [`engine`] — **the discrete-event network engine**: one
 //!   scenario-driven simulator with pluggable traffic models and MAC
-//!   policies, runnable analytically or at waveform level with chunked IQ
-//!   streamed through a real receiver and live MAC feedback;
-//! * [`event`] — the legacy analytical deployment simulation the engine
-//!   generalises (kept for its calibrated §5.3 case-study numbers).
+//!   policies, runnable analytically (the §5.3 deployment studies run on
+//!   its calibrated backscatter link model) or at waveform level with
+//!   chunked IQ streamed through a real receiver and live MAC feedback.
 //!
 //! See DESIGN.md for how the link abstraction is calibrated against the
 //! paper's headline measurements and EXPERIMENTS.md for per-figure results.
@@ -32,7 +33,6 @@
 pub mod backscatter;
 pub mod casestudy;
 pub mod engine;
-pub mod event;
 pub mod longtrace;
 pub mod multichannel;
 pub mod range;
@@ -49,7 +49,6 @@ pub use engine::{
     EngineOutcome, EngineReport, EngineScenario, JammerSpec, LinkModel, MacPolicy, NetworkEngine,
     TrafficModel, WaveformSpec,
 };
-pub use event::{DeploymentConfig, DeploymentSim, DeploymentStats};
 pub use longtrace::{
     generate_long_trace, golden_fixture_set, random_payloads, GoldenFixture, LongTraceConfig,
     TraceGroundTruth, TracePacket,

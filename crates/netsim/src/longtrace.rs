@@ -25,6 +25,8 @@ use rfsim::noise::AwgnSource;
 use rfsim::units::Dbm;
 use saiyan::config::Variant;
 
+use crate::synthesis::EmissionMixer;
+
 /// One packet to place on a long trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TracePacket {
@@ -95,11 +97,12 @@ pub struct TraceGroundTruth {
     pub rx_power_dbm: f64,
 }
 
-/// Generates a long trace: every packet is assembled from the chirp
-/// template cache (bit-identical to modulating it — the scale is fused into
-/// the copy), optionally frequency-shifted by its CFO, and placed after its
-/// gap; channel noise is then added over the entire stream in one block
-/// pass. Returns the trace and per-packet ground truth.
+/// Generates a long trace: a layout preset over the [`EmissionMixer`]. Every
+/// packet is assembled from the chirp template cache (bit-identical to
+/// modulating it — the scale is fused into the copy) and queued after its
+/// gap with its CFO; one mixing pass then sums the emissions into the
+/// zeroed stream, and channel noise is added over it in one block pass.
+/// Returns the trace and per-packet ground truth.
 pub fn generate_long_trace(
     config: &LongTraceConfig,
     packets: &[TracePacket],
@@ -107,31 +110,29 @@ pub fn generate_long_trace(
     let templates = PacketTemplates::new(config.lora, Alphabet::Downlink);
     let fs = config.lora.sample_rate();
     let sps = config.lora.samples_per_symbol();
-    let mut trace = SampleBuffer::new(Vec::new(), fs);
+    let mut mixer = EmissionMixer::new();
     let mut truth = Vec::with_capacity(packets.len());
+    let mut end = 0;
     for packet in packets {
-        let gap = (packet.gap_symbols * sps as f64).round() as usize;
-        trace.append(&SampleBuffer::zeros(gap, fs));
+        let start = end + (packet.gap_symbols * sps as f64).round() as usize;
         let target = dbm_to_buffer_power(Dbm(packet.rx_power_dbm));
         // The modulated waveform is constant-envelope at unit power.
-        let mut samples = Vec::new();
+        let mut samples = mixer.take_buffer();
         let layout = templates
             .assemble_scaled_extend(&packet.symbols, target.sqrt(), &mut samples)
             .expect("symbols within the downlink alphabet");
-        let mut rx = SampleBuffer::new(samples, fs);
-        if packet.cfo_hz != 0.0 {
-            rx = rx.frequency_shifted(packet.cfo_hz);
-        }
         truth.push(TraceGroundTruth {
-            packet_start_sample: trace.len(),
-            payload_start_sample: trace.len() + layout.payload_start,
+            packet_start_sample: start,
+            payload_start_sample: start + layout.payload_start,
             symbols: packet.symbols.clone(),
             rx_power_dbm: packet.rx_power_dbm,
         });
-        trace.append(&rx);
+        end = start + samples.len();
+        mixer.push(start as u64, samples, packet.cfo_hz, 0.0, fs);
     }
     let tail = (config.tail_gap_symbols * sps as f64).round() as usize;
-    trace.append(&SampleBuffer::zeros(tail, fs));
+    let mut trace = SampleBuffer::zeros(end + tail, fs);
+    mixer.mix_into(&mut trace.samples, 0);
     if let Some(noise_dbm) = config.noise_power_dbm {
         let mut awgn = AwgnSource::new(config.seed);
         awgn.add_to(&mut trace, dbm_to_buffer_power(Dbm(noise_dbm)));
@@ -350,7 +351,14 @@ pub fn manifest_from_string(name: &str, text: &str) -> io::Result<GoldenFixture>
         "super" => Variant::Super,
         other => return Err(bad(format!("unknown variant {other}"))),
     };
+    // Every packet owns four `packetN.*` lines, so a count beyond them is
+    // corrupt — and must not size an allocation.
     let n_packets = parse_num("packets")? as usize;
+    if n_packets > fields.len() / 4 {
+        return Err(bad(format!(
+            "packets={n_packets} exceeds the packet entries present"
+        )));
+    }
     let mut truth = Vec::with_capacity(n_packets);
     for i in 0..n_packets {
         let symbols = get(&format!("packet{i}.symbols"))?
@@ -486,6 +494,14 @@ mod tests {
             assert_eq!(back.variant, fixture.variant);
             assert_eq!(back.truth, fixture.truth);
         }
+    }
+
+    #[test]
+    fn hostile_packet_count_is_rejected_not_allocated() {
+        let fixture = &golden_fixture_set()[0];
+        let text = manifest_to_string(fixture).replace("packets=1", "packets=1e18");
+        let err = manifest_from_string(&fixture.name, &text).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

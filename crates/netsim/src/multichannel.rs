@@ -4,22 +4,23 @@
 //! multi-channel gateway needs the stream *its* front end digitises: one
 //! wideband capture spanning several LoRa channels, with tags hopping between
 //! them and packets flying concurrently on different channels. This module
-//! generates such traces deterministically from a seed:
+//! generates such traces deterministically from a seed, as a layout preset
+//! over the same [`EmissionMixer`] the network engine synthesizes with:
 //!
-//! 1. each packet is modulated at the wideband rate, scaled to its receive
-//!    power and shifted by its per-packet CFO;
-//! 2. packets are placed on their channel's timeline (strictly serial per
-//!    channel — a Saiyan channel cannot untangle same-channel collisions);
-//! 3. every channel timeline is shifted to its frequency offset within the
-//!    wideband capture and the timelines are summed;
-//! 4. AWGN is added over the whole wideband stream.
+//! 1. each packet is assembled at the wideband rate, scaled to its receive
+//!    power, and queued on its channel's timeline (strictly serial per
+//!    channel — a Saiyan channel cannot untangle same-channel collisions)
+//!    with its per-packet CFO and its channel's frequency offset;
+//! 2. one mixing pass rotates every emission to its CFO + channel offset and
+//!    sums them into the wideband stream;
+//! 3. AWGN is added over the whole wideband stream.
 //!
 //! [`hopping_traffic`] builds the paper-style workload on top: `n_tags` tags
 //! each sending one packet per round, rotating over the channel grid so that
 //! every round carries concurrent packets on distinct channels (the classic
 //! orthogonal hopping schedule), with per-packet power and CFO draws.
 
-use lora_phy::iq::{Iq, SampleBuffer};
+use lora_phy::iq::SampleBuffer;
 use lora_phy::modulator::Alphabet;
 use lora_phy::params::{BitsPerChirp, LoraParams};
 use lora_phy::templates::PacketTemplates;
@@ -31,6 +32,7 @@ use rfsim::noise::AwgnSource;
 use rfsim::units::Dbm;
 
 use crate::longtrace::random_payloads;
+use crate::synthesis::EmissionMixer;
 
 /// Configuration of a multi-channel wideband trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,8 +146,9 @@ pub fn generate_multichannel_trace(
     let sps_wide = wide_lora.samples_per_symbol();
     let n_channels = config.offsets_hz.len();
 
-    // Build per-channel timelines at the wideband rate.
-    let mut timelines: Vec<Vec<Iq>> = vec![Vec::new(); n_channels];
+    let mut mixer = EmissionMixer::new();
+    // End of the last packet queued on each channel.
+    let mut channel_end = vec![0usize; n_channels];
     let mut truth = Vec::with_capacity(packets.len());
     let mut order: Vec<usize> = (0..packets.len()).collect();
     order.sort_by(|&a, &b| {
@@ -161,25 +164,19 @@ pub fn generate_multichannel_trace(
             p.channel
         );
         let start_sample = (p.start_symbols * sps_wide as f64).round() as usize;
-        let timeline = &mut timelines[p.channel];
         assert!(
-            start_sample >= timeline.len(),
+            start_sample >= channel_end[p.channel],
             "tag {} packet at symbol {} overlaps the previous packet on channel {}",
             p.tag,
             p.start_symbols,
             p.channel
         );
         let target = dbm_to_buffer_power(Dbm(p.rx_power_dbm));
-        let mut samples = Vec::new();
+        let mut samples = mixer.take_buffer();
         let layout = templates
             .assemble_scaled_extend(&p.symbols, target.sqrt(), &mut samples)
             .expect("symbols within the downlink alphabet");
-        let mut rx = SampleBuffer::new(samples, fs_wide);
-        if p.cfo_hz != 0.0 {
-            rx = rx.frequency_shifted(p.cfo_hz);
-        }
-        timeline.resize(start_sample, Iq::ZERO);
-        timeline.extend_from_slice(&rx.samples);
+        channel_end[p.channel] = start_sample + samples.len();
         truth.push(MultiChannelTruth {
             tag: p.tag,
             channel: p.channel,
@@ -188,19 +185,19 @@ pub fn generate_multichannel_trace(
             symbols: p.symbols.clone(),
             rx_power_dbm: p.rx_power_dbm,
         });
+        mixer.push(
+            start_sample as u64,
+            samples,
+            p.cfo_hz,
+            config.offsets_hz[p.channel],
+            fs_wide,
+        );
     }
 
-    // Shift every channel to its offset and sum into the wideband stream.
     let tail = (config.tail_gap_symbols * sps_wide as f64).round() as usize;
-    let total = timelines.iter().map(Vec::len).max().unwrap_or(0) + tail;
-    let mut wide = vec![Iq::ZERO; total];
-    for (timeline, &offset) in timelines.iter().zip(&config.offsets_hz) {
-        let step = 2.0 * std::f64::consts::PI * offset / fs_wide;
-        for (n, &s) in timeline.iter().enumerate() {
-            wide[n] += s * Iq::phasor(step * n as f64);
-        }
-    }
-    let mut trace = SampleBuffer::new(wide, fs_wide);
+    let total = channel_end.iter().copied().max().unwrap_or(0) + tail;
+    let mut trace = SampleBuffer::zeros(total, fs_wide);
+    mixer.mix_into(&mut trace.samples, 0);
     if let Some(noise_dbm) = config.noise_power_dbm {
         let mut awgn = AwgnSource::new(config.seed);
         awgn.add_to(&mut trace, dbm_to_buffer_power(Dbm(noise_dbm)));
@@ -291,6 +288,7 @@ pub fn hopping_traffic(config: &HoppingTrafficConfig) -> Vec<MultiChannelPacket>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lora_phy::iq::Iq;
     use lora_phy::params::{Bandwidth, SpreadingFactor};
 
     fn lora() -> LoraParams {
@@ -364,6 +362,71 @@ mod tests {
         let packets = vec![mk(0.0), mk(5.0)]; // packet lasts 14.25 symbols
         let result = std::panic::catch_unwind(|| generate_multichannel_trace(&cfg, &packets));
         assert!(result.is_err());
+    }
+
+    /// The exact per-sample construction: per-channel timelines, each packet
+    /// CFO-shifted buffer-locally, each timeline mixed to its offset by one
+    /// fresh phasor per absolute sample, then summed.
+    fn exact_reference(cfg: &MultiChannelConfig, packets: &[MultiChannelPacket]) -> Vec<Iq> {
+        let templates = PacketTemplates::new(cfg.wideband_lora(), Alphabet::Downlink);
+        let fs = cfg.wideband_rate();
+        let sps = cfg.wideband_lora().samples_per_symbol();
+        let mut timelines: Vec<Vec<Iq>> = vec![Vec::new(); cfg.offsets_hz.len()];
+        for p in packets {
+            let start = (p.start_symbols * sps as f64).round() as usize;
+            let mut samples = Vec::new();
+            templates
+                .assemble_scaled_extend(
+                    &p.symbols,
+                    dbm_to_buffer_power(Dbm(p.rx_power_dbm)).sqrt(),
+                    &mut samples,
+                )
+                .unwrap();
+            let rx = SampleBuffer::new(samples, fs).frequency_shifted(p.cfo_hz);
+            let timeline = &mut timelines[p.channel];
+            timeline.resize(start, Iq::ZERO);
+            timeline.extend_from_slice(&rx.samples);
+        }
+        let tail = (cfg.tail_gap_symbols * sps as f64).round() as usize;
+        let total = timelines.iter().map(Vec::len).max().unwrap_or(0) + tail;
+        let mut wide = vec![Iq::ZERO; total];
+        for (timeline, &offset) in timelines.iter().zip(&cfg.offsets_hz) {
+            let step = 2.0 * std::f64::consts::PI * offset / fs;
+            for (n, &s) in timeline.iter().enumerate() {
+                wide[n] += s * Iq::phasor(step * n as f64);
+            }
+        }
+        wide
+    }
+
+    #[test]
+    fn mixer_preset_matches_the_exact_per_sample_reference() {
+        let cfg = config();
+        let packets = hopping_traffic(&HoppingTrafficConfig {
+            n_tags: 4,
+            packets_per_tag: 3,
+            n_channels: 4,
+            payload_symbols: 8,
+            k: BitsPerChirp::new(2).expect("valid"),
+            slot_symbols: 24.0,
+            lead_in_symbols: 4.0,
+            base_power_dbm: -50.0,
+            power_spread_db: 3.0,
+            max_cfo_hz: 1_000.0,
+            seed: 5,
+        });
+        assert!(packets.iter().any(|p| p.cfo_hz != 0.0));
+        let (trace, _) = generate_multichannel_trace(&cfg, &packets);
+        let reference = exact_reference(&cfg, &packets);
+        assert_eq!(trace.len(), reference.len());
+        let amplitude = packets
+            .iter()
+            .map(|p| dbm_to_buffer_power(Dbm(p.rx_power_dbm)).sqrt())
+            .fold(0.0, f64::max);
+        for (i, (got, want)) in trace.samples.iter().zip(&reference).enumerate() {
+            let err = (*got - *want).abs() / amplitude;
+            assert!(err < 1e-9, "sample {i}: {got:?} vs {want:?} ({err:e})");
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Emission mixing for the waveform-path engine: a start-sorted pending
-//! queue of in-flight transmissions summed into bounded chunks by
-//! slice-kernel passes instead of a per-sample indexed loop.
+//! Emission mixing: a start-sorted pending queue of transmissions summed
+//! into bounded chunks by slice-kernel passes instead of a per-sample
+//! indexed loop. It is the one place IQ synthesis rotates and sums packets:
+//! the waveform-path engine mixes chunk by chunk, and the `longtrace` and
+//! `multichannel` trace generators are layout presets that push every
+//! packet and mix the whole trace in one pass.
 //!
 //! An [`EmissionMixer`] owns every transmission currently overlapping the
 //! synthesis cursor. Each emission carries its power-scaled baseband
@@ -8,10 +11,10 @@
 //! per packet) plus one *fused* rotation that applies the tag's CFO and the
 //! channel's frequency offset in a single complex multiply per sample:
 //!
-//! * the CFO rotation is buffer-local (`exp(j·cfo_step·(i − start))`, as
-//!   `SampleBuffer::frequency_shifted` applies it),
-//! * the channel mix is absolute (`exp(j·chan_step·i)`, as the reference
-//!   `multichannel` trace applies it),
+//! * the CFO rotation is buffer-local (`exp(j·cfo_step·(i − start))`, the
+//!   transmitter's oscillator error starting at the packet's first sample),
+//! * the channel mix is absolute (`exp(j·chan_step·i)`, the channel's place
+//!   in the wideband capture),
 //!
 //! so the combined phase at absolute wideband sample `i` is
 //! `step·i + phi0` with `step = cfo_step + chan_step` and
@@ -28,16 +31,15 @@
 //! emission contributions in creation order, so the synthesized stream is
 //! bit-identical under any chunk partitioning.
 //!
-//! ## Bit-identity with the legacy per-sample path
+//! ## Exactness
 //!
 //! When an emission has no CFO and no channel offset (`step == 0`,
 //! `phi0 == 0`) the mixer takes a plain [`simd::accumulate_in_place`] pass
-//! over the pre-scaled samples — exactly the `chunk[i] += s` loop of the
-//! reference path, preserving the single-channel golden-trace equivalence.
-//! Rotated emissions produce the same mathematical stream as the reference
-//! (one phasor per sample) but associate the two rotations differently, so
-//! they match to rounding error rather than bit-for-bit; the engine's
-//! decode-level results are pinned unchanged by the benchmark snapshots.
+//! over the pre-scaled samples — exactly `chunk[i] += s`, which keeps the
+//! single-channel engine stream bit-identical to `generate_long_trace`.
+//! Rotated emissions match the exact
+//! per-sample rotation (one phasor per sample) to rounding error rather
+//! than bit-for-bit: within 1e-9 relative to the packet amplitude.
 //!
 //! ## Buffer lifecycle
 //!
@@ -129,10 +131,10 @@ impl EmissionMixer {
     /// fused into one rotation.
     ///
     /// Emissions must be pushed in non-decreasing `start` order — the
-    /// engine's event queue pops transmissions in time order, so creation
-    /// order *is* start order — which is what lets
-    /// [`Self::mix_into`] stop scanning at the first emission beyond the
-    /// chunk.
+    /// engine's event queue pops transmissions in time order and the trace
+    /// presets lay packets out in start order, so creation order *is* start
+    /// order — which is what lets [`Self::mix_into`] stop scanning at the
+    /// first emission beyond the chunk.
     pub fn push(
         &mut self,
         start: u64,

@@ -1,13 +1,17 @@
 //! End-to-end MAC behaviour of the discrete-event network engine: ARQ
 //! recovery of injected losses, hopping-schedule conformance on the real
-//! waveform path, jammer-driven channel hops, ALOHA collisions, and the
-//! detection-only baseline backends.
+//! waveform path, jammer-driven channel hops, ALOHA collisions, the
+//! detection-only baseline backends, and the §5.3 deployment studies over
+//! the calibrated backscatter link model.
 
 use std::sync::{Arc, Mutex};
 
 use baselines::{AlobaDetector, DetectionReceiver};
 use lora_phy::iq::Iq;
-use netsim::engine::{EngineScenario, JammerSpec, MacPolicy, NetworkEngine};
+use netsim::engine::{
+    EngineReport, EngineScenario, JammerSpec, LinkModel, MacPolicy, NetworkEngine, TrafficModel,
+};
+use netsim::UplinkSystem;
 use saiyan::gateway::{Gateway, GatewayPacket};
 use saiyan::receiver::Receiver;
 use saiyan_mac::packet::UplinkPacket;
@@ -186,4 +190,76 @@ fn detection_only_backends_count_detections_instead_of_deliveries() {
         "every packet on the air should be detected: {r:?}"
     );
     assert_eq!(r.readings_delivered, 0, "detectors cannot decode");
+}
+
+/// The §5.3 deployment: five tags on the 4-channel grid, 50 readings each
+/// at a 2 s interval, over the calibrated two-hop backscatter uplink.
+fn backscatter_deployment(system: UplinkSystem, tag_to_tx_m: f64) -> EngineScenario {
+    let mut scenario = EngineScenario::grid(5, 4, 50).with_traffic(TrafficModel::Periodic {
+        interval_s: 2.0,
+        jitter_s: 0.0,
+    });
+    scenario.link = LinkModel::Backscatter {
+        tag_to_tx_m,
+        system,
+    };
+    scenario.max_retries = 3;
+    scenario
+}
+
+fn run_analytic(scenario: EngineScenario) -> EngineReport {
+    NetworkEngine::new(scenario).run_analytic().report
+}
+
+#[test]
+fn clean_backscatter_deployment_delivers_nearly_everything() {
+    let r = run_analytic(backscatter_deployment(UplinkSystem::PLoRa, 3.0));
+    assert_eq!(r.readings_generated, 250);
+    assert!(r.prr() > 0.95, "delivery {}: {r:?}", r.prr());
+    assert!(r.transmissions_per_delivery() < 1.5, "{r:?}");
+    assert_eq!(r.collisions, 0, "2 s periodic traffic never overlaps");
+}
+
+#[test]
+fn retransmissions_raise_delivery_on_a_lossy_backscatter_uplink() {
+    let lossy = backscatter_deployment(UplinkSystem::Aloba, 2.8);
+    let with_arq = run_analytic(lossy.clone());
+    let without_arq = run_analytic(EngineScenario {
+        max_retries: 0,
+        ..lossy
+    });
+    assert!(
+        with_arq.prr() > without_arq.prr() + 0.1,
+        "ARQ {} vs none {}",
+        with_arq.prr(),
+        without_arq.prr()
+    );
+    assert!(with_arq.retransmission_requests > 0);
+    assert_eq!(without_arq.retransmission_requests, 0);
+}
+
+#[test]
+fn a_jammer_on_a_backscatter_deployment_triggers_a_channel_hop() {
+    let mut scenario = backscatter_deployment(UplinkSystem::PLoRa, 3.0);
+    scenario.jammer = Some(JammerSpec {
+        at_s: 20.0,
+        channel: 0,
+        penalty_db: -60.0,
+    });
+    let r = run_analytic(scenario);
+    assert!(r.channel_hops >= 1, "no hop happened: {r:?}");
+    // The hop moves the jammed channel's tags away, so most readings still
+    // make it through.
+    assert!(r.prr() > 0.7, "delivery {}: {r:?}", r.prr());
+}
+
+#[test]
+fn backscatter_deployment_statistics_are_internally_consistent() {
+    for system in [UplinkSystem::PLoRa, UplinkSystem::Aloba] {
+        let r = run_analytic(backscatter_deployment(system, 2.8));
+        assert!(r.readings_delivered <= r.readings_generated, "{r:?}");
+        assert!(r.readings_generated <= r.uplink_transmissions, "{r:?}");
+        assert_eq!(r.latencies_s.len(), r.readings_delivered);
+        assert!(r.duration_s > 0.0 && r.tag_demodulation_energy_j >= 0.0);
+    }
 }
