@@ -1,7 +1,6 @@
-//! Analytical engine backend: the scheduler, traffic models and MAC
-//! semantics of the waveform path with the air interface replaced by the
-//! calibrated link abstraction — sharded into spatial cells for city-scale
-//! populations.
+//! Analytical engine backend: the shared MAC [`Cell`] with the air
+//! interface replaced by the calibrated link abstraction — sharded into
+//! spatial cells for city-scale populations.
 //!
 //! ## Physics
 //!
@@ -16,12 +15,10 @@
 //! ## Sharding
 //!
 //! Tags are partitioned into [`EngineScenario::analytic_cells`] contiguous
-//! ranges — spatial cells, each an independent collision domain with its
-//! own calendar event queue ([`CalendarQueue`]), flat struct-of-arrays
-//! session state ([`SessionTable`]), access-point shard (forward-only
-//! sequence expectations, reception bitmaps, lazy ARQ trackers, a hopping
-//! controller) and salted RNG sub-streams (cell 0 reproduces the
-//! single-cell engine's streams exactly). A worker pool advances cells in
+//! ranges — spatial cells, each an independent collision domain: one
+//! [`Cell`] (calendar queue, session table, access-point shard, salted RNG
+//! sub-streams; cell 0 reproduces the single-cell engine's streams exactly)
+//! with its own [`AnalyticAir`]. A worker pool advances cells in
 //! lockstep conservative lookahead windows — at least `feedback_delay_s`
 //! wide, so a cell never needs mid-window state from a peer; the only
 //! cross-cell signal is the global activity watermark exchanged at window
@@ -33,48 +30,22 @@
 //! partition wherever cells are physically independent (collision-free
 //! workloads).
 //!
-//! The MAC state machines mirror `saiyan_mac` exactly — sequence windows
-//! are pinned to [`AccessPoint`] constants and the session-table replay
-//! window is cross-checked against the real
-//! [`TagSession`](saiyan_mac::TagSession) ring buffer by the `saiyan_mac`
-//! unit suite — so the two fidelity levels can not drift apart in MAC
-//! behaviour.
+//! The MAC is the [`cell`](super::cell) module the waveform backend runs
+//! too; its access-point shard is pinned against
+//! [`AccessPoint::ingest_frame`](saiyan_mac::AccessPoint::ingest_frame) by
+//! a differential property test, and the session table's replay window
+//! against the real [`TagSession`](saiyan_mac::TagSession) ring buffer by
+//! the `saiyan_mac` unit suite.
 
-use std::collections::HashMap;
 use std::thread;
 use std::time::Instant;
 
 use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use saiyan::TagPowerModel;
-use saiyan_mac::hopping::{ChannelTable, HoppingController};
-use saiyan_mac::packet::{Addressing, Command, DownlinkPacket, TagId};
-use saiyan_mac::retransmission::ArqTracker;
-use saiyan_mac::session_table::SessionTable;
-use saiyan_mac::AccessPoint;
 
-use super::harness::{MacHarness, MAC_SALT, PHY_SALT, TRAFFIC_SALT};
+use super::cell::{merge_report, Air, Cell, CellEv, RunParams};
 use super::occupancy::ChannelOccupancy;
 use super::report::{EngineOutcome, EngineReport};
-use super::scenario::{EngineScenario, MacPolicy};
-use super::scheduler::CalendarQueue;
-
-/// Compact per-cell event: payloads are regenerated from the tag id, never
-/// stored, so an event is a couple of words however large the population.
-enum CellEv {
-    /// A tag generates a sensor reading.
-    Arrival { tag: u32 },
-    /// A tag puts sequence `sequence` on the air (attempt 0 = first try,
-    /// 1 = ARQ replay).
-    Transmit { tag: u32, sequence: u8, attempt: u8 },
-    /// A transmission finishes its airtime.
-    Reception { index: u32 },
-    /// The access-point shard transmits a downlink command.
-    Downlink { packet: DownlinkPacket },
-    /// The access-point shard scans its current channel.
-    SpectrumScan,
-}
+use super::scenario::EngineScenario;
 
 /// A transmission whose airtime is in flight; `ok` may still be flipped by
 /// a later same-channel collision before the `Reception` event resolves it.
@@ -84,417 +55,78 @@ struct PendingRx {
     ok: bool,
 }
 
-/// Scenario-derived constants shared (immutably) by every cell and worker.
-struct RunParams<'a> {
-    scenario: &'a EngineScenario,
-    packet_dur: f64,
-    /// Inter-packet guard a tag's half-duplex radio needs (4 symbols).
-    guard_s: f64,
+/// The link-abstraction air of one cell: a link coin flip per
+/// transmission, airtime collisions per channel, and a `Reception` event
+/// at the end of each airtime.
+struct AnalyticAir {
     link_p: f64,
-    energy_per_command_j: f64,
-    payload_bits: u64,
-    table: ChannelTable,
-    initial_channel: u8,
-}
-
-impl<'a> RunParams<'a> {
-    fn new(scenario: &'a EngineScenario) -> Self {
-        RunParams {
-            scenario,
-            packet_dur: scenario.packet_duration_s(),
-            guard_s: 4.0 * scenario.lora.symbol_duration(),
-            link_p: scenario.link_success_p(),
-            energy_per_command_j: TagPowerModel::asic().packet_energy_joules(&scenario.lora, 8),
-            payload_bits: (scenario.payload_bytes * 8) as u64,
-            // The same 433 MHz / 500 kHz table the shared harness builds.
-            table: ChannelTable {
-                channels: (0..scenario.n_channels)
-                    .map(|i| 433.0e6 + i as f64 * 0.5e6)
-                    .collect(),
-            },
-            initial_channel: scenario
-                .jammer
-                .map(|j| j.channel as u8)
-                .unwrap_or(0)
-                .min(scenario.n_channels as u8 - 1),
-        }
-    }
-}
-
-/// Per-cell RNG sub-stream: cell 0 reproduces the single-cell engine's
-/// stream exactly; later cells get disjoint keys far above the tag-id bits.
-fn cell_stream(salted_seed: u64, cell: usize) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(salted_seed ^ ((cell as u64) << 40))
-}
-
-/// One spatial cell: an independent collision domain over a contiguous tag
-/// range, with its own event queue, sessions, AP shard and RNG streams.
-struct Cell {
-    base: u32,
-    len: u32,
-    queue: CalendarQueue<CellEv>,
-    sessions: SessionTable,
-    /// AP shard: next expected sequence per tag (−1 = no frame seen yet).
-    /// Forward-only, per `AccessPoint::ingest_frame` semantics.
-    next_expected: Vec<i16>,
-    /// AP shard: bitmap over the 256-sequence space of received frames.
-    received: Vec<[u64; 4]>,
-    /// AP shard: ARQ trackers, materialised lazily for lossy tags only.
-    arq: HashMap<u32, ArqTracker>,
-    /// Outstanding readings: `(local tag, sequence)` → generation time.
-    outstanding: HashMap<(u32, u8), f64>,
-    hopping: HoppingController,
     occupancy: Vec<ChannelOccupancy>,
     pending: Vec<PendingRx>,
-    /// `(delivery time, latency)` pairs, recorded in delivery order.
-    deliveries: Vec<(f64, f64)>,
-    mac_rng: ChaCha8Rng,
-    phy_rng: ChaCha8Rng,
-    /// Activity watermark: every *activity* event extends it past its own
-    /// airtime (scans and the jammer do not — they are not tag activity).
-    end_time: f64,
-    report: EngineReport,
     newly_collided: Vec<u32>,
-    missing_scratch: Vec<u8>,
 }
 
-impl Cell {
-    fn new(p: &RunParams, cell_idx: usize, arrivals_buf: &mut Vec<f64>) -> Self {
-        let s = p.scenario;
-        let (base, end) = s.cell_range(cell_idx);
-        let len = end - base;
-        let n_ch = s.n_channels;
-        let sessions =
-            SessionTable::new(len as usize, |local| ((base as usize + local) % n_ch) as u8);
-
-        // Build every tag's arrival schedule up front (deterministic: one
-        // salted stream per tag, consumed in tag order). Jitter-free
-        // periodic traffic draws nothing, so the per-tag ChaCha key setup
-        // is skipped wholesale — a million key schedules saved.
-        let randomized = s.traffic.is_randomized();
-        let mut shared_rng = ChaCha8Rng::seed_from_u64(s.seed ^ TRAFFIC_SALT);
-        let mut schedule: Vec<(f64, u32)> = Vec::new();
-        let mut end_time = s.lead_in_s;
-        for tag in base..end {
-            let mut own_rng;
-            let rng = if randomized {
-                own_rng = MacHarness::traffic_rng(s, tag);
-                &mut own_rng
-            } else {
-                &mut shared_rng
-            };
-            s.traffic
-                .arrivals_into(s.readings_per_tag, s.phase_s(tag), rng, arrivals_buf);
-            for &t in arrivals_buf.iter() {
-                end_time = end_time.max(t + p.packet_dur);
-                schedule.push((t, tag));
-            }
-        }
-        let span = (end_time - s.lead_in_s).max(p.packet_dur) * 1.25
-            + s.feedback_delay_s
-            + 16.0 * p.packet_dur;
-        let mut queue = CalendarQueue::for_span(s.lead_in_s, span, schedule.len() * 3 + 16);
-        for &(t, tag) in &schedule {
-            queue.push(t, CellEv::Arrival { tag });
-        }
-        if s.jammer.is_some() {
-            let first_scan = s.lead_in_s + s.scan_interval_s;
-            if first_scan < end_time {
-                queue.push(first_scan, CellEv::SpectrumScan);
-            }
-        }
-
-        Cell {
-            base,
-            len,
-            queue,
-            sessions,
-            next_expected: vec![-1; len as usize],
-            received: vec![[0u64; 4]; len as usize],
-            arq: HashMap::new(),
-            outstanding: HashMap::new(),
-            hopping: HoppingController::new(p.table.clone(), p.initial_channel, -70.0)
-                .expect("initial channel exists"),
-            occupancy: vec![ChannelOccupancy::new(); n_ch],
-            pending: Vec::new(),
-            deliveries: Vec::new(),
-            mac_rng: cell_stream(s.seed ^ MAC_SALT, cell_idx),
-            phy_rng: cell_stream(s.seed ^ PHY_SALT, cell_idx),
-            end_time,
-            report: EngineReport::default(),
-            newly_collided: Vec::new(),
-            missing_scratch: Vec::new(),
-        }
-    }
-
-    /// Schedules an activity event, extending the watermark past its
-    /// airtime.
-    fn schedule(&mut self, t: f64, packet_dur: f64, ev: CellEv) {
-        self.end_time = self.end_time.max(t + packet_dur);
-        self.queue.push(t, ev);
-    }
-
-    /// Handles every event strictly before `window_end`. `global_floor` is
-    /// the deployment-wide activity watermark as of the last window
-    /// barrier (conservative: it only ever lags the true maximum).
-    fn advance(&mut self, p: &RunParams, window_end: f64, global_floor: f64) {
-        while let Some((t, ev)) = self.queue.pop_before(window_end) {
-            match ev {
-                CellEv::Arrival { tag } => self.on_arrival(p, t, tag),
-                CellEv::Transmit {
-                    tag,
-                    sequence,
-                    attempt,
-                } => self.on_transmit(p, t, tag, sequence, attempt),
-                CellEv::Reception { index } => self.on_reception(p, t, index),
-                CellEv::Downlink { packet } => self.on_downlink(p, t, &packet),
-                CellEv::SpectrumScan => self.on_scan(p, t, global_floor),
-            }
-        }
-    }
-
-    fn on_arrival(&mut self, p: &RunParams, t: f64, tag: u32) {
-        self.report.readings_generated += 1;
-        let local = (tag - self.base) as usize;
-        let sequence = self.sessions.allocate_sequence(local);
-        self.outstanding.insert((local as u32, sequence), t);
-        self.schedule(
-            t,
-            p.packet_dur,
-            CellEv::Transmit {
-                tag,
-                sequence,
-                attempt: 0,
-            },
-        );
-    }
-
-    fn on_transmit(&mut self, p: &RunParams, t: f64, tag: u32, sequence: u8, attempt: u8) {
-        let local = (tag - self.base) as usize;
-        // The tag's radio is half-duplex and serial: defer a transmission
-        // that would overlap its own airtime (plus the guard).
-        let busy_until = self.sessions.busy_until(local);
-        if t < busy_until {
-            self.schedule(
-                busy_until,
-                p.packet_dur,
-                CellEv::Transmit {
-                    tag,
-                    sequence,
-                    attempt,
-                },
-            );
-            return;
-        }
-        self.sessions.reserve(local, t + p.packet_dur + p.guard_s);
-        let round = self.sessions.next_round(local);
-        let n = p.scenario.n_channels;
-        let channel = match p.scenario.mac {
-            MacPolicy::Fixed => self.sessions.channel(local) as usize,
-            MacPolicy::Hopping => (self.sessions.channel(local) as usize + round as usize) % n,
-            MacPolicy::Aloha => self.mac_rng.gen_range(0..n),
-        };
-        if attempt == 0 && p.scenario.drop_first_attempt.contains(&(tag, sequence)) {
-            self.report.suppressed_transmissions += 1;
-            return;
-        }
-        self.report.uplink_transmissions += 1;
-        let mut ok = p.link_p >= 1.0 || self.phy_rng.gen::<f64>() < p.link_p;
-        if let Some(jam) = p.scenario.jammer {
-            // The jammer timeline is a pure function of time — no phantom
-            // activity event needed (or allowed: it must not extend the
-            // watermark).
-            if t >= jam.at_s && channel == jam.channel {
-                ok = false;
-            }
+impl Air for AnalyticAir {
+    fn transmit(cell: &mut Cell<Self>, p: &RunParams, t: f64, tag: u32, seq: u8, channel: usize) {
+        let air = &mut cell.air;
+        let mut ok = air.link_p >= 1.0 || cell.phy_rng.gen::<f64>() < air.link_p;
+        if p.jammer_on(t, channel).is_some() {
+            ok = false;
         }
         let rx_end = t + p.packet_dur;
-        let index = self.pending.len() as u32;
-        self.newly_collided.clear();
-        let collided = self.occupancy[channel].begin(t, rx_end, index, &mut self.newly_collided);
-        for i in 0..self.newly_collided.len() {
-            let victim = self.newly_collided[i] as usize;
-            if self.pending[victim].ok {
-                self.pending[victim].ok = false;
-                self.report.collisions += 1;
+        let index = air.pending.len() as u32;
+        air.newly_collided.clear();
+        let collided = air.occupancy[channel].begin(t, rx_end, index, &mut air.newly_collided);
+        for &victim in &air.newly_collided {
+            let victim = &mut air.pending[victim as usize];
+            if victim.ok {
+                victim.ok = false;
+                cell.report.collisions += 1;
             }
         }
         if collided && ok {
-            self.report.collisions += 1;
+            cell.report.collisions += 1;
             ok = false;
         }
-        self.pending.push(PendingRx { tag, sequence, ok });
-        self.schedule(rx_end, p.packet_dur, CellEv::Reception { index });
+        air.pending.push(PendingRx {
+            tag,
+            sequence: seq,
+            ok,
+        });
+        cell.schedule(rx_end, p.packet_dur, CellEv::Reception { index });
     }
 
-    fn on_reception(&mut self, p: &RunParams, t: f64, index: u32) {
-        let rx = &self.pending[index as usize];
+    fn reception(cell: &mut Cell<Self>, p: &RunParams, t: f64, index: u32) {
+        let rx = &cell.air.pending[index as usize];
         if rx.ok {
-            let (tag, sequence) = (rx.tag, rx.sequence);
-            self.ingest(p, t, tag, sequence);
+            let (local, sequence) = (rx.tag - cell.base, rx.sequence);
+            cell.ingest(p, t, local, sequence, false);
         }
     }
 
-    /// The AP shard ingests one delivered frame: `AccessPoint::ingest_frame`
-    /// over flat state — forward-only expectation, gap detection, duplicate
-    /// bitmap, delivery bookkeeping, ARQ requests (scheduled as downlinks).
-    fn ingest(&mut self, p: &RunParams, t: f64, tag: u32, sequence: u8) {
-        let local = (tag - self.base) as usize;
-        self.missing_scratch.clear();
-        match self.next_expected[local] {
-            -1 => self.next_expected[local] = sequence.wrapping_add(1) as i16,
-            expected => {
-                let expected = expected as u8;
-                let forward = sequence.wrapping_sub(expected);
-                let backward = expected.wrapping_sub(sequence);
-                if forward <= AccessPoint::MAX_SEQUENCE_GAP {
-                    for d in 0..forward {
-                        self.missing_scratch.push(expected.wrapping_add(d));
-                    }
-                    self.next_expected[local] = sequence.wrapping_add(1) as i16;
-                } else if backward <= AccessPoint::REPLAY_WINDOW {
-                    // An old frame replayed: keep the expectation.
-                } else {
-                    self.next_expected[local] = sequence.wrapping_add(1) as i16;
-                }
-            }
-        }
-        let word = &mut self.received[local][(sequence >> 6) as usize];
-        let bit = 1u64 << (sequence & 63);
-        let duplicate = *word & bit != 0;
-        *word |= bit;
-        if let Some(tracker) = self.arq.get_mut(&(local as u32)) {
-            tracker.record_reception(sequence);
-        }
-        if duplicate {
-            self.report.duplicates += 1;
-        } else if let Some(gen_t) = self.outstanding.remove(&(local as u32, sequence)) {
-            self.report.readings_delivered += 1;
-            self.report.delivered_payload_bits += p.payload_bits;
-            self.deliveries.push((t, t - gen_t));
-        }
-        if !self.missing_scratch.is_empty() {
-            let missing = std::mem::take(&mut self.missing_scratch);
-            let tracker = self
-                .arq
-                .entry(local as u32)
-                .or_insert_with(|| ArqTracker::new(TagId(local as u16), p.scenario.max_retries));
-            for &seq in &missing {
-                tracker.record_loss(seq);
-            }
-            for &seq in &missing {
-                let granted = self
-                    .arq
-                    .get_mut(&(local as u32))
-                    .expect("created above")
-                    .request_for(seq);
-                if granted {
-                    self.schedule(
-                        t + p.scenario.feedback_delay_s,
-                        p.packet_dur,
-                        CellEv::Downlink {
-                            packet: DownlinkPacket {
-                                addressing: Addressing::Unicast(TagId(local as u16)),
-                                command: Command::Retransmit { sequence: seq },
-                            },
-                        },
-                    );
-                }
-            }
-            self.missing_scratch = missing;
-        }
-    }
-
-    fn on_downlink(&mut self, p: &RunParams, t: f64, packet: &DownlinkPacket) {
-        self.report.downlink_commands += 1;
-        match packet.command {
-            Command::Retransmit { .. } => self.report.retransmission_requests += 1,
-            Command::ChannelHop { .. } => self.report.channel_hops += 1,
-            _ => {}
-        }
-        // Every tag in the cell wakes its demodulator for the command.
-        self.report.tag_demodulation_energy_j += self.len as f64 * p.energy_per_command_j;
-        let ds = p.scenario.downlink_success;
-        match packet.addressing {
-            Addressing::Unicast(id) => {
-                let local = id.0 as usize;
-                if ds < 1.0 && self.mac_rng.gen::<f64>() >= ds {
-                    return;
-                }
-                if let Command::Retransmit { sequence } = packet.command {
-                    // Replay only what the session's ring buffer still
-                    // holds; the payload is regenerated from the tag id at
-                    // delivery, so nothing is stored.
-                    if self.sessions.can_replay(local, sequence) {
-                        let tag = self.base + local as u32;
-                        self.schedule(
-                            t + p.scenario.turnaround_s,
-                            p.packet_dur,
-                            CellEv::Transmit {
-                                tag,
-                                sequence,
-                                attempt: 1,
-                            },
-                        );
-                    }
-                }
-            }
-            Addressing::Multicast { .. } | Addressing::Broadcast => {
-                for local in 0..self.len as usize {
-                    if ds < 1.0 && self.mac_rng.gen::<f64>() >= ds {
-                        continue;
-                    }
-                    if let Command::ChannelHop { channel } = packet.command {
-                        // Hop semantics: tags based on the jammed channel
-                        // (all tags, absent a jammer) move their schedule.
-                        let from = p.scenario.jammer.map(|j| j.channel);
-                        let moves =
-                            from.is_none() || from == Some(self.sessions.channel(local) as usize);
-                        if moves && (channel as usize) < p.scenario.n_channels {
-                            self.sessions.set_channel(local, channel);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_scan(&mut self, p: &RunParams, t: f64, global_floor: f64) {
-        let current = self.hopping.current;
-        let jam_here = p
-            .scenario
-            .jammer
-            .is_some_and(|j| t >= j.at_s && j.channel == current as usize);
-        let level = if jam_here { -40.0 } else { -95.0 };
-        if self.hopping.record_interference(current, level).is_ok() {
-            if let Some(hop) = self.hopping.maybe_hop() {
-                self.schedule(
-                    t + p.scenario.feedback_delay_s,
-                    p.packet_dur,
-                    CellEv::Downlink { packet: hop },
-                );
-            }
-        }
-        // Keep scanning while the deployment is still active — anywhere:
-        // the conservative global watermark keeps idle cells' scan chains
-        // alive. A raw push so scans never extend the watermark.
-        let horizon = self.end_time.max(global_floor);
-        if t + p.scenario.scan_interval_s < horizon {
-            self.queue
-                .push(t + p.scenario.scan_interval_s, CellEv::SpectrumScan);
-        }
+    /// One multiplication per command: a per-tag loop would cost a
+    /// city-scale ARQ storm one addition per tag per request.
+    fn bill_wakeups(report: &mut EngineReport, woken: u32, energy_j: f64) {
+        report.tag_demodulation_energy_j += woken as f64 * energy_j;
     }
 }
 
 /// Runs the scenario's analytical path.
 pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
     let start_wall = Instant::now();
-    scenario.validate();
     let p = RunParams::new(scenario);
+    let link_p = scenario.link_success_p();
 
     let mut arrivals_buf = Vec::new();
-    let mut cells: Vec<Cell> = (0..scenario.analytic_cells)
-        .map(|c| Cell::new(&p, c, &mut arrivals_buf))
+    let mut cells: Vec<Cell<AnalyticAir>> = (0..scenario.analytic_cells)
+        .map(|c| {
+            let air = AnalyticAir {
+                link_p,
+                occupancy: vec![ChannelOccupancy::new(); scenario.n_channels],
+                pending: Vec::new(),
+                newly_collided: Vec::new(),
+            };
+            Cell::new(&p, c, scenario.cell_range(c), &mut arrivals_buf, air)
+        })
         .collect();
 
     // Conservative lookahead: wide enough that no event scheduled inside a
@@ -545,31 +177,7 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
     // Deterministic merge: counters in cell order, latencies by delivery
     // time (cells record deliveries in time order, so a stable sort makes
     // the merged vector independent of the cell partition).
-    let mut report = EngineReport {
-        backend: "analytic".to_string(),
-        policy: scenario.mac.label().to_string(),
-        traffic: scenario.traffic.label().to_string(),
-        tags: scenario.n_tags,
-        channels: scenario.n_channels,
-        duration_s: floor,
-        ..EngineReport::default()
-    };
-    let mut deliveries: Vec<(f64, f64)> = Vec::new();
-    for cell in &mut cells {
-        let r = &cell.report;
-        report.readings_generated += r.readings_generated;
-        report.readings_delivered += r.readings_delivered;
-        report.duplicates += r.duplicates;
-        report.uplink_transmissions += r.uplink_transmissions;
-        report.suppressed_transmissions += r.suppressed_transmissions;
-        report.collisions += r.collisions;
-        report.downlink_commands += r.downlink_commands;
-        report.retransmission_requests += r.retransmission_requests;
-        report.channel_hops += r.channel_hops;
-        report.delivered_payload_bits += r.delivered_payload_bits;
-        report.tag_demodulation_energy_j += r.tag_demodulation_energy_j;
-        deliveries.append(&mut cell.deliveries);
-    }
+    let (mut report, mut deliveries) = merge_report(&p, "analytic", floor, &mut cells);
     deliveries.sort_by(|a, b| a.0.total_cmp(&b.0));
     report.latencies_s = deliveries.into_iter().map(|(_, lat)| lat).collect();
     EngineOutcome {

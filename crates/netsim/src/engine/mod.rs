@@ -17,19 +17,21 @@
 //!   straight into a real receiver (by default a lockstep
 //!   multi-channel [`Gateway`] — see
 //!   [`NetworkEngine::default_gateway_config`]), whose decoded
-//!   packets drive `saiyan_mac::AccessPoint` ARQ and hopping feedback that
-//!   *reschedules tag transmit events*. Memory stays bounded however many
-//!   tags the scenario carries, and the whole run is bit-reproducible for a
-//!   fixed seed across chunk sizes and worker counts.
+//!   packets drive the ARQ and hopping feedback that *reschedules tag
+//!   transmit events*. Memory stays bounded however many tags the scenario
+//!   carries, and the whole run is bit-reproducible for a fixed seed across
+//!   chunk sizes and worker counts.
 //!
-//! Both paths pop the same O(1) [`scheduler::CalendarQueue`] (the
-//! [`scheduler::EventQueue`] heap is kept only as its test oracle), share
-//! the same MAC semantics, and fill the same [`EngineReport`] (PRR,
-//! goodput, delivery latency), so "how much does real demodulation change
-//! the answer?" is a one-argument diff. Receiver backends are swappable through the
-//! `saiyan::Receiver` trait via [`NetworkEngine::run_waveform_with`] — the
-//! plain streaming demodulator and the `baselines` detection adapters slot
-//! in the same way.
+//! Both paths run one MAC state model: a cell (a tag range with its
+//! session table, access-point shard, salted RNG streams and O(1)
+//! [`scheduler::CalendarQueue`]; the [`scheduler::EventQueue`] heap is kept
+//! only as its test oracle) driven through a statically dispatched air
+//! seam — the link abstraction or the synthesis mixer. They fill the same
+//! [`EngineReport`] (PRR, goodput, delivery latency), so "how much does
+//! real demodulation change the answer?" is a one-argument diff. Receiver
+//! backends are swappable through the `saiyan::Receiver` trait via
+//! [`NetworkEngine::run_waveform_with`] — the plain streaming demodulator
+//! and the `baselines` detection adapters slot in the same way.
 
 pub mod occupancy;
 pub mod report;
@@ -38,7 +40,7 @@ pub mod scheduler;
 pub mod traffic;
 
 mod analytic;
-mod harness;
+mod cell;
 mod waveform;
 
 use std::thread;

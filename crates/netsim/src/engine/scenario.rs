@@ -339,6 +339,11 @@ impl EngineScenario {
     pub fn validate(&self) {
         assert!(self.n_tags > 0, "need at least one tag");
         assert!(self.n_channels > 0, "need at least one channel");
+        assert!(
+            self.n_channels <= 256,
+            "{} channels: at most 256 fit the MAC's u8 channel ids",
+            self.n_channels
+        );
         assert!(self.decimation >= 1, "decimation must be at least 1");
         assert!(self.readings_per_tag > 0, "need at least one reading");
         assert!(self.payload_bytes > 0, "need a payload");
@@ -415,6 +420,23 @@ mod tests {
     fn chunk_size_changes_keep_the_feedback_delay_valid() {
         let s = EngineScenario::grid(4, 4, 2).with_chunk_samples(1 << 20);
         assert!(s.feedback_delay_s >= s.min_feedback_delay_s());
+    }
+
+    #[test]
+    fn the_full_u8_channel_space_runs() {
+        let mut s = EngineScenario::grid(256, 256, 1);
+        s.decimation = 400;
+        let report = crate::engine::NetworkEngine::new(s).run_analytic().report;
+        assert_eq!(report.channels, 256);
+        assert_eq!(report.readings_delivered, 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256")]
+    fn more_channels_than_u8_ids_are_rejected() {
+        let mut s = EngineScenario::grid(257, 257, 1);
+        s.decimation = 400;
+        s.validate();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! latency sample — must be identical whatever the synthesis chunk size or
 //! the gateway worker-thread count, and across repeated runs.
 
-use netsim::engine::{EngineScenario, MacPolicy, NetworkEngine};
+use netsim::engine::{EngineReport, EngineScenario, JammerSpec, MacPolicy, NetworkEngine};
 use saiyan::gateway::Gateway;
 
 /// A scenario that exercises the full feedback loop: multiple tags and
@@ -68,23 +68,47 @@ fn analytic_runs_are_reproducible() {
 
 #[test]
 fn analytic_and_waveform_agree_on_the_workload_shape() {
-    // The two fidelity levels share traffic and MAC machinery: on a clean,
-    // collision-free scenario they must agree on the integer workload
-    // counters (readings, transmissions, deliveries) even though their PHY
-    // models differ completely.
-    let s = EngineScenario::grid(4, 4, 2);
-    let analytic = NetworkEngine::new(s.clone()).run_analytic();
-    let waveform = NetworkEngine::new(s).run_waveform();
-    assert_eq!(
-        analytic.report.readings_generated,
-        waveform.report.readings_generated
-    );
-    assert_eq!(
-        analytic.report.uplink_transmissions,
-        waveform.report.uplink_transmissions
-    );
-    assert_eq!(
-        analytic.report.readings_delivered,
-        waveform.report.readings_delivered
-    );
+    // The two fidelity levels share traffic and MAC machinery — one cell
+    // model — so on a collision-free scenario they must agree on the
+    // integer workload counters even though their PHY models differ
+    // completely. First a clean run, then the whole feedback loop: an
+    // injected loss, a jammer whose losses the AP requests back, and the
+    // scan that hops the AP away from it.
+    let clean = EngineScenario::grid(4, 4, 2);
+    let mut feedback = EngineScenario::grid(4, 4, 3).with_mac(MacPolicy::Hopping);
+    feedback.drop_first_attempt = vec![(1, 1)];
+    feedback.jammer = Some(JammerSpec {
+        at_s: 0.04,
+        channel: 0,
+        penalty_db: -60.0,
+    });
+    feedback.scan_interval_s = 0.01;
+    feedback.downlink_success = 1.0;
+    for s in [clean, feedback] {
+        let engine = NetworkEngine::new(s);
+        let analytic = engine.run_analytic().report;
+        let waveform = engine.run_waveform().report;
+        assert_eq!(analytic.collisions, 0, "{analytic:?}");
+        let shape = |r: &EngineReport| {
+            [
+                r.readings_generated,
+                r.uplink_transmissions,
+                r.suppressed_transmissions,
+                r.readings_delivered,
+                r.retransmission_requests,
+                r.downlink_commands,
+                r.channel_hops,
+            ]
+        };
+        assert_eq!(
+            shape(&analytic),
+            shape(&waveform),
+            "\n{analytic:?}\n{waveform:?}"
+        );
+        if engine.scenario().jammer.is_some() {
+            assert_eq!(analytic.channel_hops, 1, "{analytic:?}");
+            assert!(analytic.retransmission_requests >= 2, "{analytic:?}");
+            assert!(analytic.readings_delivered < analytic.readings_generated);
+        }
+    }
 }
