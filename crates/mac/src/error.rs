@@ -20,6 +20,8 @@ pub enum MacError {
     InvalidRate(u8),
     /// A retransmission was requested for a sequence number the tag no longer buffers.
     UnknownSequence(u8),
+    /// A spectrum measurement was NaN.
+    InvalidLevel,
 }
 
 impl fmt::Display for MacError {
@@ -32,6 +34,7 @@ impl fmt::Display for MacError {
             MacError::InvalidChannel(c) => write!(f, "invalid channel index {c}"),
             MacError::InvalidRate(r) => write!(f, "invalid bits-per-chirp {r}"),
             MacError::UnknownSequence(s) => write!(f, "no buffered packet with sequence {s}"),
+            MacError::InvalidLevel => write!(f, "interference level is NaN"),
         }
     }
 }

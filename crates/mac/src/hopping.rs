@@ -95,11 +95,15 @@ impl HoppingController {
         })
     }
 
-    /// Records a spectrum measurement for one channel.
+    /// Records a spectrum measurement for one channel. A NaN level is
+    /// rejected and records nothing.
     pub fn record_interference(&mut self, channel: u8, level_dbm: f64) -> Result<(), MacError> {
         let idx = channel as usize;
         if idx >= self.interference_dbm.len() {
             return Err(MacError::InvalidChannel(channel));
+        }
+        if level_dbm.is_nan() {
+            return Err(MacError::InvalidLevel);
         }
         self.interference_dbm[idx] = level_dbm;
         Ok(())
@@ -116,7 +120,7 @@ impl HoppingController {
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != self.current as usize)
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite interference"))
+            .min_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i as u8)
     }
 
@@ -220,6 +224,22 @@ mod tests {
         c.record_interference(3, -80.0).unwrap();
         c.record_interference(4, -50.0).unwrap();
         assert_eq!(c.best_alternative(), Some(2));
+    }
+
+    #[test]
+    fn nan_readings_are_rejected_and_a_jam_still_hops_to_a_clean_channel() {
+        let mut c = HoppingController::new(ChannelTable::paper_433mhz(), 2, -70.0).unwrap();
+        for ch in 0..5u8 {
+            c.record_interference(ch, -95.0).unwrap();
+        }
+        assert_eq!(
+            c.record_interference(0, f64::NAN),
+            Err(MacError::InvalidLevel)
+        );
+        c.record_interference(2, -40.0).unwrap();
+        let cmd = c.maybe_hop().expect("should hop");
+        assert!(matches!(cmd.command, Command::ChannelHop { channel } if channel != 2));
+        assert_eq!(c.interference_dbm[c.current as usize], -95.0);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! * [`hopping`] — interference-driven channel hopping;
 //! * [`rate`] — margin-based rate adaptation;
 //! * [`aloha`] — slotted ALOHA for multi-tag acknowledgements;
-//! * [`tag`] / [`ap`] — the tag-side and access-point-side session state
-//!   machines that tie the mechanisms together;
-//! * [`session_table`] — flat struct-of-arrays session state, the same
-//!   semantics compacted for city-scale simulated populations.
+//! * [`ap`] — the access point: per-tag sequence windows ([`SequenceWindow`],
+//!   shared with the network engine's access-point shard), delivery
+//!   statistics and ARQ requests;
+//! * [`session_table`] — flat struct-of-arrays tag-side session state for
+//!   simulated populations.
 
 #![warn(missing_docs)]
 
@@ -24,14 +25,12 @@ pub mod packet;
 pub mod rate;
 pub mod retransmission;
 pub mod session_table;
-pub mod tag;
 
 pub use aloha::{analytic_success_probability, simulate_round, AlohaRound, AlohaState};
-pub use ap::{AccessPoint, IngestReport, TagStats};
+pub use ap::{AccessPoint, IngestReport, SequenceWindow, TagStats};
 pub use error::MacError;
 pub use hopping::{ChannelTable, HoppingController, TagChannelState};
 pub use packet::{Addressing, Command, DownlinkPacket, TagId, UplinkPacket};
 pub use rate::{apply_rate_command, RateAdapter};
 pub use retransmission::{prr_with_retransmissions, ArqTracker, RetransmissionBuffer};
 pub use session_table::SessionTable;
-pub use tag::{TagAction, TagSession};

@@ -168,13 +168,24 @@ pub struct UplinkPacket {
 
 impl UplinkPacket {
     /// Serialises to wire bytes.
+    ///
+    /// # Panics
+    ///
+    /// If the payload is longer than 255 bytes, the most its one-byte
+    /// length field can carry.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let len = u8::try_from(self.payload.len()).unwrap_or_else(|_| {
+            panic!(
+                "uplink payload of {} bytes exceeds the 255-byte cap",
+                self.payload.len()
+            )
+        });
         let mut out = vec![
             (self.source.0 >> 8) as u8,
             (self.source.0 & 0xFF) as u8,
             self.sequence,
             self.is_ack as u8,
-            self.payload.len() as u8,
+            len,
         ];
         out.extend_from_slice(&self.payload);
         out
@@ -247,6 +258,29 @@ mod tests {
         };
         let back = UplinkPacket::from_bytes(&p.to_bytes()).unwrap();
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn uplink_round_trips_a_payload_at_the_cap() {
+        let p = UplinkPacket {
+            source: TagId(7),
+            sequence: 1,
+            is_ack: false,
+            payload: (0..=254).collect(),
+        };
+        assert_eq!(UplinkPacket::from_bytes(&p.to_bytes()).unwrap(), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 255-byte cap")]
+    fn uplink_payloads_over_the_cap_panic() {
+        let p = UplinkPacket {
+            source: TagId(7),
+            sequence: 1,
+            is_ack: false,
+            payload: vec![0; 256],
+        };
+        p.to_bytes();
     }
 
     #[test]

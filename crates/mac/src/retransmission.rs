@@ -73,7 +73,6 @@ pub struct ArqTracker {
     pub tag: TagId,
     /// Maximum number of retransmission requests per packet.
     pub max_retries: u32,
-    expected_next: u8,
     outstanding: Vec<(u8, u32)>,
 }
 
@@ -83,7 +82,6 @@ impl ArqTracker {
         ArqTracker {
             tag,
             max_retries,
-            expected_next: 0,
             outstanding: Vec::new(),
         }
     }
@@ -94,13 +92,11 @@ impl ArqTracker {
         if !self.outstanding.iter().any(|(s, _)| *s == seq) {
             self.outstanding.push((seq, 0));
         }
-        self.expected_next = seq.wrapping_add(1);
     }
 
     /// Records a successfully received packet.
     pub fn record_reception(&mut self, seq: u8) {
         self.outstanding.retain(|(s, _)| *s != seq);
-        self.expected_next = seq.wrapping_add(1);
     }
 
     /// Returns the next retransmission request to send, if any packet is still

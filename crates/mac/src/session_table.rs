@@ -1,18 +1,13 @@
 //! Flat struct-of-arrays tag-session state for city-scale populations.
 //!
-//! [`TagSession`](crate::tag::TagSession) is the right shape for a handful
-//! of tags under test — each session owns its channel table, ALOHA state
-//! and retransmission buffer with heap-allocated payloads. At a million
-//! tags that layout is cache-hostile and allocation-heavy, and the engine
-//! needs none of the per-tag heap state: payloads are a pure function of
-//! the tag id, so a replayable packet can be *regenerated* instead of
-//! buffered. [`SessionTable`] keeps exactly the per-tag words the
-//! discrete-event engine touches per transmission, in parallel arrays
-//! indexed by a dense local id, and mirrors the session semantics it
-//! replaces: wrapping sequence allocation and the
-//! [`RetransmissionBuffer`](crate::retransmission::RetransmissionBuffer)'s
-//! replay window (a tag can only replay its last
-//! [`SessionTable::replay_depth`] sequences).
+//! The network engine needs only a few words of tag-side state per
+//! transmission, and none of it on the heap: payloads are a pure function
+//! of the tag id, so a replayable packet can be *regenerated* instead of
+//! buffered. [`SessionTable`] keeps those words in parallel arrays indexed
+//! by a dense local id: wrapping sequence allocation and the replay window
+//! of the tag's [`RetransmissionBuffer`](crate::retransmission::RetransmissionBuffer)
+//! (a tag can only replay its last [`SessionTable::replay_depth`]
+//! sequences), plus channel, hopping round and radio reservation.
 
 /// Struct-of-arrays session state for a dense population of tags.
 #[derive(Debug, Clone)]
@@ -33,8 +28,8 @@ pub struct SessionTable {
 }
 
 impl SessionTable {
-    /// How many recent sequences a tag can replay; matches the engine's
-    /// `RetransmissionBuffer::new(8)` sizing.
+    /// How many recent sequences a tag can replay; matches a tag's
+    /// `RetransmissionBuffer::new(8)`.
     pub const DEFAULT_REPLAY_DEPTH: u8 = 8;
 
     /// Creates a table of `n` sessions; `initial_channel` gives each local
@@ -114,11 +109,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hopping::ChannelTable;
-    use crate::packet::{Addressing, Command, DownlinkPacket, TagId};
-    use crate::tag::{TagAction, TagSession};
-    use rand_chacha::rand_core::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use crate::retransmission::RetransmissionBuffer;
 
     #[test]
     fn sequences_allocate_like_a_retransmission_buffer() {
@@ -132,35 +123,18 @@ mod tests {
 
     #[test]
     fn replay_window_matches_the_real_session_buffer() {
-        // Cross-check against TagSession: after k transmissions, the table
-        // must report exactly the sequences the session's ring buffer can
-        // still serve.
-        let channels = ChannelTable {
-            channels: vec![433.0e6, 433.5e6],
-        };
-        let mut session = TagSession::new(TagId(0), channels, 0).expect("channel exists");
+        // Cross-check against the tag's ring buffer: after k transmissions,
+        // the table must report exactly the sequences the buffer can still
+        // serve.
+        let mut buffer = RetransmissionBuffer::new(8);
         let mut table = SessionTable::new(1, |_| 0);
         for k in 0..40usize {
             for seq in 0..=255u8 {
-                let real = session_can_replay(&mut session, seq);
+                let real = buffer.get(seq).is_ok();
                 assert_eq!(table.can_replay(0, seq), real, "k={k} seq={seq}");
             }
-            match session.send_reading(vec![k as u8]) {
-                TagAction::Transmit(p) => assert_eq!(p.sequence, table.allocate_sequence(0)),
-                other => panic!("send_reading returned {other:?}"),
-            }
+            assert_eq!(buffer.push(vec![k as u8]), table.allocate_sequence(0));
         }
-    }
-
-    /// Whether the real session can serve a retransmission request for
-    /// `seq` — probed through the public downlink path.
-    fn session_can_replay(session: &mut TagSession, seq: u8) -> bool {
-        let request = DownlinkPacket {
-            addressing: Addressing::Unicast(TagId(0)),
-            command: Command::Retransmit { sequence: seq },
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        session.on_downlink(&request, &mut rng).is_ok()
     }
 
     #[test]

@@ -31,11 +31,13 @@
 //! workloads).
 //!
 //! The MAC is the [`cell`](super::cell) module the waveform backend runs
-//! too; its access-point shard is pinned against
-//! [`AccessPoint::ingest_frame`](saiyan_mac::AccessPoint::ingest_frame) by
-//! a differential property test, and the session table's replay window
-//! against the real [`TagSession`](saiyan_mac::TagSession) ring buffer by
-//! the `saiyan_mac` unit suite.
+//! too; its access-point shard steps the same
+//! [`SequenceWindow`](saiyan_mac::SequenceWindow) as
+//! [`AccessPoint::ingest_frame`](saiyan_mac::AccessPoint::ingest_frame),
+//! pinned against it by a differential property test, and the session
+//! table's replay window is pinned against the tag's
+//! [`RetransmissionBuffer`](saiyan_mac::RetransmissionBuffer) by the
+//! `saiyan_mac` unit suite.
 
 use std::thread;
 use std::time::Instant;

@@ -19,8 +19,9 @@
 //! one cell with index 0, so its RNG streams are those of analytic cell 0,
 //! and the two fidelity levels can not drift apart in MAC behaviour.
 //!
-//! The AP shard is `AccessPoint::ingest_frame` over flat state; a
-//! differential property test below pins the two against each other.
+//! The AP shard steps the same [`SequenceWindow`] record as
+//! `AccessPoint::ingest_frame`, over a dense per-tag `Vec`; a differential
+//! property test below pins how each composes it with ARQ and delivery.
 
 use std::collections::HashMap;
 
@@ -32,7 +33,7 @@ use saiyan_mac::hopping::{ChannelTable, HoppingController};
 use saiyan_mac::packet::{Addressing, Command, DownlinkPacket, TagId};
 use saiyan_mac::retransmission::ArqTracker;
 use saiyan_mac::session_table::SessionTable;
-use saiyan_mac::AccessPoint;
+use saiyan_mac::SequenceWindow;
 
 use super::report::EngineReport;
 use super::scenario::{EngineScenario, JammerSpec, MacPolicy};
@@ -104,35 +105,18 @@ pub(crate) trait Air: Sized {
     fn bill_wakeups(report: &mut EngineReport, woken: u32, energy_j: f64);
 }
 
-/// The access point's sequence state for one source.
-#[derive(Clone, Copy)]
-struct ApSource {
-    /// Next expected sequence (−1 = no frame seen yet). Forward-only, per
-    /// `AccessPoint::ingest_frame` semantics.
-    next_expected: i16,
-    /// Bitmap over the 256-sequence space of received data frames (`u16`
-    /// words keep the record at 34 bytes, unpadded: one per tag at city
-    /// scale).
-    received: [u16; 16],
-}
-
-const UNSEEN: ApSource = ApSource {
-    next_expected: -1,
-    received: [0; 16],
-};
-
 /// One MAC cell over a contiguous tag range. See the [module docs](self).
 pub(crate) struct Cell<A> {
     pub base: u32,
     len: u32,
     pub queue: CalendarQueue<CellEv>,
     sessions: SessionTable,
-    /// AP shard: per-tag sequence state, indexed by local id.
-    ap: Vec<ApSource>,
+    /// AP shard: per-tag sequence windows, indexed by local id.
+    ap: Vec<SequenceWindow>,
     /// AP shard: sources outside the population that decoded frames
     /// claimed. A corrupt decode still reads as a frame from its source, so
     /// the shard tracks it as `AccessPoint` registers any source it hears.
-    strangers: HashMap<u32, ApSource>,
+    strangers: HashMap<u32, SequenceWindow>,
     /// AP shard: ARQ trackers by source, materialised lazily for lossy
     /// sources only.
     arq: HashMap<u32, ArqTracker>,
@@ -226,7 +210,7 @@ impl<A: Air> Cell<A> {
             len,
             queue,
             sessions,
-            ap: vec![UNSEEN; len as usize],
+            ap: vec![SequenceWindow::default(); len as usize],
             strangers: HashMap::new(),
             arq: HashMap::new(),
             outstanding: HashMap::new(),
@@ -317,42 +301,15 @@ impl<A: Air> Cell<A> {
     }
 
     /// The AP shard ingests one frame from cell-local source `local` (the
-    /// id on the wire and in downlink addresses):
-    /// `AccessPoint::ingest_frame` over flat state — forward-only
-    /// expectation, gap detection, duplicate bitmap (data frames only),
-    /// delivery bookkeeping, ARQ requests (scheduled as downlinks).
+    /// id on the wire and in downlink addresses): the source's
+    /// [`SequenceWindow`] step, then delivery bookkeeping and ARQ requests
+    /// (scheduled as downlinks), as in `AccessPoint::ingest_frame`.
     pub fn ingest(&mut self, p: &RunParams, t: f64, local: u32, sequence: u8, is_ack: bool) {
-        let source = match self.ap.get_mut(local as usize) {
-            Some(source) => source,
-            None => self.strangers.entry(local).or_insert(UNSEEN),
+        let window = match self.ap.get_mut(local as usize) {
+            Some(window) => window,
+            None => self.strangers.entry(local).or_default(),
         };
-        self.missing_scratch.clear();
-        match source.next_expected {
-            -1 => source.next_expected = sequence.wrapping_add(1) as i16,
-            expected => {
-                let expected = expected as u8;
-                let forward = sequence.wrapping_sub(expected);
-                let backward = expected.wrapping_sub(sequence);
-                if forward <= AccessPoint::MAX_SEQUENCE_GAP {
-                    for d in 0..forward {
-                        self.missing_scratch.push(expected.wrapping_add(d));
-                    }
-                    source.next_expected = sequence.wrapping_add(1) as i16;
-                } else if backward <= AccessPoint::REPLAY_WINDOW {
-                    // An old frame replayed: keep the expectation.
-                } else {
-                    source.next_expected = sequence.wrapping_add(1) as i16;
-                }
-            }
-        }
-        let word = &mut source.received[(sequence >> 4) as usize];
-        let bit = 1u16 << (sequence & 15);
-        // As in `AccessPoint::ingest_frame`, an ACK is never a duplicate and
-        // marks nothing received.
-        let duplicate = !is_ack && *word & bit != 0;
-        if !is_ack {
-            *word |= bit;
-        }
+        let duplicate = window.step(sequence, is_ack, &mut self.missing_scratch);
         if let Some(tracker) = self.arq.get_mut(&local) {
             tracker.record_reception(sequence);
         }
@@ -513,6 +470,7 @@ mod tests {
 
     use proptest::prelude::*;
     use saiyan_mac::packet::UplinkPacket;
+    use saiyan_mac::AccessPoint;
 
     use super::*;
 
@@ -582,7 +540,7 @@ mod tests {
         cell.advance(&p, f64::INFINITY, f64::NEG_INFINITY);
         assert_eq!(cell.report.retransmission_requests, 8);
         assert!(cell.queue.is_empty(), "a stranger's request replayed");
-        assert!(cell.ap.iter().all(|a| a.next_expected == -1));
+        assert!(cell.ap.iter().all(|a| *a == SequenceWindow::default()));
 
         // An ACK moves the expectation but marks nothing received: the
         // data frame behind it is no duplicate.
@@ -600,8 +558,8 @@ mod tests {
         /// The flat AP shard is `AccessPoint::ingest_frame`: frame by frame,
         /// the same duplicate flag, the same delivery and the same ordered
         /// retransmission requests, over in-order frames, gaps within and
-        /// beyond `MAX_SEQUENCE_GAP`, replays within and beyond
-        /// `REPLAY_WINDOW`, duplicates, resets, ACKs and a stranger source.
+        /// beyond the gap limit, replays within and beyond the replay
+        /// window, duplicates, resets, ACKs and a stranger source.
         #[test]
         fn ap_shard_ingest_matches_access_point_ingest_frame(
             ops in collection::vec(any::<u32>(), 1..160),
