@@ -352,6 +352,25 @@ impl EngineScenario {
             "downlink_success must be a probability"
         );
         assert!(self.chunk_samples > 0, "chunk_samples must be positive");
+        // A non-finite power or CFO synthesizes NaN/inf samples, which the
+        // receiver silently decodes as nothing at all.
+        if let Some(dbm) = self.noise_power_dbm {
+            assert!(dbm.is_finite(), "noise_power_dbm must be finite, got {dbm}");
+        }
+        assert!(
+            self.base_power_dbm.is_finite(),
+            "base_power_dbm must be finite, got {}",
+            self.base_power_dbm
+        );
+        for (field, value) in [
+            ("power_spread_db", self.power_spread_db),
+            ("max_cfo_hz", self.max_cfo_hz),
+        ] {
+            assert!(
+                value.is_finite() && value >= 0.0,
+                "{field} must be finite and non-negative, got {value}"
+            );
+        }
         assert!(self.analytic_cells >= 1, "need at least one analytic cell");
         assert!(
             self.analytic_cells <= self.n_tags,
@@ -436,6 +455,46 @@ mod tests {
     fn more_channels_than_u8_ids_are_rejected() {
         let mut s = EngineScenario::grid(257, 257, 1);
         s.decimation = 400;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "noise_power_dbm must be finite")]
+    fn a_nan_noise_power_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.noise_power_dbm = Some(f64::NAN);
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "noise_power_dbm must be finite")]
+    fn an_infinite_noise_power_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.noise_power_dbm = Some(f64::INFINITY);
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "base_power_dbm must be finite")]
+    fn a_nan_base_power_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.base_power_dbm = f64::NAN;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "power_spread_db must be finite and non-negative")]
+    fn a_negative_power_spread_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.power_spread_db = -1.0;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "max_cfo_hz must be finite and non-negative")]
+    fn an_infinite_cfo_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.max_cfo_hz = f64::INFINITY;
         s.validate();
     }
 

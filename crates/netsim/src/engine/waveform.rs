@@ -15,10 +15,12 @@
 //! [`crate::synthesis::EmissionMixer`] only while they overlap the chunk
 //! cursor. Each chunk is: zeros → slice-kernel sum of overlapping
 //! emissions (CFO and channel offset fused into one rotation anchored on
-//! the absolute index) → block AWGN. Memory is `O(concurrent packets +
-//! chunk)` however many tags or readings the scenario carries, and
-//! steady-state synthesis allocates nothing: the mixer recycles retired
-//! emission buffers.
+//! the absolute index) → plus the chunk's block AWGN, which a
+//! [`NoiseAhead`] helper thread drew while the receiver decoded the
+//! previous chunk. Memory is `O(concurrent packets + chunk)` however many
+//! tags or readings the scenario carries, and steady-state synthesis
+//! allocates nothing: the mixer recycles retired emission buffers and the
+//! noise helper recycles its two blocks.
 //!
 //! ## Bit-reproducibility
 //!
@@ -30,7 +32,8 @@
 //!   all events inside a chunk's window are handled before the chunk is
 //!   synthesized — so emission placement is keyed to absolute sample
 //!   indices only;
-//! * AWGN is one sequential draw per sample of one seeded stream;
+//! * AWGN is one sequential draw per sample of one seeded stream, whichever
+//!   thread draws it and however the chunks partition it;
 //! * the default receiver is a **lockstep** gateway, whose released-packet
 //!   batches are a pure function of the input so far; and
 //! * MAC feedback for a decoded packet is scheduled at `packet end +
@@ -51,7 +54,7 @@ use lora_phy::modulator::Alphabet;
 use lora_phy::templates::PacketTemplates;
 use rand::Rng;
 use rfsim::channel::dbm_to_buffer_power;
-use rfsim::noise::AwgnSource;
+use rfsim::noise::{AwgnSource, NoiseAhead};
 use rfsim::units::Dbm;
 use saiyan::gateway::GatewayPacket;
 use saiyan::receiver::Receiver;
@@ -175,10 +178,13 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
     let population = (0, scenario.n_tags as u32);
     let mut cell = Cell::new(&p, 0, population, &mut Vec::new(), air);
     let tail_s = scenario.horizon_s() + 6.0 * scenario.lora.symbol_duration();
-    let mut awgn = scenario.noise_power_dbm.map(|dbm| {
-        (
+    // The noise depends on the seed and the sample index alone, so it is
+    // drawn one chunk ahead, off the critical path.
+    let mut noise = scenario.noise_power_dbm.map(|dbm| {
+        NoiseAhead::spawn(
             AwgnSource::new(scenario.seed),
             dbm_to_buffer_power(Dbm(dbm)),
+            scenario.chunk_samples,
         )
     });
     let mut chunk: Vec<Iq> = Vec::with_capacity(scenario.chunk_samples);
@@ -206,13 +212,14 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
         // own watermark alone.
         cell.advance(&p, chunk_end_t, f64::NEG_INFINITY);
 
-        // 2. Synthesize the chunk: emissions, then sequential block AWGN
-        // (bit-identical to the per-sample draw loop — same draw order).
+        // 2. Synthesize the chunk: emissions, then the next `n` samples of
+        // the sequential AWGN stream (bit-identical to the per-sample draw
+        // loop — same draw order, same add).
         chunk.clear();
         chunk.resize(n, Iq::ZERO);
         cell.air.mixer.mix_into(&mut chunk, pos);
-        if let Some((source, variance)) = awgn.as_mut() {
-            source.add_noise_in_place(&mut chunk, *variance);
+        if let Some(noise) = noise.as_mut() {
+            noise.add_next(&mut chunk);
         }
 
         // 3. Feed the receiver and close the MAC loop on what it released.
@@ -220,6 +227,9 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
         ingest_packets(&mut cell, &p, packets);
         pos += n as u64;
     }
+
+    // The stream is synthesized: join the noise helper before the flush.
+    drop(noise);
 
     // Flush: packets surfacing here still count for delivery, but the
     // stream is over — the feedback they schedule is never handled.

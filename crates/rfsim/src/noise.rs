@@ -2,8 +2,12 @@
 //!
 //! The demodulation range experiments all come down to the signal-to-noise
 //! ratio at the tag's antenna and the losses added by the analog front end.
-//! This module provides the thermal-noise floor, receiver noise figure, and a
-//! seeded complex additive white Gaussian noise source.
+//! This module provides the thermal-noise floor, receiver noise figure, a
+//! seeded complex additive white Gaussian noise source, and [`NoiseAhead`],
+//! which draws that source's stream one block ahead on a helper thread.
+
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::{self, JoinHandle};
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -204,8 +208,138 @@ impl AwgnSource {
 
     /// Generates a buffer of pure noise.
     pub fn noise_buffer(&mut self, len: usize, sample_rate: f64, variance: f64) -> SampleBuffer {
-        let samples = (0..len).map(|_| self.sample(variance)).collect();
+        let mut samples = vec![Iq::ZERO; len];
+        self.fill_noise_into(&mut samples, variance);
         SampleBuffer::new(samples, sample_rate)
+    }
+}
+
+/// Smallest block [`NoiseAhead`] draws per hand-off, so tiny consumer
+/// slices do not turn into one channel round trip each.
+const MIN_AHEAD_BLOCK: usize = 4096;
+
+/// An [`AwgnSource`] stream drawn one block ahead on a helper thread.
+///
+/// The helper continues the one sequential stream with
+/// [`AwgnSource::fill_noise_into`] into a ring of two recycled buffers;
+/// [`Self::add_next`] adds the next samples of that stream onto a slice.
+/// The noise is a pure function of the seed and the sample index, so a
+/// consumer can have chunk *k+1*'s noise drawn while it works on chunk *k*.
+///
+/// Bit-identity with the inline [`AwgnSource::add_noise_in_place`] holds
+/// for any partition of the stream into `add_next` calls: the draws are the
+/// same sequential stream, the fill yields `std·(r·c)`, and `s + n` is the
+/// same IEEE add the accumulating fill does.
+///
+/// Memory is two blocks of `max(block, 4096)` samples whatever the
+/// consumer's slice sizes. Dropping the handle — at the end of a stream or
+/// while unwinding — disconnects the helper and joins it.
+#[derive(Debug)]
+pub struct NoiseAhead {
+    link: Option<AheadLink>,
+    current: Vec<Iq>,
+    cursor: usize,
+    helper: Option<JoinHandle<()>>,
+}
+
+/// The consumer's ends of the buffer ring.
+#[derive(Debug)]
+struct AheadLink {
+    filled: Receiver<Vec<Iq>>,
+    spent: SyncSender<Vec<Iq>>,
+}
+
+impl NoiseAhead {
+    /// Moves `source` onto a helper thread that draws its stream, at the
+    /// given per-sample variance, in blocks of `block` samples (at least
+    /// 4096) ahead of the consumer.
+    pub fn spawn(source: AwgnSource, variance: f64, block: usize) -> Self {
+        Self::spawn_holding(source, variance, block, ())
+    }
+
+    /// [`Self::spawn`] with `held` owned by the helper thread until it
+    /// exits, so a test can observe the join.
+    fn spawn_holding<H: Send + 'static>(
+        mut source: AwgnSource,
+        variance: f64,
+        block: usize,
+        held: H,
+    ) -> Self {
+        let block = block.max(MIN_AHEAD_BLOCK);
+        let (filled_tx, filled) = mpsc::sync_channel::<Vec<Iq>>(2);
+        let (spent, spent_rx) = mpsc::sync_channel::<Vec<Iq>>(2);
+        for _ in 0..2 {
+            spent
+                .send(vec![Iq::ZERO; block])
+                .expect("the ring holds two buffers");
+        }
+        let helper = thread::Builder::new()
+            .name("awgn-ahead".into())
+            .spawn(move || {
+                let _held = held;
+                // Either channel disconnecting means the consumer is gone.
+                while let Ok(mut buffer) = spent_rx.recv() {
+                    source.fill_noise_into(&mut buffer, variance);
+                    if filled_tx.send(buffer).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn the noise helper thread");
+        NoiseAhead {
+            link: Some(AheadLink { filled, spent }),
+            current: Vec::new(),
+            cursor: 0,
+            helper: Some(helper),
+        }
+    }
+
+    /// Adds the next `out.len()` samples of the stream onto `out`
+    /// (`s.re += n.re; s.im += n.im`), waiting for the helper only when
+    /// the block it is drawing is not yet done.
+    pub fn add_next(&mut self, out: &mut [Iq]) {
+        let mut done = 0;
+        while done < out.len() {
+            if self.cursor == self.current.len() {
+                self.next_block();
+            }
+            let take = (out.len() - done).min(self.current.len() - self.cursor);
+            let noise = &self.current[self.cursor..self.cursor + take];
+            for (s, n) in out[done..done + take].iter_mut().zip(noise) {
+                *s += *n;
+            }
+            self.cursor += take;
+            done += take;
+        }
+    }
+
+    /// Hands the drained block back to the helper and takes the next one.
+    fn next_block(&mut self) {
+        let link = self.link.as_ref().expect("the link lives until drop");
+        let drained = std::mem::take(&mut self.current);
+        // The first call has no block to return. A failed send means the
+        // helper is gone, which the receive below reports.
+        if !drained.is_empty() {
+            let _ = link.spent.send(drained);
+        }
+        self.current = link
+            .filled
+            .recv()
+            .expect("the noise helper thread exited early");
+        self.cursor = 0;
+    }
+}
+
+impl Drop for NoiseAhead {
+    fn drop(&mut self) {
+        // Dropping both channel ends wakes the helper wherever it waits: a
+        // receive of a spent buffer fails, and so does its next send.
+        self.link = None;
+        if let Some(helper) = self.helper.take() {
+            // The helper only fills and sends; it has no panic of its own
+            // to propagate.
+            let _ = helper.join();
+        }
     }
 }
 
@@ -322,6 +456,37 @@ mod tests {
             let expect: f64 = check.gen();
             assert_eq!(uniform_open01(draws.next_u64()), expect);
         }
+    }
+
+    #[test]
+    fn noise_buffer_is_the_per_sample_stream() {
+        let mut reference = AwgnSource::new(11);
+        let expected: Vec<Iq> = (0..FILL_SIZES[5]).map(|_| reference.sample(0.5)).collect();
+        let buffer = AwgnSource::new(11).noise_buffer(FILL_SIZES[5], 1e6, 0.5);
+        assert_eq!(buffer.samples, expected);
+    }
+
+    #[test]
+    fn dropping_the_handle_mid_stream_joins_the_helper() {
+        use std::sync::Arc;
+        // The helper owns one reference until it exits, so a count of one
+        // right after the drop means the drop waited for it.
+        let held = Arc::new(());
+        let mut ahead = NoiseAhead::spawn_holding(AwgnSource::new(5), 1.0, 0, Arc::clone(&held));
+        ahead.add_next(&mut [Iq::ZERO; 100]);
+        drop(ahead);
+        assert_eq!(Arc::strong_count(&held), 1, "helper outlived the handle");
+
+        // The same on the unwinding path.
+        let held = Arc::new(());
+        let in_helper = Arc::clone(&held);
+        let unwound = std::panic::catch_unwind(move || {
+            let mut ahead = NoiseAhead::spawn_holding(AwgnSource::new(5), 1.0, 0, in_helper);
+            ahead.add_next(&mut [Iq::ZERO; 100]);
+            panic!("the consumer fails mid-stream");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(Arc::strong_count(&held), 1, "helper outlived the unwind");
     }
 
     #[test]

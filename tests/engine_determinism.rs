@@ -24,7 +24,9 @@ fn scenario() -> EngineScenario {
 fn waveform_reports_are_identical_across_chunk_sizes_and_worker_counts() {
     let base = scenario();
     let mut reports = Vec::new();
-    for chunk_samples in [4096usize, 16384, 1 << 16] {
+    // 1000 and 16384 + 17 do not divide the stream or the noise helper's
+    // blocks: chunks straddle the helper's block boundaries.
+    for chunk_samples in [1000usize, 4096, 16384, 16384 + 17, 1 << 16] {
         for workers in [1usize, 2, 4] {
             let mut s = base.clone();
             s.chunk_samples = chunk_samples;
@@ -43,6 +45,21 @@ fn waveform_reports_are_identical_across_chunk_sizes_and_worker_counts() {
             "chunk {c} x workers {w} diverged from chunk {c0} x workers {w0}"
         );
     }
+}
+
+#[test]
+fn noiseless_waveform_reports_are_identical_across_chunk_sizes() {
+    // No noise power: the engine spawns no noise helper at all.
+    let mut base = scenario();
+    base.noise_power_dbm = None;
+    let run = |chunk_samples: usize| {
+        let mut s = base.clone();
+        s.chunk_samples = chunk_samples;
+        NetworkEngine::new(s).run_waveform().report
+    };
+    let reference = run(1000);
+    assert!(reference.readings_delivered > 0, "{reference:?}");
+    assert_eq!(run(16384 + 17), reference);
 }
 
 #[test]

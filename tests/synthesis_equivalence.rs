@@ -6,7 +6,8 @@
 //!
 //! * template packet assembly is **bit-identical** to modulate-then-scale;
 //! * block AWGN is **bit-identical** to the per-sample draw loop, for any
-//!   partition of the stream into fill calls;
+//!   partition of the stream into fill calls, and drawn ahead on the
+//!   noise helper thread it is bit-identical to the inline fill;
 //! * emission mixing is **bit-invariant** across chunk partitions, exact for
 //!   unrotated emissions, and within a tight absolute bound of the exact
 //!   per-sample phasor reference when CFO/channel rotation is in play.
@@ -20,7 +21,7 @@ use proptest::prelude::*;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rfsim::noise::AwgnSource;
+use rfsim::noise::{AwgnSource, NoiseAhead};
 
 const FS: f64 = 3.0e6;
 
@@ -179,6 +180,38 @@ proptest! {
         let mut offset = 0;
         for n in partition(total, &sizes) {
             block.add_noise_in_place(&mut got[offset..offset + n], variance);
+            offset += n;
+        }
+        for (i, (a, b)) in got.iter().zip(&expected).enumerate() {
+            prop_assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "sample {i} differs: {a:?} vs {b:?}"
+            );
+        }
+    }
+
+    /// The noise-ahead handle continues the same sequential stream on its
+    /// helper thread, so any partition consumed through it — across block
+    /// boundaries, with block sizes that do not divide the slices — is
+    /// bit-identical to one inline `add_noise_in_place` over the stream.
+    #[test]
+    fn noise_ahead_is_bit_identical_to_the_inline_fill_for_any_partition(
+        seed in any::<u64>(),
+        total in 0usize..20_000,
+        sizes in proptest::collection::vec(1usize..9000, 1..6),
+        block in 1usize..12_000,
+        log_variance in -30.0f64..-6.0,
+    ) {
+        let variance = log_variance.exp();
+        let base: Vec<Iq> = (0..total).map(|i| Iq::new(i as f64 * 1e-6, -1e-6)).collect();
+        let mut expected = base.clone();
+        AwgnSource::new(seed).add_noise_in_place(&mut expected, variance);
+
+        let mut ahead = NoiseAhead::spawn(AwgnSource::new(seed), variance, block);
+        let mut got = base;
+        let mut offset = 0;
+        for n in partition(total, &sizes) {
+            ahead.add_next(&mut got[offset..offset + n]);
             offset += n;
         }
         for (i, (a, b)) in got.iter().zip(&expected).enumerate() {
