@@ -1,19 +1,17 @@
 //! # analog — analog front-end component models
 //!
 //! Software models of every analog block on the Saiyan tag, replacing the
-//! paper's PCB hardware (see DESIGN.md §2 for the substitution argument):
+//! paper's PCB hardware (`docs/ARCHITECTURE.md` §2 shows how they compose
+//! into the receive chain):
 //!
 //! * [`saw`] — the B3790 SAW filter's frequency→amplitude response;
-//! * [`rlc`] — the rejected RLC-resonator alternative (Appendix A.1);
 //! * [`lna`] — the common-gate low-noise amplifier;
-//! * [`matching`] — the antenna-to-SAW impedance matching network;
 //! * [`envelope`] — the square-law envelope detector with self-mixing and
 //!   flicker/DC noise;
 //! * [`mixer`], [`oscillator`], [`filters`] — the building blocks of the
 //!   cyclic-frequency-shifting circuit;
 //! * [`shifting`] — the composed cyclic-frequency-shifting chain (§3.1);
 //! * [`comparator`] — single- and double-threshold comparators (Eq. 3);
-//! * [`adc`] — the conventional ADC baseline Saiyan eliminates;
 //! * [`power`] — the Table 2 / §4.3 power and cost budgets;
 //! * [`signal`] — real-valued baseband buffers shared by these blocks;
 //! * [`fir`] — the shared streaming complex-FIR state machine;
@@ -29,18 +27,15 @@
 
 #![warn(missing_docs)]
 
-pub mod adc;
 pub mod channelizer;
 pub mod comparator;
 pub mod envelope;
 pub mod filters;
 pub mod fir;
 pub mod lna;
-pub mod matching;
 pub mod mixer;
 pub mod oscillator;
 pub mod power;
-pub mod rlc;
 pub mod saw;
 pub mod shifting;
 pub mod signal;
@@ -48,7 +43,6 @@ pub mod stage;
 
 pub use lora_phy::simd;
 
-pub use adc::{Adc, AdcState};
 pub use channelizer::{ChannelizerSpec, ChannelizerState};
 pub use comparator::{
     BinaryStream, ComparatorState, DoubleThresholdComparator, SingleThresholdComparator,
@@ -57,11 +51,9 @@ pub use envelope::{DetectorNoise, EnvelopeDetector};
 pub use filters::{IfAmplifier, LowPassFilter};
 pub use fir::{ComplexFirState, PolyphaseDecimator};
 pub use lna::Lna;
-pub use matching::{Impedance, MatchingNetwork};
 pub use mixer::{BasebandMixer, RfMixer};
 pub use oscillator::{DelayLine, Oscillator};
-pub use power::{Component, EnergyLedger, PowerBudget, Technology};
-pub use rlc::{is_realisable_capacitance, required_capacitance, RlcResonator};
+pub use power::{Component, PowerBudget, Technology};
 pub use saw::{ResponsePoint, SawFilter};
 pub use shifting::{envelope_snr_db, snr_gain_db, CyclicFrequencyShifter, ShiftingConfig};
 pub use signal::RealBuffer;

@@ -3,10 +3,7 @@
 //! The PCB prototype consumes 369.4 µW under 1 % duty cycling, dominated by
 //! the LNA (67.3 %) and the oscillator clock (23.5 %); the TSMC 65 nm ASIC
 //! simulation reduces the total to 93.2 µW. This module encodes those
-//! budgets, lets experiments integrate energy over simulated operation, and
-//! regenerates Table 2.
-
-use rfsim::units::Watts;
+//! budgets and regenerates Table 2.
 
 /// The hardware components of a Saiyan tag that draw power.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -200,53 +197,6 @@ impl PowerBudget {
     }
 }
 
-/// Energy accounting over a simulated stretch of operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergyLedger {
-    budget: PowerBudget,
-    /// Seconds of active (receiving/demodulating) time accumulated.
-    active_seconds: f64,
-    /// Duty cycle used to scale the Table 2 figures (they already assume 1 %).
-    duty_cycle: f64,
-}
-
-impl EnergyLedger {
-    /// Reference duty cycle the paper's Table 2 numbers assume.
-    pub const TABLE2_DUTY_CYCLE: f64 = 0.01;
-
-    /// Creates a ledger over a budget for the given duty cycle.
-    pub fn new(budget: PowerBudget, duty_cycle: f64) -> Self {
-        EnergyLedger {
-            budget,
-            active_seconds: 0.0,
-            duty_cycle: duty_cycle.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Records `seconds` of wall-clock operation.
-    pub fn record(&mut self, seconds: f64) {
-        self.active_seconds += seconds.max(0.0);
-    }
-
-    /// Average power draw (watts) at the configured duty cycle.
-    pub fn average_power(&self) -> Watts {
-        let scale = self.duty_cycle / Self::TABLE2_DUTY_CYCLE;
-        Watts::from_microwatts(self.budget.total_uw() * scale)
-    }
-
-    /// Total energy consumed so far, in joules.
-    pub fn energy_joules(&self) -> f64 {
-        self.average_power().value() * self.active_seconds
-    }
-
-    /// How long (seconds) the paper's solar harvester (1 mW every 25.4 s,
-    /// i.e. ≈ 39.4 µW average) must run to pay for the energy consumed so far.
-    pub fn harvest_time_seconds(&self) -> f64 {
-        let harvester_watts = 1.0e-3 / 25.4;
-        self.energy_joules() / harvester_watts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,25 +230,5 @@ mod tests {
         let b = PowerBudget::paper_pcb();
         assert_eq!(b.entry(Component::SawFilter).unwrap().power_uw, 0.0);
         assert_eq!(b.entry(Component::EnvelopeDetector).unwrap().power_uw, 0.0);
-    }
-
-    #[test]
-    fn ledger_integrates_energy() {
-        let mut ledger = EnergyLedger::new(PowerBudget::paper_asic(), 0.01);
-        ledger.record(100.0);
-        // ~(93.2 + 19.6) µW * 100 s ≈ 11.3 mJ.
-        let e = ledger.energy_joules();
-        assert!((e - 11.28e-3).abs() < 0.2e-3, "energy {e}");
-        assert!(ledger.harvest_time_seconds() > 100.0);
-    }
-
-    #[test]
-    fn duty_cycle_scales_power() {
-        let one = EnergyLedger::new(PowerBudget::paper_pcb(), 0.01);
-        let ten = EnergyLedger::new(PowerBudget::paper_pcb(), 0.10);
-        assert!(
-            (ten.average_power().microwatts() / one.average_power().microwatts() - 10.0).abs()
-                < 1e-9
-        );
     }
 }

@@ -1,10 +1,11 @@
 //! # saiyan-bench — experiment harness shared code
 //!
 //! Each `exp_*` binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index). They all print an aligned text
-//! table to stdout — the same rows/series the paper plots — and optionally
-//! dump the data as JSON under `results/` for plotting. The sweep → table →
-//! JSON → floor-gate loop they share lives in [`runner::Runner`].
+//! paper (the README's "Running the experiments" section lists them). They
+//! all print an aligned text table to stdout — the same rows/series the paper
+//! plots — and optionally dump the data as JSON under `results/` for
+//! plotting. The sweep → table → JSON → floor-gate loop they share lives in
+//! [`runner::Runner`].
 
 #![warn(missing_docs)]
 

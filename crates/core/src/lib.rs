@@ -7,8 +7,6 @@
 //! * [`frontend`] — the analog chain (SAW → LNA → envelope detection, with or
 //!   without cyclic-frequency shifting);
 //! * [`calibration`] — comparator threshold calibration (`U_H`, `U_L`);
-//! * [`agc`] — the automatic-gain-control sketch the paper lists as future
-//!   work, deriving thresholds without the offline distance table;
 //! * [`sampler`] — the MCU's low-rate voltage sampler and Table 1;
 //! * [`decoder`] — preamble detection and peak-position symbol decoding;
 //! * [`correlator`] — the Super Saiyan correlation decoder;
@@ -29,13 +27,11 @@
 
 #![warn(missing_docs)]
 
-pub mod agc;
 pub mod calibration;
 pub mod config;
 pub mod correlator;
 pub mod decoder;
 pub mod demodulator;
-pub mod duty;
 pub mod error;
 pub mod executor;
 pub mod frontend;
@@ -47,13 +43,11 @@ pub mod sampler;
 pub mod sensitivity;
 pub mod streaming;
 
-pub use agc::{Agc, AgcConfig};
 pub use calibration::{auto_calibrate, CalibrationEntry, CalibrationTable, Thresholds};
 pub use config::{SaiyanConfig, Variant};
 pub use correlator::Correlator;
 pub use decoder::{PeakDecoder, PreambleTiming, SymbolPeak};
 pub use demodulator::{DemodResult, SaiyanDemodulator};
-pub use duty::DutyCycleSchedule;
 pub use error::SaiyanError;
 pub use executor::{
     BoxedReceiver, FreshExecutor, PooledExecutor, ReceiverExecutor, ReceiverFactory,

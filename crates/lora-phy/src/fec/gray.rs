@@ -15,20 +15,12 @@ pub fn gray_encode(value: u32) -> u32 {
 #[inline]
 pub fn gray_decode(gray: u32) -> u32 {
     let mut value = gray;
-    let mut shift = 1;
-    while (gray >> shift) != 0 && shift < 32 {
-        value ^= gray >> shift;
-        shift <<= 1;
-    }
-    // The loop above is a standard unrolled prefix XOR; recompute exactly.
-    let mut v = gray;
     let mut g = gray >> 1;
     while g != 0 {
-        v ^= g;
+        value ^= g;
         g >>= 1;
     }
-    let _ = value;
-    v
+    value
 }
 
 /// Returns the number of differing bits between two values.
@@ -44,6 +36,10 @@ mod tests {
     #[test]
     fn gray_round_trip() {
         for v in 0u32..4096 {
+            assert_eq!(gray_decode(gray_encode(v)), v);
+        }
+        // Full-width values, where a shift by the word size would overflow.
+        for v in [1 << 16, 0x8000_0000, 0xDEAD_BEEF, u32::MAX] {
             assert_eq!(gray_decode(gray_encode(v)), v);
         }
     }

@@ -14,8 +14,6 @@
 //! * [`frame`] — frame header, CRC and the byte↔symbol coding chain;
 //! * [`downlink`] — the reduced `2^K`-symbol alphabet used by the Saiyan
 //!   downlink and its peak-position ground truth;
-//! * [`sync`] — carrier-frequency-offset estimation/correction for the
-//!   standard receiver;
 //! * [`simd`] — runtime-dispatched SIMD kernels shared by every hot loop in
 //!   the workspace (backend selection, bit-identical wide tiles,
 //!   `SAIYAN_SIMD` override). It lives here, at the bottom of the crate
@@ -40,7 +38,6 @@ pub mod iq;
 pub mod modulator;
 pub mod params;
 pub mod simd;
-pub mod sync;
 pub mod templates;
 
 pub use chirp::{ChirpDirection, ChirpGenerator};
@@ -55,4 +52,3 @@ pub use params::{
     Bandwidth, BitsPerChirp, CodeRate, LoraParams, SpreadingFactor, DEFAULT_CARRIER_HZ,
     DEFAULT_PAYLOAD_SYMBOLS, PREAMBLE_UPCHIRPS, SYNC_SYMBOLS,
 };
-pub use sync::{CfoEstimate, Synchronizer};

@@ -25,8 +25,8 @@
 //!   its calibrated backscatter link model) or at waveform level with
 //!   chunked IQ streamed through a real receiver and live MAC feedback.
 //!
-//! See DESIGN.md for how the link abstraction is calibrated against the
-//! paper's headline measurements and EXPERIMENTS.md for per-figure results.
+//! `docs/ARCHITECTURE.md` §6 describes the engine; the README's "Headline
+//! results" section quotes what the experiments measure.
 
 #![warn(missing_docs)]
 

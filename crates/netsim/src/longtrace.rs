@@ -311,6 +311,10 @@ pub fn manifest_to_string(fixture: &GoldenFixture) -> String {
 
 /// Parses a fixture manifest back into PHY parameters, variant, and truth.
 /// The trace itself is loaded separately from the `.iq` file.
+///
+/// Integer fields must be unsigned integers that fit their type, float
+/// fields must be finite, `oversampling` must be at least 1, and no key may
+/// repeat; any violation is an `InvalidData` error naming the field.
 pub fn manifest_from_string(name: &str, text: &str) -> io::Result<GoldenFixture> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut fields = std::collections::HashMap::new();
@@ -322,30 +326,50 @@ pub fn manifest_from_string(name: &str, text: &str) -> io::Result<GoldenFixture>
         let (key, value) = line
             .split_once('=')
             .ok_or_else(|| bad(format!("malformed manifest line: {line}")))?;
-        fields.insert(key.to_string(), value.to_string());
+        if fields.insert(key, value).is_some() {
+            return Err(bad(format!("duplicate manifest key {key}")));
+        }
     }
-    let get = |key: &str| -> io::Result<&String> {
+    let get = |key: &str| -> io::Result<&str> {
         fields
             .get(key)
+            .copied()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, format!("missing {key}")))
     };
-    let parse_num = |key: &str| -> io::Result<f64> {
-        get(key)?
-            .parse::<f64>()
-            .map_err(|e| bad(format!("bad {key}: {e}")))
+    // Generic over the field's type: the unsigned `FromStr`s reject
+    // negatives, fractions, exponents and out-of-range values.
+    fn parse<T: std::str::FromStr>(key: &str, value: &str) -> io::Result<T>
+    where
+        T::Err: std::fmt::Display,
+    {
+        value
+            .parse::<T>()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad {key}: {e}")))
+    }
+    let int = |key: &str| -> io::Result<usize> { parse(key, get(key)?) };
+    let float = |key: &str| -> io::Result<f64> {
+        let value: f64 = parse(key, get(key)?)?;
+        if !value.is_finite() {
+            return Err(bad(format!("bad {key}: {value} is not finite")));
+        }
+        Ok(value)
     };
     if get("format")? != "saiyan-golden-v1" {
         return Err(bad("unsupported manifest format".to_string()));
     }
-    let sf = SpreadingFactor::from_value(parse_num("sf")? as u32)
+    let sf = SpreadingFactor::from_value(parse("sf", get("sf")?)?)
         .map_err(|e| bad(format!("bad sf: {e}")))?;
-    let bw = Bandwidth::from_khz(parse_num("bw_khz")? as u32)
-        .map_err(|e| bad(format!("bad bw: {e}")))?;
-    let k = BitsPerChirp::new(parse_num("k")? as u8).map_err(|e| bad(format!("bad k: {e}")))?;
+    let bw = Bandwidth::from_khz(parse("bw_khz", get("bw_khz")?)?)
+        .map_err(|e| bad(format!("bad bw_khz: {e}")))?;
+    let k = BitsPerChirp::new(parse("k", get("k")?)?).map_err(|e| bad(format!("bad k: {e}")))?;
+    let oversampling: u32 = parse("oversampling", get("oversampling")?)?;
+    if oversampling == 0 {
+        return Err(bad("bad oversampling: must be at least 1".to_string()));
+    }
     let lora = LoraParams::new(sf, bw, k)
-        .with_oversampling(parse_num("oversampling")? as u32)
-        .with_carrier(parse_num("carrier_hz")?);
-    let variant = match get("variant")?.as_str() {
+        .with_oversampling(oversampling)
+        .with_carrier(float("carrier_hz")?);
+    let variant = match get("variant")? {
         "vanilla" => Variant::Vanilla,
         "shifting" => Variant::WithShifting,
         "super" => Variant::Super,
@@ -353,7 +377,7 @@ pub fn manifest_from_string(name: &str, text: &str) -> io::Result<GoldenFixture>
     };
     // Every packet owns four `packetN.*` lines, so a count beyond them is
     // corrupt — and must not size an allocation.
-    let n_packets = parse_num("packets")? as usize;
+    let n_packets = int("packets")?;
     if n_packets > fields.len() / 4 {
         return Err(bad(format!(
             "packets={n_packets} exceeds the packet entries present"
@@ -361,18 +385,16 @@ pub fn manifest_from_string(name: &str, text: &str) -> io::Result<GoldenFixture>
     }
     let mut truth = Vec::with_capacity(n_packets);
     for i in 0..n_packets {
-        let symbols = get(&format!("packet{i}.symbols"))?
+        let symbols_key = format!("packet{i}.symbols");
+        let symbols = get(&symbols_key)?
             .split(',')
-            .map(|s| {
-                s.parse::<u32>()
-                    .map_err(|e| bad(format!("bad symbol: {e}")))
-            })
+            .map(|s| parse(&symbols_key, s))
             .collect::<io::Result<Vec<u32>>>()?;
         truth.push(TraceGroundTruth {
-            packet_start_sample: parse_num(&format!("packet{i}.packet_start"))? as usize,
-            payload_start_sample: parse_num(&format!("packet{i}.payload_start"))? as usize,
+            packet_start_sample: int(&format!("packet{i}.packet_start"))?,
+            payload_start_sample: int(&format!("packet{i}.payload_start"))?,
             symbols,
-            rx_power_dbm: parse_num(&format!("packet{i}.rx_power_dbm"))?,
+            rx_power_dbm: float(&format!("packet{i}.rx_power_dbm"))?,
         });
     }
     Ok(GoldenFixture {
@@ -499,9 +521,34 @@ mod tests {
     #[test]
     fn hostile_packet_count_is_rejected_not_allocated() {
         let fixture = &golden_fixture_set()[0];
-        let text = manifest_to_string(fixture).replace("packets=1", "packets=1e18");
-        let err = manifest_from_string(&fixture.name, &text).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let text = manifest_to_string(fixture);
+        let duplicated = format!("{text}sf=8\n");
+        // (line to corrupt, replacement, field the error must name)
+        let cases = [
+            ("packets=1\n", "packets=1e18\n", "packets"),
+            ("carrier_hz=433500000\n", "carrier_hz=NaN\n", "carrier_hz"),
+            ("carrier_hz=433500000\n", "carrier_hz=inf\n", "carrier_hz"),
+            ("rx_power_dbm=-50\n", "rx_power_dbm=NaN\n", "rx_power_dbm"),
+            ("oversampling=4\n", "oversampling=0\n", "oversampling"),
+            ("sf=7\n", "sf=7.9\n", "sf"),
+            ("sf=7\n", "sf=4294967303\n", "sf"),
+            ("packet_start=1536\n", "packet_start=-5\n", "packet_start"),
+            (
+                "payload_start=7808\n",
+                "payload_start=7e3\n",
+                "payload_start",
+            ),
+            ("k=2\n", "k=258\n", "k"),
+        ];
+        let corrupted = cases.iter().map(|(from, to, field)| {
+            assert!(text.contains(from), "fixture manifest lacks {from:?}");
+            (text.replacen(from, to, 1), *field)
+        });
+        for (bad, field) in corrupted.chain([(duplicated, "sf")]) {
+            let err = manifest_from_string(&fixture.name, &bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

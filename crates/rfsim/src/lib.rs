@@ -11,17 +11,13 @@
 //! * [`channel`] — waveform-level channel applying gain, CFO, interference
 //!   and noise to IQ buffers;
 //! * [`interference`] — CW / wideband / pulsed jammers;
-//! * [`fading`] — optional Rayleigh/Rician/shadowing draws;
 //! * [`spectrum`] — energy-detection spectrum sensing for the channel-hopping
 //!   workflow;
 //! * [`temperature`] — the diurnal temperature schedule of Fig. 24.
-//!
-//! See DESIGN.md §2 for how each model substitutes for the paper's hardware.
 
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod fading;
 pub mod interference;
 pub mod link;
 pub mod noise;
@@ -31,7 +27,6 @@ pub mod temperature;
 pub mod units;
 
 pub use channel::{buffer_power_dbm, dbm_to_buffer_power, Channel, REFERENCE_POWER_DBM};
-pub use fading::{FadingKind, FadingProcess};
 pub use interference::{InterferenceKind, Interferer};
 pub use link::{paper_downlink, BackscatterLink, BackscatterTagModel, Link, Radio};
 pub use noise::{thermal_noise_floor, AwgnSource, NoiseModel, BOLTZMANN};

@@ -6,7 +6,7 @@
 //! anchored at the free-space loss at 1 m, with environment-specific exponents
 //! and per-wall penetration losses. The constants are calibrated so the
 //! demodulation ranges reported in the paper fall out of the link budget (see
-//! DESIGN.md §2 and the `calibration` module of the `saiyan` crate).
+//! the `calibration` module of the `saiyan` crate).
 
 use crate::units::{Db, Hertz, Meters};
 

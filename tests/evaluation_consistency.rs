@@ -84,7 +84,7 @@ fn monte_carlo_agrees_with_the_analytic_model() {
 #[test]
 fn waveform_chain_decodes_cleanly_well_inside_the_link_budget() {
     // The waveform-level pipeline is not calibrated to the paper's absolute
-    // sensitivity (see DESIGN.md), but well inside the budget it must agree
+    // sensitivity, but well inside the budget it must agree
     // with the link abstraction that the link is clean.
     let scenario = Scenario::outdoor_default(Meters(20.0));
     let lora = LoraParams::new(

@@ -277,3 +277,170 @@ proptest! {
         prop_assert_eq!((ga ^ gb).count_ones(), 1);
     }
 }
+
+/// The committed golden manifests: the valid starting points the manifest
+/// fuzz mutates.
+const GOLDEN_MANIFESTS: [&str; 3] = [
+    include_str!("golden/single_sf7_bw500_k2_super.manifest"),
+    include_str!("golden/dual_sf7_bw500_k2_shifting.manifest"),
+    include_str!("golden/single_sf7_bw250_k2_vanilla.manifest"),
+];
+
+/// Values a corrupt manifest plausibly carries in place of a well-formed one.
+const HOSTILE_VALUES: [&str; 12] = [
+    "",
+    "NaN",
+    "inf",
+    "-inf",
+    "0",
+    "-5",
+    "7.9",
+    "1e18",
+    "4294967303",
+    "18446744073709551616",
+    "+7",
+    "saiyan-golden-v2",
+];
+
+/// Applies one edit, decoded from `edit`, to a manifest's bytes: overwrite,
+/// insert or delete a byte, replace a line's value with a hostile one, or
+/// repeat a line (a duplicated key).
+fn mutate_manifest(text: &mut Vec<u8>, edit: u64) {
+    if text.is_empty() {
+        text.push(edit as u8);
+        return;
+    }
+    let pos = (edit >> 16) as usize % text.len();
+    let byte = (edit >> 8) as u8;
+    let line_start = text[..pos]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let line_end = text[pos..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(text.len(), |i| pos + i);
+    match edit % 5 {
+        0 => text[pos] = byte,
+        1 => text.insert(pos, byte),
+        2 => {
+            text.remove(pos);
+        }
+        3 => {
+            if let Some(eq) = text[line_start..line_end].iter().position(|&b| b == b'=') {
+                let value = HOSTILE_VALUES[byte as usize % HOSTILE_VALUES.len()];
+                text.splice(line_start + eq + 1..line_end, value.bytes());
+            }
+        }
+        _ => {
+            let line = text[line_start..line_end].to_vec();
+            text.push(b'\n');
+            text.extend_from_slice(&line);
+        }
+    }
+}
+
+// Byte-soup fuzz of every parser that takes bytes from outside the process:
+// any outcome is fine except a panic or a runaway allocation.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn frame_decoders_never_panic_on_byte_soup(
+        soup in proptest::collection::vec(any::<u8>(), 0..300),
+        symbols in proptest::collection::vec(any::<u32>(), 0..96),
+        sf in spreading_factor(),
+        cr in code_rate(),
+        // The caller's expected wire length; a frame is at most 260 bytes.
+        wire_len in 0usize..512,
+    ) {
+        let _ = Frame::from_bytes(&soup);
+        let _ = Frame::from_symbols(&symbols, sf, cr, wire_len);
+    }
+
+    #[test]
+    fn mac_packet_decoders_never_panic_on_byte_soup(
+        soup in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        use saiyan_mac::{DownlinkPacket, UplinkPacket};
+        // Whatever parses re-parses to itself from its canonical bytes.
+        if let Ok(packet) = UplinkPacket::from_bytes(&soup) {
+            prop_assert_eq!(UplinkPacket::from_bytes(&packet.to_bytes()).unwrap(), packet);
+        }
+        if let Ok(packet) = DownlinkPacket::from_bytes(&soup) {
+            prop_assert_eq!(DownlinkPacket::from_bytes(&packet.to_bytes()).unwrap(), packet);
+        }
+    }
+
+    #[test]
+    fn access_point_ingest_never_panics_on_byte_soup(
+        frames in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..24),
+    ) {
+        use saiyan_mac::{AccessPoint, ChannelTable, TagId};
+        let mut ap = AccessPoint::new(ChannelTable::paper_433mhz(), 0, 2).unwrap();
+        let mut tags = Vec::new();
+        let mut accepted = 0u64;
+        for (i, mut frame) in frames.into_iter().enumerate() {
+            // Steer about half the soups past the length check, so the
+            // sequence windows see a stream of well-formed frames.
+            if frame.len() >= 5 && frame[0] % 2 == 0 {
+                frame[4] = (frame.len() - 5) as u8;
+            }
+            if let Ok(report) = ap.ingest_frame((i % 8) as u8, i as f64 * 0.1, &frame) {
+                accepted += 1;
+                if !tags.contains(&report.tag) {
+                    tags.push(report.tag);
+                }
+            }
+        }
+        // Every accepted frame is counted once: as new or as a duplicate.
+        let counted: u64 = tags
+            .iter()
+            .map(|&tag: &TagId| {
+                let stats = ap.tag_stats(tag).unwrap();
+                stats.frames + stats.duplicates
+            })
+            .sum();
+        prop_assert_eq!(counted, accepted);
+        prop_assert_eq!(ap.tag_count(), tags.len());
+    }
+
+    #[test]
+    fn iq_trace_decoder_never_panics_on_byte_soup(
+        soup in proptest::collection::vec(any::<u8>(), 0..256),
+        samples in 0u32..24,
+    ) {
+        use netsim::longtrace::trace_from_bytes;
+        let _ = trace_from_bytes(&soup, 1.0e6);
+        // Soup behind a valid magic, with an arbitrary sample count.
+        let mut framed = b"SAIYANIQ".to_vec();
+        framed.extend_from_slice(&soup);
+        let _ = trace_from_bytes(&framed, 1.0e6);
+        // Soup behind a valid magic and a count matching its length parses.
+        let mut exact = b"SAIYANIQ".to_vec();
+        exact.extend_from_slice(&samples.to_le_bytes());
+        exact.extend((0..samples as usize * 8).map(|i| soup.get(i).copied().unwrap_or(0)));
+        prop_assert_eq!(trace_from_bytes(&exact, 1.0e6).unwrap().len(), samples as usize);
+    }
+
+    #[test]
+    fn manifest_parser_never_panics_on_mutated_manifests(
+        base in any::<prop::sample::Index>(),
+        edits in proptest::collection::vec(any::<u64>(), 1..6),
+    ) {
+        use netsim::longtrace::manifest_from_string;
+        let mut text = GOLDEN_MANIFESTS[base.index(GOLDEN_MANIFESTS.len())]
+            .as_bytes()
+            .to_vec();
+        for &edit in &edits {
+            mutate_manifest(&mut text, edit);
+        }
+        let text = String::from_utf8_lossy(&text);
+        // Whatever parses satisfies the manifest's value contract.
+        if let Ok(fixture) = manifest_from_string("fuzz", &text) {
+            prop_assert!(fixture.lora.oversampling >= 1);
+            prop_assert!(fixture.lora.carrier_hz.is_finite());
+            prop_assert!(fixture.truth.iter().all(|t| t.rx_power_dbm.is_finite()));
+        }
+    }
+}

@@ -1,6 +1,6 @@
 //! Integration tests of the waveform-level receive chain's qualitative
-//! properties: the correlator's low-SNR advantage, AGC-driven thresholding,
-//! spectrum-sensing-driven hopping, and duty-cycle arithmetic.
+//! properties: the correlator's low-SNR advantage and spectrum-sensing-driven
+//! hopping.
 
 use lora_phy::modulator::{Alphabet, Modulator};
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
@@ -10,7 +10,7 @@ use rfsim::noise::AwgnSource;
 use rfsim::spectrum::SpectrumSensor;
 use rfsim::units::{Dbm, Hertz};
 use saiyan::metrics::ErrorCounts;
-use saiyan::{Agc, AgcConfig, DutyCycleSchedule, SaiyanConfig, SaiyanDemodulator, Variant};
+use saiyan::{SaiyanConfig, SaiyanDemodulator, Variant};
 
 fn lora() -> LoraParams {
     LoraParams::new(
@@ -78,25 +78,6 @@ fn correlation_decoding_beats_peak_decoding_at_low_snr() {
 }
 
 #[test]
-fn agc_thresholds_track_a_weakening_link() {
-    // Feed the AGC envelopes from progressively weaker packets: the derived
-    // comparator must keep producing one clean burst per preamble chirp.
-    let demod = SaiyanDemodulator::new(SaiyanConfig::paper_default(lora(), Variant::Vanilla));
-    let mut agc = Agc::new(AgcConfig::default());
-    for (i, power) in [-45.0, -50.0, -55.0].into_iter().enumerate() {
-        let (rx, _) = noisy_packet(&[0, 1, 2, 3], power, -100.0, 2000 + i as u64);
-        let envelope = demod.process_envelope(&rx);
-        agc.update(&envelope);
-        let thresholds = agc.thresholds(&envelope);
-        let stream = thresholds.comparator().compare(&agc.apply(&envelope));
-        // At least the ten preamble peaks (plus possibly sync/payload bursts)
-        // must be separable; chattering would produce hundreds of runs.
-        let runs = stream.high_runs().len();
-        assert!((4..60).contains(&runs), "power {power}: {runs} high runs");
-    }
-}
-
-#[test]
 fn spectrum_sensor_feeds_the_hopping_controller() {
     // A jammer on channel 0 of the 433 MHz plan is detected by the sensor and
     // the hopping controller moves the network off the jammed channel.
@@ -130,24 +111,4 @@ fn spectrum_sensor_feeds_the_hopping_controller() {
         saiyan_mac::Command::ChannelHop { channel } => assert_ne!(channel, 0),
         other => panic!("unexpected command {other:?}"),
     }
-}
-
-#[test]
-fn duty_cycle_bounds_feedback_latency_and_power() {
-    let params = lora();
-    let schedule = DutyCycleSchedule::one_percent(&params);
-    // The worst-case wait for a feedback window must still allow the Fig. 26
-    // retransmission loop to finish within a few seconds.
-    assert!(schedule.worst_case_latency() < 10.0);
-    // A retransmission command packet fits in the listening window.
-    assert!(schedule.window_s >= params.packet_duration(20));
-    // And the schedule indeed spends ~1 % of the time listening.
-    let listening: usize = (0..10_000)
-        .filter(|i| schedule.is_listening(*i as f64 * schedule.period_s / 1000.0))
-        .count();
-    let fraction = listening as f64 / 10_000.0;
-    assert!(
-        (fraction - 0.01).abs() < 0.005,
-        "listening fraction {fraction}"
-    );
 }
