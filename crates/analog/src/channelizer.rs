@@ -21,18 +21,27 @@
 //!    because the complex spectrum is circular modulo the output rate, and it
 //!    prices the oscillator at the channel rate instead of the wideband rate.
 //!
+//! Steps 1 and 2 run as one polyphase decimator
+//! ([`crate::fir::PolyphaseDecimator`]): the chunk is split into `D` phase
+//! streams ([`PhaseSplit`]) and the channel's `D` band-select sub-filters
+//! convolve them. The split depends only on `D`, so a multi-channel
+//! gateway splits each chunk once and every channel of that decimation reads
+//! it ([`ChannelizerState::process_split_into`]); a standalone state splits
+//! into its own ([`ChannelizerState::process_chunk_into`]). Both give the
+//! same bits.
+//!
 //! Like every streaming stage in this workspace the channelizer is *chunk
 //! invariant*: the oscillator phase is a function of the absolute wideband
-//! sample index, the FIR carries its delay line
-//! ([`crate::fir::ComplexFirState`]), and the decimation phase is carried —
-//! so outputs are bit-identical however the input stream is chunked.
+//! sample index, the phase split carries the FIR history, and the
+//! decimation phase is carried — so outputs are bit-identical however the
+//! input stream is chunked.
 
 use std::f64::consts::PI;
 
 use lora_phy::fft::ifft;
 use lora_phy::iq::Iq;
 
-use crate::fir::PolyphaseDecimator;
+use crate::fir::{PhaseSplit, PolyphaseDecimator};
 
 /// Static description of one channel extracted from a wideband stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +130,6 @@ impl ChannelizerSpec {
             return ChannelizerState {
                 passthrough: true,
                 phase_step: 0.0,
-                index: 0,
                 decimation: 1,
                 fir: None,
                 fast_phasor: false,
@@ -187,7 +195,6 @@ impl ChannelizerSpec {
         ChannelizerState {
             passthrough: false,
             phase_step,
-            index: 0,
             decimation: self.decimation,
             fir: Some(PolyphaseDecimator::new(taps, self.decimation)),
             fast_phasor: self.fast_phasor,
@@ -206,8 +213,6 @@ pub struct ChannelizerState {
     passthrough: bool,
     /// Oscillator phase increment per wideband sample (radians).
     phase_step: f64,
-    /// Absolute index of the next wideband sample.
-    index: u64,
     decimation: usize,
     fir: Option<PolyphaseDecimator>,
     /// Use the anchored-recurrence phasor (see
@@ -236,14 +241,10 @@ impl ChannelizerState {
         self.passthrough
     }
 
-    /// The FIR group delay in wideband samples (0 for a passthrough).
-    pub fn delay_samples(&self) -> usize {
-        self.fir.as_ref().map_or(0, |f| f.n_taps() / 2)
-    }
-
-    /// Total wideband samples consumed so far.
-    pub fn samples_consumed(&self) -> u64 {
-        self.index
+    /// The polyphase band-select FIR (`None` for a passthrough), for sizing
+    /// a [`PhaseSplit`] shared with other channels.
+    pub fn decimator(&self) -> Option<&PolyphaseDecimator> {
+        self.fir.as_ref()
     }
 
     /// Processes one wideband chunk, returning the channel-rate samples that
@@ -258,7 +259,7 @@ impl ChannelizerState {
 
     /// Processes one wideband chunk into a caller-provided buffer (cleared
     /// first), with no steady-state allocation: the band-select FIR runs in
-    /// polyphase form through the block kernel
+    /// polyphase form over the state's own phase split
     /// ([`PolyphaseDecimator::filter_chunk_into`]), then each kept sample is
     /// rotated by the down-conversion phasor anchored on its absolute
     /// wideband index (exactly per output, or via the anchored recurrence
@@ -267,19 +268,43 @@ impl ChannelizerState {
         if self.passthrough {
             out.clear();
             out.extend_from_slice(chunk);
-            self.index += chunk.len() as u64;
             return;
         }
         let fir = self.fir.as_mut().expect("non-passthrough state has a FIR");
-        // Output k corresponds to absolute wideband index kD + D - 1.
-        let mut emit_index = self.out_count * self.decimation as u64 + (self.decimation - 1) as u64;
         fir.filter_chunk_into(chunk, out);
+        self.shift(out);
+    }
+
+    /// The shared-split twin of [`Self::process_chunk_into`]: filters the
+    /// samples last pushed into `split` — one phase split read by every
+    /// channel of the same decimation
+    /// ([`PolyphaseDecimator::filter_split_into`]) — and shifts them to
+    /// baseband. Bit-identical to feeding the same chunks to
+    /// [`Self::process_chunk_into`].
+    ///
+    /// # Panics
+    ///
+    /// On a passthrough state (it has no FIR to read a split with), or if
+    /// the split does not fit the FIR (see
+    /// [`PolyphaseDecimator::filter_split_into`]).
+    pub fn process_split_into(&mut self, split: &PhaseSplit, out: &mut Vec<Iq>) {
+        let fir = self
+            .fir
+            .as_mut()
+            .expect("a passthrough channel reads the raw chunk, not a phase split");
+        fir.filter_split_into(split, out);
+        self.shift(out);
+    }
+
+    /// Rotates freshly decimated outputs to baseband, each by the
+    /// down-conversion phasor of its absolute output index.
+    fn shift(&mut self, out: &mut [Iq]) {
+        let d = self.decimation as u64;
         if self.fast_phasor {
             // Anchor-interval runs: every output inside a run shares the
             // interval's exact anchor phasor and picks its own tabulated step
             // power, so the whole run is one elementwise kernel call.
             let backend = crate::simd::active_backend();
-            let d = self.decimation as u64;
             let mut i = 0usize;
             while i < out.len() {
                 let t = (self.out_count % PHASOR_ANCHOR_INTERVAL) as usize;
@@ -299,13 +324,12 @@ impl ChannelizerState {
                 i += run;
             }
         } else {
+            // Output k corresponds to absolute wideband index kD + D - 1.
             for y in out.iter_mut() {
-                *y *= Iq::phasor(self.phase_step * emit_index as f64);
+                *y *= Iq::phasor(self.phase_step * (self.out_count * d + (d - 1)) as f64);
                 self.out_count += 1;
-                emit_index += self.decimation as u64;
             }
         }
-        self.index += chunk.len() as u64;
     }
 }
 
@@ -334,8 +358,6 @@ mod tests {
         let input = tone(12_345.0, 1e6, 777);
         let out = state.process_chunk(&input);
         assert_eq!(out, input);
-        assert_eq!(state.samples_consumed(), 777);
-        assert_eq!(state.delay_samples(), 0);
     }
 
     #[test]

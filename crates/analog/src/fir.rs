@@ -27,6 +27,15 @@
 //! the end), and it is the same whether an output is produced by the block
 //! kernel, the scalar tail, or [`ComplexFirState::push_and_convolve`].
 //! Outputs are therefore bit-identical however the input stream is chunked.
+//!
+//! ## Polyphase decimation
+//!
+//! [`PolyphaseDecimator`] is the decimating counterpart, split in two
+//! halves. The layout pass — the chunk scattered into `D` phase streams —
+//! lives in [`PhaseSplit`] and depends only on `D`, so several decimators
+//! (the gateway's channels) can read one split. The arithmetic — `D`
+//! sub-filter convolutions accumulated over the phase streams, phase 0
+//! first — stays in the decimator.
 
 use lora_phy::iq::Iq;
 
@@ -202,49 +211,179 @@ impl crate::stage::BlockStage for ComplexFirState {
     }
 }
 
+/// A wideband stream split into the `D` phase streams a polyphase decimator
+/// convolves (`s_r[m] = x[mD + r]`), plus the history its outputs still
+/// read.
+///
+/// The split is the layout pass of polyphase filtering, and it depends only
+/// on `D`: any number of [`PolyphaseDecimator`]s with that decimation can
+/// convolve the same split ([`PolyphaseDecimator::filter_split_into`]), so a
+/// multi-channel front end splits each chunk once instead of once per
+/// channel. The planes start with a zero history standing in for the
+/// silence before the stream.
+#[derive(Debug)]
+pub struct PhaseSplit {
+    decimation: usize,
+    /// Phase-stream samples kept behind the first output the next chunk can
+    /// complete: the longest sub-filter any reader convolves, minus one.
+    history: usize,
+    /// Real planes: `re[r]` holds phase stream `r`.
+    re: Vec<Vec<f64>>,
+    /// Imaginary planes.
+    im: Vec<Vec<f64>>,
+    /// Logical stream index `m` of element 0 of every plane.
+    base_m: i64,
+    /// Input samples pushed so far.
+    n_in: u64,
+}
+
+impl PhaseSplit {
+    /// An empty split for decimation `D` (≥ 1) that keeps `history` samples
+    /// per phase behind the next output.
+    pub fn new(decimation: usize, history: usize) -> Self {
+        assert!(decimation >= 1, "decimation must be at least 1");
+        PhaseSplit {
+            decimation,
+            history,
+            re: vec![vec![0.0; history]; decimation],
+            im: vec![vec![0.0; history]; decimation],
+            base_m: -(history as i64),
+            n_in: 0,
+        }
+    }
+
+    /// Plane index of the oldest sample an output after the pushed samples
+    /// can read.
+    fn live_start(&self) -> usize {
+        let k0 = (self.n_in / self.decimation as u64) as i64;
+        (k0 - self.history as i64 - self.base_m) as usize
+    }
+
+    /// Appends one chunk. History no later output can read is dropped
+    /// first, so the planes hold `history` samples plus this chunk's share.
+    pub fn push(&mut self, chunk: &[Iq]) {
+        let d = self.decimation;
+        let drop = self.live_start();
+        self.base_m += drop as i64;
+        let r0 = (self.n_in % d as u64) as usize;
+        for (r, (re, im)) in self.re.iter_mut().zip(&mut self.im).enumerate() {
+            re.drain(..drop);
+            im.drain(..drop);
+            // Phase `r`'s first sample in this chunk sits `(r − r0) mod D`
+            // samples in.
+            let off = (r + d - r0) % d;
+            if off >= chunk.len() {
+                continue;
+            }
+            let samples = chunk[off..].iter().step_by(d);
+            let len = re.len();
+            re.resize(len + samples.len(), 0.0);
+            im.resize(len + samples.len(), 0.0);
+            for ((dst_re, dst_im), x) in re[len..].iter_mut().zip(&mut im[len..]).zip(samples) {
+                *dst_re = x.re;
+                *dst_im = x.im;
+            }
+        }
+        self.n_in += chunk.len() as u64;
+    }
+}
+
+/// Cloning copies only the live history, so a snapshot taken to be pushed
+/// on (the gateway's copy-on-write) does not copy samples the next push
+/// would drop, and `clone_from` reuses the target's planes.
+impl Clone for PhaseSplit {
+    fn clone(&self) -> Self {
+        let mut split = PhaseSplit {
+            decimation: 0,
+            history: 0,
+            re: Vec::new(),
+            im: Vec::new(),
+            base_m: 0,
+            n_in: 0,
+        };
+        split.clone_from(self);
+        split
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let skip = source.live_start();
+        self.decimation = source.decimation;
+        self.history = source.history;
+        self.base_m = source.base_m + skip as i64;
+        self.n_in = source.n_in;
+        for (dst, src) in [(&mut self.re, &source.re), (&mut self.im, &source.im)] {
+            dst.resize_with(src.len(), Vec::new);
+            for (d, s) in dst.iter_mut().zip(src) {
+                d.clear();
+                d.extend_from_slice(&s[skip..]);
+            }
+        }
+    }
+}
+
+/// Two splits are equal when every later output reads the same samples
+/// from them: same decimation, history and stream position, and the same
+/// live history (how much dead history a plane still holds is ignored).
+impl PartialEq for PhaseSplit {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.live_start(), other.live_start());
+        self.decimation == other.decimation
+            && self.history == other.history
+            && self.n_in == other.n_in
+            && self.re.iter().zip(&other.re).all(|(x, y)| x[a..] == y[b..])
+            && self.im.iter().zip(&other.im).all(|(x, y)| x[a..] == y[b..])
+    }
+}
+
 /// A decimating complex FIR in polyphase form: the convolution is evaluated
 /// only at the kept output instants, and the work is arranged so the block
 /// kernel — not a latency-bound scalar dot product — does all of it.
 ///
 /// For decimation `D`, the impulse response splits into `D` sub-filters
 /// (`h_p[t] = taps[p + tD]`) and the input into `D` phase streams
-/// (`s_r[m] = x[mD + r]`). Each block of consecutive outputs is then a sum of
-/// `D` ordinary convolutions of a sub-filter against a phase stream, each of
+/// ([`PhaseSplit`]). Each block of consecutive outputs is then a sum of `D`
+/// ordinary convolutions of a sub-filter against a phase stream, each of
 /// which runs through the same tiled SIMD block kernel the full-rate
 /// [`ComplexFirState`] uses. Output `k` is emitted after input `kD + D − 1`
 /// arrives, exactly like a one-in-`D` decimator fed sample by sample.
 ///
+/// The decimator reads phase streams from either source:
+/// [`Self::filter_chunk_into`] pushes the chunk into the decimator's own
+/// split, [`Self::filter_split_into`] reads a split shared with other
+/// decimators of the same `D`. Both run the same convolutions, so they
+/// agree bit for bit.
+///
 /// ## Determinism
 ///
-/// Per output, the summation order is fixed: phases `p = 0 .. D` in
-/// ascending order, each contributing a two-parity partial dot in the shared
-/// kernel order. The phase decomposition, stream contents and output
-/// instants depend only on absolute sample indices, so outputs are
-/// bit-identical however the input is chunked. (The order differs from the
-/// single-window [`ComplexFirState::push_and_convolve`] path, so the two
-/// agree to rounding, not bit-exactly — the polyphase path is its own
-/// deterministic reference.)
+/// Per output, the summation order is fixed: sub-filter 0's two-parity
+/// partial dot is stored, then each later phase's is added in ascending
+/// order. The phase decomposition, stream contents and output instants
+/// depend only on absolute sample indices, so outputs are bit-identical
+/// however the input is chunked. (The order differs from the single-window
+/// [`ComplexFirState::push_and_convolve`] path, so the two agree to
+/// rounding, not bit-exactly — the polyphase path is its own deterministic
+/// reference.)
 #[derive(Debug, Clone)]
 pub struct PolyphaseDecimator {
+    bank: SubFilterBank,
+    /// The phase split [`Self::filter_chunk_into`] feeds.
+    split: PhaseSplit,
+}
+
+/// The convolution half of a [`PolyphaseDecimator`]: its sub-filters and
+/// output position, which read phase streams from any [`PhaseSplit`].
+#[derive(Debug, Clone)]
+struct SubFilterBank {
     taps: Vec<Iq>,
     decimation: usize,
-    /// Length of the longest sub-filter, `ceil(l / D)`.
-    sub_len: usize,
-    /// Reversed sub-filter planes per phase (kernel convention: index `u`
-    /// multiplies the `u`-th oldest sample of the window).
+    /// Reversed sub-filter planes per phase that has taps (kernel
+    /// convention: index `u` multiplies the `u`-th oldest sample of the
+    /// window). Phase 0 holds the longest, `ceil(l / D)` taps.
     sub_re: Vec<Vec<f64>>,
     sub_im: Vec<Vec<f64>>,
-    /// Phase-stream planes: `ph_*[r]` holds `s_r[m] = x[mD + r]`, with a
-    /// zero history prefix standing in for the silence before the stream.
-    ph_re: Vec<Vec<f64>>,
-    ph_im: Vec<Vec<f64>>,
-    /// Logical stream index `m` of element 0 of every phase-stream plane.
-    base_m: i64,
-    /// Absolute input samples consumed.
-    n_in: u64,
     /// Outputs emitted so far.
     n_out: u64,
-    /// Cross-phase accumulator scratch.
+    /// Split-complex cross-phase accumulator scratch.
     acc_re: Vec<f64>,
     acc_im: Vec<f64>,
 }
@@ -257,176 +396,110 @@ impl PolyphaseDecimator {
         assert!(decimation >= 1, "decimation must be at least 1");
         let l = taps.len();
         let d = decimation;
-        let sub_len = l.div_ceil(d);
-        let mut sub_re = Vec::with_capacity(d);
-        let mut sub_im = Vec::with_capacity(d);
-        for p in 0..d {
-            // h_p[t] = taps[p + tD], reversed for the oldest-first kernel.
-            // Phases past the filter length (D > l) have no taps at all.
-            let t_p = if p < l { (l - p).div_ceil(d) } else { 0 };
-            let mut re = Vec::with_capacity(t_p);
-            let mut im = Vec::with_capacity(t_p);
-            for u in (0..t_p).rev() {
-                let tap = taps[p + u * d];
-                re.push(tap.re);
-                im.push(tap.im);
-            }
-            sub_re.push(re);
-            sub_im.push(im);
-        }
-        let hist = sub_len - 1;
+        // h_p[t] = taps[p + tD], reversed for the oldest-first kernel.
+        // Phases past the filter length (D > l) have no taps and are left
+        // out.
+        let (sub_re, sub_im) = (0..d.min(l))
+            .map(|p| {
+                let t_p = (l - p).div_ceil(d);
+                (0..t_p)
+                    .rev()
+                    .map(|u| (taps[p + u * d].re, taps[p + u * d].im))
+                    .unzip()
+            })
+            .unzip();
+        let split = PhaseSplit::new(d, l.div_ceil(d) - 1);
         PolyphaseDecimator {
-            taps,
-            decimation: d,
-            sub_len,
-            sub_re,
-            sub_im,
-            ph_re: vec![vec![0.0; hist]; d],
-            ph_im: vec![vec![0.0; hist]; d],
-            base_m: -(hist as i64),
-            n_in: 0,
-            n_out: 0,
-            acc_re: Vec::new(),
-            acc_im: Vec::new(),
+            bank: SubFilterBank {
+                taps,
+                decimation: d,
+                sub_re,
+                sub_im,
+                n_out: 0,
+                acc_re: Vec::new(),
+                acc_im: Vec::new(),
+            },
+            split,
         }
     }
 
     /// The number of FIR taps.
     pub fn n_taps(&self) -> usize {
-        self.taps.len()
+        self.bank.taps.len()
     }
 
     /// The decimation factor `D`.
     pub fn decimation(&self) -> usize {
-        self.decimation
+        self.bank.decimation
     }
 
-    /// Total input samples consumed.
-    pub fn samples_consumed(&self) -> u64 {
-        self.n_in
-    }
-
-    /// Outputs emitted so far.
-    pub fn outputs_emitted(&self) -> u64 {
-        self.n_out
+    /// Phase-stream history the decimator reads behind its next output
+    /// (`ceil(l / D) − 1`): a [`PhaseSplit`] it reads must keep at least
+    /// this much.
+    pub fn split_history(&self) -> usize {
+        self.bank.sub_re[0].len() - 1
     }
 
     /// Filters one chunk into `out` (cleared first), emitting the outputs
     /// that completed inside it. No allocation in steady state.
     pub fn filter_chunk_into(&mut self, chunk: &[Iq], out: &mut Vec<Iq>) {
+        self.split.push(chunk);
+        self.bank.emit_into(&self.split, out);
+    }
+
+    /// Emits into `out` (cleared first) every output completed by the
+    /// samples pushed into `split`, a phase split shared with other
+    /// decimators. The decimator must have read every earlier push of the
+    /// same split (or an equal one), so the outputs are bit-identical to
+    /// feeding the same chunks to [`Self::filter_chunk_into`].
+    ///
+    /// # Panics
+    ///
+    /// If the split's decimation differs, or it has dropped history the
+    /// next output reads.
+    pub fn filter_split_into(&mut self, split: &PhaseSplit, out: &mut Vec<Iq>) {
+        self.bank.emit_into(split, out);
+    }
+}
+
+impl SubFilterBank {
+    /// Emits the outputs `split` completes past `n_out` into `out`.
+    fn emit_into(&mut self, split: &PhaseSplit, out: &mut Vec<Iq>) {
+        assert_eq!(
+            split.decimation, self.decimation,
+            "phase split decimation does not match the decimator"
+        );
         out.clear();
-        if chunk.is_empty() {
-            return;
-        }
-        let d = self.decimation;
-        let n = chunk.len();
-        // De-interleave the chunk into the phase streams in one sequential
-        // pass: sample `i` (absolute index `n_in + i`) belongs to phase
-        // `(r0 + i) % d`, so a single walk of the chunk with one write
-        // cursor per phase replaces the `2d` strided re-reads of the chunk
-        // that a phase-at-a-time gather costs (the chunk is read once, hot).
-        let r0 = (self.n_in % d as u64) as usize;
-        // Samples of phase `r` inside this chunk (phase `r0` owns sample 0).
-        let cnt_for = |r: usize| {
-            let off = (r + d - r0) % d;
-            if off >= n {
-                0
-            } else {
-                (n - off).div_ceil(d)
-            }
-        };
-        let mut cur_re: Vec<*mut f64> = Vec::with_capacity(d);
-        let mut cur_im: Vec<*mut f64> = Vec::with_capacity(d);
-        for r in 0..d {
-            let cnt = cnt_for(r);
-            let re = &mut self.ph_re[r];
-            let im = &mut self.ph_im[r];
-            re.reserve(cnt);
-            im.reserve(cnt);
-            // SAFETY: the cursor points at the `cnt` spare-capacity slots
-            // just reserved for phase `r` (not resize-zeroed — every slot is
-            // written below, and made visible by the `set_len` after the
-            // fill). The loop advances each cursor exactly once per chunk
-            // sample of its phase, i.e. `cnt` times; no other borrow of the
-            // planes is alive while the cursors are in use, and the other
-            // phases' `reserve` calls cannot move this phase's allocation.
-            cur_re.push(unsafe { re.as_mut_ptr().add(re.len()) });
-            cur_im.push(unsafe { im.as_mut_ptr().add(im.len()) });
-        }
-        {
-            let cur_re = &mut cur_re[..d];
-            let cur_im = &mut cur_im[..d];
-            let mut r = r0;
-            for x in chunk {
-                // SAFETY: see the cursor construction above; `r` cycles
-                // `0..d`.
-                unsafe {
-                    *cur_re[r] = x.re;
-                    cur_re[r] = cur_re[r].add(1);
-                    *cur_im[r] = x.im;
-                    cur_im[r] = cur_im[r].add(1);
-                }
-                r += 1;
-                if r == d {
-                    r = 0;
-                }
-            }
-        }
-        for r in 0..d {
-            let cnt = cnt_for(r);
-            // SAFETY: the fill loop initialised exactly `cnt` elements past
-            // each plane's length, inside capacity reserved above.
-            unsafe {
-                let len = self.ph_re[r].len() + cnt;
-                self.ph_re[r].set_len(len);
-                let len = self.ph_im[r].len() + cnt;
-                self.ph_im[r].set_len(len);
-            }
-        }
-        self.n_in += n as u64;
         let k0 = self.n_out;
-        let total_k = self.n_in / d as u64;
+        let total_k = split.n_in / self.decimation as u64;
         let m = (total_k - k0) as usize;
         if m == 0 {
             return;
         }
+        let first = k0 as i64 - split.base_m;
+        assert!(
+            first >= self.sub_re[0].len() as i64 - 1,
+            "phase split dropped history the decimator still reads"
+        );
+        let first = first as usize;
         self.acc_re.clear();
         self.acc_im.clear();
         self.acc_re.resize(m, 0.0);
         self.acc_im.resize(m, 0.0);
-        // Phase 0 always has taps (`taps[0]` belongs to it), so it stores
-        // into the accumulator planes and the remaining phases fold on top
-        // (p ascending — fixed order). Arithmetically this only skips the
-        // `0.0 +` seed of each output's first partial, which can flip the
-        // sign of an exactly-zero output — invisible to any `==` comparison
-        // and independent of chunking, since the stored phase is fixed.
-        for p in 0..d {
+        // Sub-filter `p` convolves phase plane `D − 1 − p`. Sub-filter 0
+        // stores into the accumulator planes and the others add on top, `p`
+        // ascending — a fixed order, independent of chunking and of which
+        // split is read.
+        let d = split.re.len();
+        for (p, (tr, ti)) in self.sub_re.iter().zip(&self.sub_im).enumerate() {
             let r = d - 1 - p;
-            let t_p = self.sub_re[p].len();
-            if t_p == 0 {
-                continue;
-            }
-            let start = (k0 as i64 - t_p as i64 + 1 - self.base_m) as usize;
+            let start = first + 1 - tr.len();
+            let (re, im) = (&split.re[r][start..], &split.im[r][start..]);
+            let (acc_re, acc_im) = (&mut self.acc_re, &mut self.acc_im);
             if p == 0 {
-                convolve_dispatch::<false>(
-                    &self.sub_re[p],
-                    &self.sub_im[p],
-                    &self.ph_re[r][start..],
-                    &self.ph_im[r][start..],
-                    &mut self.acc_re,
-                    &mut self.acc_im,
-                    m,
-                );
+                convolve_dispatch::<false>(tr, ti, re, im, acc_re, acc_im, m);
             } else {
-                convolve_dispatch::<true>(
-                    &self.sub_re[p],
-                    &self.sub_im[p],
-                    &self.ph_re[r][start..],
-                    &self.ph_im[r][start..],
-                    &mut self.acc_re,
-                    &mut self.acc_im,
-                    m,
-                );
+                convolve_dispatch::<true>(tr, ti, re, im, acc_re, acc_im, m);
             }
         }
         crate::simd::interleave_extend(
@@ -436,55 +509,19 @@ impl PolyphaseDecimator {
             out,
         );
         self.n_out = total_k;
-        self.compact();
-    }
-
-    /// Drops phase-stream history no future output can read.
-    fn compact(&mut self) {
-        let new_base = self.n_out as i64 - (self.sub_len as i64 - 1);
-        let drop = (new_base - self.base_m) as usize;
-        if drop == 0 {
-            return;
-        }
-        for r in 0..self.decimation {
-            let re = &mut self.ph_re[r];
-            let im = &mut self.ph_im[r];
-            let keep = re.len() - drop.min(re.len());
-            let len = re.len();
-            re.copy_within(len - keep.., 0);
-            im.copy_within(len - keep.., 0);
-            re.truncate(keep);
-            im.truncate(keep);
-        }
-        self.base_m = new_base;
     }
 }
 
 /// Two decimators are equal when they would produce identical future
-/// outputs: same filter, same decimation, same stream position and same
-/// retained phase-stream history (workspace layout is ignored, as with
+/// outputs: same filter, same decimation, same output position and an equal
+/// own phase split (workspace layout is ignored, as with
 /// [`ComplexFirState`]).
 impl PartialEq for PolyphaseDecimator {
     fn eq(&self, other: &Self) -> bool {
-        if self.taps != other.taps
-            || self.decimation != other.decimation
-            || self.n_in != other.n_in
-            || self.n_out != other.n_out
-        {
-            return false;
-        }
-        for r in 0..self.decimation {
-            let a_skip = (self.n_out as i64 - (self.sub_len as i64 - 1) - self.base_m) as usize;
-            let b_skip = (other.n_out as i64 - (other.sub_len as i64 - 1) - other.base_m) as usize;
-            if self.ph_re[r][a_skip.min(self.ph_re[r].len())..]
-                != other.ph_re[r][b_skip.min(other.ph_re[r].len())..]
-                || self.ph_im[r][a_skip.min(self.ph_im[r].len())..]
-                    != other.ph_im[r][b_skip.min(other.ph_im[r].len())..]
-            {
-                return false;
-            }
-        }
-        true
+        self.bank.taps == other.bank.taps
+            && self.bank.decimation == other.bank.decimation
+            && self.bank.n_out == other.bank.n_out
+            && self.split == other.split
     }
 }
 

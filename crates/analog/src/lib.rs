@@ -14,7 +14,8 @@
 //! * [`comparator`] — single- and double-threshold comparators (Eq. 3);
 //! * [`power`] — the Table 2 / §4.3 power and cost budgets;
 //! * [`signal`] — real-valued baseband buffers shared by these blocks;
-//! * [`fir`] — the shared streaming complex-FIR state machine;
+//! * [`fir`] — the shared streaming complex-FIR state machine and the
+//!   polyphase decimator, whose phase split several channels can share;
 //! * [`stage`] — the block-pipeline stage traits (chunk invariance and
 //!   buffer-ownership contracts every streaming stage implements);
 //! * [`simd`] — runtime-dispatched SIMD kernels behind the hot stages
@@ -49,7 +50,7 @@ pub use comparator::{
 };
 pub use envelope::{DetectorNoise, EnvelopeDetector};
 pub use filters::{IfAmplifier, LowPassFilter};
-pub use fir::{ComplexFirState, PolyphaseDecimator};
+pub use fir::{ComplexFirState, PhaseSplit, PolyphaseDecimator};
 pub use lna::Lna;
 pub use mixer::{BasebandMixer, RfMixer};
 pub use oscillator::{DelayLine, Oscillator};

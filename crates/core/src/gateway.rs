@@ -5,34 +5,40 @@
 //! covering all of them and fans it out:
 //!
 //! ```text
-//!                        ┌─ channelizer ch0 ─ StreamingDemodulator ─┐
-//!  wideband IQ chunks ──►├─ channelizer ch1 ─ StreamingDemodulator ─┤──► time-ordered
-//!    (push_chunk)        ├─ channelizer ch2 ─ StreamingDemodulator ─┤    GatewayPackets
-//!                        └─ channelizer ch3 ─ StreamingDemodulator ─┘
+//!                                    ┌─ sub-filters ch0 ─ shift ─ StreamingDemodulator ─┐
+//!  wideband IQ chunks ──► PhaseSplit ├─ sub-filters ch1 ─ shift ─ StreamingDemodulator ─┤──► time-ordered
+//!    (push_chunk)       (one per D,  ├─ sub-filters ch2 ─ shift ─ StreamingDemodulator ─┤    GatewayPackets
+//!                        producer)   └─ sub-filters ch3 ─ shift ─ StreamingDemodulator ─┘
 //! ```
 //!
-//! Every channel pipeline — an [`analog::channelizer::ChannelizerState`]
-//! (frequency shift + band-select FIR + decimation) feeding a
-//! [`StreamingDemodulator`] — runs on a `std::thread` worker pool connected
-//! by bounded channels, so a slow consumer back-pressures the producer
-//! instead of buffering without bound. A pool that would hold exactly one
-//! worker (one core, or one channel) instead runs its pipelines inline in
-//! the caller — same results, none of the handoff overhead. Completed
-//! packets from all channels are merged into one stream ordered by payload
-//! start time.
+//! The producer splits each chunk once into the `D` polyphase streams of
+//! every distinct channel decimation ([`PhaseSplit`]). Every channel
+//! pipeline — an [`analog::channelizer::ChannelizerState`] (band-select
+//! sub-filter bank + decimation + frequency shift) reading its decimation's
+//! split, feeding a [`StreamingDemodulator`] — runs on a `std::thread`
+//! worker pool connected by bounded channels, so a slow consumer
+//! back-pressures the producer instead of buffering without bound. Each job
+//! carries an `Arc` snapshot of the splits (plus the raw chunk when some
+//! channel is a passthrough). A pool that would hold exactly one worker
+//! (one core, or one channel) instead runs its pipelines inline in the
+//! caller on the producer's splits — same results, none of the handoff
+//! overhead. Completed packets from all channels are merged into one stream
+//! ordered by payload start time.
 //!
 //! ## Determinism
 //!
 //! Each channel's results are bit-identical to running that channel's
-//! pipeline alone (the pipelines are chunk invariant and share nothing), and
+//! pipeline alone (the pipelines are chunk invariant, and the shared split
+//! holds exactly the phase streams a lone channelizer would build), and
 //! the merge releases a packet only once *every* channel has consumed the
 //! stream far enough that no earlier packet can still appear (a watermark,
 //! in the event-driven NS-2 tradition). The merged packet *sequence* is
 //! therefore identical whatever the worker-thread count or chunk sizes —
 //! only the batching (which `push_chunk` call returns which packets) may
 //! vary with scheduling. `tests/gateway_equivalence.rs` locks both
-//! properties in, including that an `N = 1` passthrough gateway is
-//! bit-identical to a plain [`StreamingDemodulator`].
+//! properties in, including that every channel's packets equal a standalone
+//! channelizer + [`StreamingDemodulator`] run and that an `N = 1`
+//! passthrough gateway is bit-identical to a plain [`StreamingDemodulator`].
 
 use std::collections::BinaryHeap;
 use std::sync::mpsc;
@@ -40,6 +46,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use analog::channelizer::{ChannelizerSpec, ChannelizerState};
+use analog::fir::PhaseSplit;
 use lora_phy::iq::{Iq, SampleBuffer};
 
 use crate::config::SaiyanConfig;
@@ -167,7 +174,9 @@ pub struct GatewayPacket {
 
 /// A chunk of work sent to a worker thread.
 enum Job {
-    Chunk(Arc<Vec<Iq>>),
+    /// A snapshot of the producer's phase splits after the chunk, and the
+    /// chunk itself when some channel is a passthrough.
+    Chunk(Arc<Vec<PhaseSplit>>, Option<Arc<[Iq]>>),
     Flush,
 }
 
@@ -222,6 +231,9 @@ impl Ord for MergeEntry {
 struct ChannelPipeline {
     index: usize,
     channel_rate: f64,
+    /// Index of the gateway phase split the channelizer reads; `None` for a
+    /// passthrough, which reads the raw chunk.
+    split: Option<usize>,
     channelizer: ChannelizerState,
     demod: StreamingDemodulator,
     /// Reusable channel-rate baseband buffer.
@@ -229,10 +241,15 @@ struct ChannelPipeline {
 }
 
 impl ChannelPipeline {
-    /// Runs one wideband chunk through the channelizer and demodulator.
-    fn process_chunk(&mut self, chunk: &[Iq]) -> ChannelReport {
-        self.channelizer
-            .process_chunk_into(chunk, &mut self.baseband);
+    /// Runs one wideband chunk — already pushed into `splits`, and `raw`
+    /// itself — through the channelizer and demodulator.
+    fn process_chunk(&mut self, splits: &[PhaseSplit], raw: &[Iq]) -> ChannelReport {
+        match self.split {
+            Some(i) => self
+                .channelizer
+                .process_split_into(&splits[i], &mut self.baseband),
+            None => self.channelizer.process_chunk_into(raw, &mut self.baseband),
+        }
         let packets = self.demod.push_samples(&self.baseband);
         ChannelReport {
             index: self.index,
@@ -325,6 +342,15 @@ pub struct Gateway {
     /// payload started more than this far behind its consumed stream time.
     horizon: f64,
     pool: WorkerPool,
+    /// The producer's phase splits, one per distinct channel decimation.
+    /// Workers read `Arc` snapshots of them; a push copies them on write only
+    /// while a worker still holds the last snapshot.
+    splits: Arc<Vec<PhaseSplit>>,
+    /// Earlier snapshots, reused for the copy once no worker holds them.
+    spare_splits: Vec<Arc<Vec<PhaseSplit>>>,
+    /// Whether some channel is a passthrough, so jobs must carry the raw
+    /// chunk.
+    has_passthrough: bool,
     /// Per-channel consumed stream time (seconds).
     acked: Vec<f64>,
     /// Per-channel last reported SNR estimate (dB) — a telemetry gauge.
@@ -355,6 +381,7 @@ impl Gateway {
 
         let mut horizon: f64 = 0.0;
         let mut pipelines = Vec::with_capacity(config.channels.len());
+        let mut split_sizes: Vec<(usize, usize)> = Vec::new();
         for (index, ch) in config.channels.iter().enumerate() {
             let channel_rate = ch.config.lora.sample_rate();
             let ratio = config.wideband_rate / channel_rate;
@@ -385,16 +412,38 @@ impl Gateway {
             };
             let t_sym = ch.config.lora.symbol_duration();
             horizon = horizon.max((ch.payload_symbols as f64 + 4.0) * t_sym);
+            let channelizer = spec.streaming(config.wideband_rate);
+            // One split per distinct decimation, keeping the longest history
+            // any of its channels reads.
+            let split = channelizer.decimator().map(|fir| {
+                let (d, history) = (fir.decimation(), fir.split_history());
+                match split_sizes.iter().position(|&(sd, _)| sd == d) {
+                    Some(i) => {
+                        split_sizes[i].1 = split_sizes[i].1.max(history);
+                        i
+                    }
+                    None => {
+                        split_sizes.push((d, history));
+                        split_sizes.len() - 1
+                    }
+                }
+            });
             pipelines.push(ChannelPipeline {
                 index,
                 channel_rate,
-                channelizer: spec.streaming(config.wideband_rate),
+                split,
+                channelizer,
                 demod: StreamingDemodulator::new(ch.config.clone(), ch.payload_symbols),
                 baseband: Vec::new(),
             });
         }
 
         let n_channels = pipelines.len();
+        let has_passthrough = pipelines.iter().any(|p| p.split.is_none());
+        let splits = split_sizes
+            .into_iter()
+            .map(|(d, history)| PhaseSplit::new(d, history))
+            .collect();
         let n_workers = if config.worker_threads == 0 {
             n_channels
         } else {
@@ -436,6 +485,9 @@ impl Gateway {
             lockstep: config.lockstep,
             horizon,
             pool,
+            splits: Arc::new(splits),
+            spare_splits: Vec::new(),
+            has_passthrough,
             acked: vec![0.0; n_channels],
             snr_db: vec![0.0; n_channels],
             heap: BinaryHeap::new(),
@@ -489,6 +541,28 @@ impl Gateway {
         if chunk.is_empty() {
             return Vec::new();
         }
+        // Split the chunk once for every channel. While a worker still reads
+        // the last snapshot, continue from a copy of its live history in a
+        // spare snapshot no worker holds any more (or a new one).
+        if Arc::get_mut(&mut self.splits).is_none() {
+            let free = self
+                .spare_splits
+                .iter()
+                .position(|s| Arc::strong_count(s) == 1);
+            let mut next = match free {
+                Some(i) => self.spare_splits.swap_remove(i),
+                None => Arc::new(Vec::new()),
+            };
+            Arc::get_mut(&mut next)
+                .expect("no worker holds a spare")
+                .clone_from(&self.splits);
+            self.spare_splits
+                .push(std::mem::replace(&mut self.splits, next));
+        }
+        for split in Arc::get_mut(&mut self.splits).expect("unshared splits") {
+            split.push(chunk);
+        }
+        let splits = Arc::clone(&self.splits);
         // The pool is taken out of `self` for the duration of the push so the
         // inline path can run its pipelines while reports are folded into the
         // merge state.
@@ -496,16 +570,16 @@ impl Gateway {
         match &mut pool {
             WorkerPool::Inline(pipelines) => {
                 for p in pipelines.iter_mut() {
-                    let report = p.process_chunk(chunk);
+                    let report = p.process_chunk(&splits, chunk);
                     self.integrate(report);
                 }
             }
             WorkerPool::Threaded {
                 inputs, reports, ..
             } => {
-                let shared = Arc::new(chunk.to_vec());
+                let raw: Option<Arc<[Iq]>> = self.has_passthrough.then(|| chunk.into());
                 for tx in inputs.iter() {
-                    tx.send(Job::Chunk(Arc::clone(&shared)))
+                    tx.send(Job::Chunk(Arc::clone(&splits), raw.clone()))
                         .expect("gateway worker exited unexpectedly");
                 }
                 if self.lockstep {
@@ -527,18 +601,6 @@ impl Gateway {
         }
         self.pool = pool;
         self.release(false)
-    }
-
-    /// Pushes a [`SampleBuffer`], checking its rate against the wideband
-    /// rate.
-    pub fn push_buffer(&mut self, buffer: &SampleBuffer) -> Vec<GatewayPacket> {
-        assert!(
-            (buffer.sample_rate - self.wideband_rate).abs() < 1e-6,
-            "buffer rate {} does not match the wideband rate {}",
-            buffer.sample_rate,
-            self.wideband_rate
-        );
-        self.push_chunk(&buffer.samples)
     }
 
     /// Flushes every channel, joins the worker pool and returns the
@@ -649,9 +711,16 @@ fn worker_loop(
 ) {
     loop {
         match jobs.recv() {
-            Ok(Job::Chunk(chunk)) => {
-                for p in &mut pipelines {
-                    if reports.send(p.process_chunk(&chunk)).is_err() {
+            Ok(Job::Chunk(splits, raw)) => {
+                let done: Vec<ChannelReport> = pipelines
+                    .iter_mut()
+                    .map(|p| p.process_chunk(&splits, raw.as_deref().unwrap_or(&[])))
+                    .collect();
+                // Release the snapshot before reporting, so a lockstep
+                // producer finds its splits unshared and pushes in place.
+                drop(splits);
+                for report in done {
+                    if reports.send(report).is_err() {
                         return; // gateway dropped without finish()
                     }
                 }

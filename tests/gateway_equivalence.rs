@@ -1,8 +1,12 @@
 //! Gateway determinism properties: an `N = 1` passthrough gateway is
-//! bit-identical to the plain streaming receiver, and the merged multi-channel
-//! packet sequence is identical whatever the worker-thread count or chunk
-//! sizes (only the batching across `push_chunk` calls may vary).
+//! bit-identical to the plain streaming receiver, every channel of a
+//! multi-channel gateway (shared phase splits, passthrough included) decodes
+//! exactly what a standalone channelizer + demodulator does, and the merged
+//! multi-channel packet sequence is identical whatever the worker-thread
+//! count or chunk sizes (only the batching across `push_chunk` calls may
+//! vary).
 
+use analog::channelizer::ChannelizerSpec;
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use netsim::longtrace::{generate_long_trace, random_payloads, LongTraceConfig, TracePacket};
 use netsim::multichannel::{
@@ -14,7 +18,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use saiyan::config::{SaiyanConfig, Variant};
 use saiyan::gateway::{Gateway, GatewayChannel, GatewayConfig, GatewayPacket};
-use saiyan::StreamingDemodulator;
+use saiyan::{DemodResult, StreamingDemodulator};
 
 const PAYLOAD_SYMBOLS: usize = 8;
 
@@ -156,6 +160,100 @@ fn merged_ordering_is_deterministic_across_worker_counts_and_chunkings() {
     }
     // Random chunk sizes with 2 workers: same merged sequence.
     assert_eq!(run(2, Some(0x77)), reference, "random chunking");
+}
+
+#[test]
+fn every_gateway_channel_matches_its_standalone_pipeline() {
+    // Channels at two decimations (D = 6 and D = 3, two channels each, so
+    // each phase split has two readers) plus a passthrough (D = 1) over a
+    // 3 Msps capture of three hopping channels.
+    let lora = LoraParams::new(
+        SpreadingFactor::Sf7,
+        Bandwidth::Khz250,
+        BitsPerChirp::new(2).unwrap(),
+    );
+    let offsets = MultiChannelConfig::grid_offsets(3);
+    let trace_cfg =
+        MultiChannelConfig::new(lora.with_oversampling(2), 6, offsets.clone()).with_noise(-85.0);
+    let packets = hopping_traffic(&HoppingTrafficConfig {
+        n_tags: 3,
+        packets_per_tag: 2,
+        n_channels: 3,
+        payload_symbols: PAYLOAD_SYMBOLS,
+        k: lora.bits_per_chirp,
+        slot_symbols: PAYLOAD_SYMBOLS as f64 + 20.0,
+        lead_in_symbols: 4.0,
+        base_power_dbm: -43.0,
+        power_spread_db: 1.5,
+        max_cfo_hz: 500.0,
+        seed: 0x5917,
+    });
+    let (trace, _) = generate_multichannel_trace(&trace_cfg, &packets);
+    let fs = trace_cfg.wideband_rate();
+    // (id, offset, oversampling): the decimation is 12 / oversampling.
+    let plan = [
+        (0u8, offsets[0], 2u32),
+        (1, offsets[1], 4),
+        (2, offsets[2], 2),
+        (3, offsets[2], 4),
+        (4, 0.0, 12),
+    ];
+    let channels: Vec<GatewayChannel> = plan
+        .iter()
+        .map(|&(id, offset, oversampling)| {
+            let cfg = SaiyanConfig::narrowband_streaming(
+                lora.with_oversampling(oversampling),
+                Variant::Vanilla,
+            );
+            GatewayChannel::new(id, offset, cfg, PAYLOAD_SYMBOLS)
+        })
+        .collect();
+
+    // The reference: each channel's own channelizer and demodulator.
+    let standalone = |ch: &GatewayChannel| -> Vec<DemodResult> {
+        let d = (fs / ch.config.lora.sample_rate()).round() as usize;
+        let spec = if ch.offset_hz == 0.0 && d == 1 {
+            ChannelizerSpec::passthrough()
+        } else {
+            ChannelizerSpec::for_channel(ch.offset_hz, ch.config.lora.bw.hz(), d)
+                .with_fast_phasor(ch.config.fast_oscillator)
+        };
+        let mut channelizer = spec.streaming(fs);
+        let mut demod = StreamingDemodulator::new(ch.config.clone(), ch.payload_symbols);
+        let mut baseband = Vec::new();
+        let mut out = Vec::new();
+        for chunk in trace.samples.chunks(4096) {
+            channelizer.process_chunk_into(chunk, &mut baseband);
+            out.extend(demod.push_samples(&baseband));
+        }
+        out.extend(demod.finish());
+        out
+    };
+    let references: Vec<Vec<DemodResult>> = channels.iter().map(standalone).collect();
+    for (ch, reference) in channels.iter().zip(&references).take(4) {
+        assert!(!reference.is_empty(), "channel {} decodes nothing", ch.id);
+    }
+
+    for workers in [1usize, 2, 0] {
+        for lockstep in [false, true] {
+            let config = GatewayConfig::new(fs, channels.clone())
+                .with_worker_threads(workers)
+                .with_lockstep(lockstep);
+            let merged = Gateway::run_trace(config, &trace, 4096);
+            for (ch, reference) in channels.iter().zip(&references) {
+                let got: Vec<DemodResult> = merged
+                    .iter()
+                    .filter(|p| p.channel == ch.id)
+                    .map(|p| p.result.clone())
+                    .collect();
+                assert_eq!(
+                    &got, reference,
+                    "channel {} workers {workers} lockstep {lockstep}",
+                    ch.id
+                );
+            }
+        }
+    }
 }
 
 proptest! {

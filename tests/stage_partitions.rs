@@ -8,6 +8,9 @@
 //! partitions, asserting the concatenated output is *bit-identical* to
 //! whole-buffer processing. This is the contract [`analog::stage`] writes
 //! down; the macro below is the single place it is enforced for all stages.
+//! A last proptest pins the shared phase split the gateway feeds its
+//! channelizers: decimators reading one [`PhaseSplit`] emit exactly what
+//! each would on its own.
 
 use analog::channelizer::ChannelizerSpec;
 use analog::envelope::EnvelopeDetector;
@@ -16,7 +19,7 @@ use analog::lna::Lna;
 use analog::saw::SawFilter;
 use analog::shifting::{CyclicFrequencyShifter, ShiftingConfig};
 use analog::stage::{BlockStage, InPlaceStage};
-use analog::ComplexFirState;
+use analog::{ComplexFirState, PhaseSplit, PolyphaseDecimator};
 use lora_phy::iq::Iq;
 use proptest::prelude::*;
 use rfsim::units::Hertz;
@@ -302,3 +305,60 @@ block_stage_partition_tests!(
     },
     iq_input(5_000)
 );
+
+fn iq_bits(v: &[Iq]) -> Vec<(u64, u64)> {
+    v.iter().map(|s| (s.re.to_bits(), s.im.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Several decimators of one `D` with different tap counts (some below
+    /// `D`) read one shared [`PhaseSplit`] whose history is the longest any
+    /// of them needs. Chunk by chunk, each output block is bit-identical to
+    /// that decimator's own `filter_chunk_into`, over random partitions with
+    /// empty and 1-sample chunks — and across the compacting clones the
+    /// gateway takes while a worker still holds the previous snapshot.
+    #[test]
+    fn shared_phase_split_matches_each_decimators_own_split(
+        d in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(6), Just(8)],
+        tap_counts in proptest::collection::vec(prop_oneof![1usize..8, 8usize..129], 1..5),
+        sizes in proptest::collection::vec(
+            prop_oneof![Just(0usize), Just(1), 2usize..40, 40usize..700],
+            1..8,
+        ).prop_filter("at least one non-empty chunk size", |s| s.iter().any(|&n| n > 0)),
+    ) {
+        let input = iq_input(3_000);
+        let mut own: Vec<PolyphaseDecimator> = tap_counts
+            .iter()
+            .enumerate()
+            .map(|(k, &l)| {
+                let taps = (0..l)
+                    .map(|i| Iq::from_polar(0.5 / (1.0 + i as f64 * 0.3), 0.2 * i as f64 + k as f64))
+                    .collect();
+                PolyphaseDecimator::new(taps, d)
+            })
+            .collect();
+        let mut shared = own.clone();
+        let history = shared.iter().map(PolyphaseDecimator::split_history).max().unwrap();
+        let mut split = PhaseSplit::new(d, history);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let mut offset = 0usize;
+        let mut i = 0usize;
+        while offset < input.len() {
+            let end = (offset + sizes[i % sizes.len()]).min(input.len());
+            let chunk = &input[offset..end];
+            if i % 3 == 2 {
+                split = split.clone();
+            }
+            split.push(chunk);
+            for (a, b) in own.iter_mut().zip(&mut shared) {
+                a.filter_chunk_into(chunk, &mut want);
+                b.filter_split_into(&split, &mut got);
+                prop_assert_eq!(iq_bits(&got), iq_bits(&want), "D={} taps={} at {}", d, a.n_taps(), offset);
+            }
+            offset = end;
+            i += 1;
+        }
+    }
+}
