@@ -84,12 +84,24 @@ impl SingleThresholdComparator {
 }
 
 /// The double-threshold (hysteresis) comparator of paper Eq. 3.
+///
+/// The thresholds are private so that every comparator comes from
+/// [`Self::new`], which enforces `U_L ≤ U_H` — the condition the comparator
+/// scan ([`crate::simd::hysteresis_scan`]) relies on. A struct literal
+/// cannot skip that check:
+///
+/// ```compile_fail
+/// let inverted = analog::DoubleThresholdComparator {
+///     high_threshold: 0.2,
+///     low_threshold: 0.5,
+/// };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DoubleThresholdComparator {
     /// High threshold `U_H`: the output goes high only when the input reaches it.
-    pub high_threshold: f64,
+    high_threshold: f64,
     /// Low threshold `U_L`: the output returns low only when the input falls below it.
-    pub low_threshold: f64,
+    low_threshold: f64,
 }
 
 impl DoubleThresholdComparator {
@@ -144,31 +156,15 @@ impl ComparatorState {
     /// output level.
     pub fn compare_chunk_into(&mut self, chunk: &[f64], out: &mut Vec<bool>) {
         out.clear();
-        match crate::simd::active_backend() {
-            crate::simd::Backend::Scalar => {
-                out.reserve(chunk.len());
-                for &v in chunk {
-                    self.state = if self.state {
-                        v >= self.low_threshold
-                    } else {
-                        v >= self.high_threshold
-                    };
-                    out.push(self.state);
-                }
-            }
-            // The constructor guarantees U_L <= U_H, the regime where the
-            // branch-free mask identity holds.
-            wide => {
-                self.state = crate::simd::hysteresis_scan(
-                    wide,
-                    chunk,
-                    self.high_threshold,
-                    self.low_threshold,
-                    self.state,
-                    out,
-                );
-            }
-        }
+        // The constructor guarantees U_L <= U_H, the regime where the
+        // branch-free mask identity holds.
+        self.state = crate::simd::hysteresis_scan(
+            chunk,
+            self.high_threshold,
+            self.low_threshold,
+            self.state,
+            out,
+        );
     }
 }
 

@@ -156,29 +156,22 @@ impl EnvelopeDetectorState {
     /// Detects the envelope of one chunk into a caller-provided buffer
     /// (cleared first), advancing the carried noise state.
     pub fn detect_chunk_into(&mut self, chunk: &[Iq], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(chunk.len());
         // A noiseless detector (both sigmas zero) skips the per-sample
         // Gaussian draws entirely: they would be multiplied by zero anyway,
         // and they dominate the cost of a quiet chain.
         let noiseless = self.noise.white_sigma == 0.0 && self.noise.flicker_sigma == 0.0;
         if noiseless {
-            match crate::simd::active_backend() {
-                crate::simd::Backend::Scalar => {
-                    for s in chunk {
-                        out.push(self.conversion_gain * s.norm_sqr() + self.noise.dc_offset);
-                    }
-                }
-                wide => crate::simd::envelope_noiseless_into(
-                    wide,
-                    chunk,
-                    self.conversion_gain,
-                    self.noise.dc_offset,
-                    out,
-                ),
-            }
+            crate::simd::envelope_noiseless_into(
+                crate::simd::active_backend(),
+                chunk,
+                self.conversion_gain,
+                self.noise.dc_offset,
+                out,
+            );
             return;
         }
+        out.clear();
+        out.reserve(chunk.len());
         for s in chunk {
             let envelope = self.conversion_gain * s.norm_sqr();
             let white = self.noise.white_sigma * gaussian(&mut self.rng);

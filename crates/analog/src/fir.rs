@@ -15,8 +15,8 @@
 //! last `n_taps − 1` samples of the stream followed by whatever chunk is being
 //! filtered (the *history-prefix + body* split). Every output is then a plain
 //! dot product over a contiguous window of that workspace, which the block
-//! kernel evaluates four outputs at a time with the real/imaginary planes
-//! stored separately — a shape LLVM autovectorizes. After each chunk the
+//! kernel ([`crate::simd::convolve_block`]) evaluates a tile of outputs at a
+//! time with the real/imaginary planes stored separately. After each chunk the
 //! workspace is compacted back down to the history prefix, so steady-state
 //! processing performs no allocation.
 //!
@@ -128,7 +128,7 @@ impl ComplexFirState {
         self.buf_im.push(x.im);
         let l = self.taps.len();
         let start = self.buf_re.len() - l;
-        let out = dot_window(
+        let (re, im) = crate::simd::dot_scalar_order(
             &self.taps_rev_re,
             &self.taps_rev_im,
             &self.buf_re[start..],
@@ -137,7 +137,7 @@ impl ComplexFirState {
         if self.buf_re.len() >= l + PUSH_COMPACT_SLACK {
             self.compact();
         }
-        out
+        Iq::new(re, im)
     }
 
     /// Pushes one input sample into the delay line *without* computing an
@@ -171,35 +171,31 @@ impl ComplexFirState {
         if chunk.is_empty() {
             return;
         }
-        self.append(chunk);
-        let l = self.taps.len();
-        let base = self.buf_re.len() - chunk.len() - (l - 1);
-        convolve_block(
+        self.buf_re.extend(chunk.iter().map(|x| x.re));
+        self.buf_im.extend(chunk.iter().map(|x| x.im));
+        let m = chunk.len();
+        let base = self.buf_re.len() - m - (self.taps.len() - 1);
+        self.out_re.clear();
+        self.out_im.clear();
+        self.out_re.resize(m, 0.0);
+        self.out_im.resize(m, 0.0);
+        crate::simd::convolve_block::<false>(
+            crate::simd::active_backend(),
             &self.taps_rev_re,
             &self.taps_rev_im,
             &self.buf_re[base..],
             &self.buf_im[base..],
             &mut self.out_re,
             &mut self.out_im,
-            chunk.len(),
+            m,
         );
-        crate::simd::interleave_extend(
-            crate::simd::active_backend(),
-            &self.out_re,
-            &self.out_im,
-            out,
+        out.extend(
+            self.out_re
+                .iter()
+                .zip(&self.out_im)
+                .map(|(&re, &im)| Iq::new(re, im)),
         );
         self.compact();
-    }
-
-    /// Appends a chunk to the split-complex workspace.
-    fn append(&mut self, chunk: &[Iq]) {
-        crate::simd::deinterleave_extend(
-            crate::simd::active_backend(),
-            chunk,
-            &mut self.buf_re,
-            &mut self.buf_im,
-        );
     }
 }
 
@@ -490,6 +486,7 @@ impl SubFilterBank {
         // stores into the accumulator planes and the others add on top, `p`
         // ascending — a fixed order, independent of chunking and of which
         // split is read.
+        let backend = crate::simd::active_backend();
         let d = split.re.len();
         for (p, (tr, ti)) in self.sub_re.iter().zip(&self.sub_im).enumerate() {
             let r = d - 1 - p;
@@ -497,16 +494,16 @@ impl SubFilterBank {
             let (re, im) = (&split.re[r][start..], &split.im[r][start..]);
             let (acc_re, acc_im) = (&mut self.acc_re, &mut self.acc_im);
             if p == 0 {
-                convolve_dispatch::<false>(tr, ti, re, im, acc_re, acc_im, m);
+                crate::simd::convolve_block::<false>(backend, tr, ti, re, im, acc_re, acc_im, m);
             } else {
-                convolve_dispatch::<true>(tr, ti, re, im, acc_re, acc_im, m);
+                crate::simd::convolve_block::<true>(backend, tr, ti, re, im, acc_re, acc_im, m);
             }
         }
-        crate::simd::interleave_extend(
-            crate::simd::active_backend(),
-            &self.acc_re,
-            &self.acc_im,
-            out,
+        out.extend(
+            self.acc_re
+                .iter()
+                .zip(&self.acc_im)
+                .map(|(&re, &im)| Iq::new(re, im)),
         );
         self.n_out = total_k;
     }
@@ -522,165 +519,6 @@ impl PartialEq for PolyphaseDecimator {
             && self.bank.decimation == other.bank.decimation
             && self.bank.n_out == other.bank.n_out
             && self.split == other.split
-    }
-}
-
-/// One output of the convolution: the dot product of the reversed taps with a
-/// window of `taps.len()` samples walked oldest-first. Accumulates into two
-/// partial sums by tap parity — the exact summation order the block kernel
-/// uses, so every code path produces bit-identical outputs.
-#[inline]
-fn dot_window(tr: &[f64], ti: &[f64], wr: &[f64], wi: &[f64]) -> Iq {
-    let l = tr.len();
-    let mut ar = [0.0f64; 2];
-    let mut ai = [0.0f64; 2];
-    let mut j = 0usize;
-    while j + 2 <= l {
-        for p in 0..2 {
-            let t_re = tr[j + p];
-            let t_im = ti[j + p];
-            let s_re = wr[j + p];
-            let s_im = wi[j + p];
-            ar[p] += t_re * s_re - t_im * s_im;
-            ai[p] += t_re * s_im + t_im * s_re;
-        }
-        j += 2;
-    }
-    if j < l {
-        let (t_re, t_im, s_re, s_im) = (tr[j], ti[j], wr[j], wi[j]);
-        ar[0] += t_re * s_re - t_im * s_im;
-        ai[0] += t_re * s_im + t_im * s_re;
-    }
-    Iq::new(ar[0] + ar[1], ai[0] + ai[1])
-}
-
-/// The block kernel: `m` consecutive outputs over the `[history][body]`
-/// workspace starting at `buf[..]` (so output `i` reads `buf[i .. i + l]`),
-/// written to the split-complex output planes (cleared and resized to `m`).
-///
-/// Outputs are produced four at a time with the dot products register-tiled
-/// across outputs — four independent accumulator lanes per tap parity, the
-/// loop shape LLVM turns into SIMD — with the identical per-output summation
-/// order as [`dot_window`], which handles the `m % 4` tail.
-#[allow(clippy::too_many_arguments)]
-fn convolve_block(
-    tr: &[f64],
-    ti: &[f64],
-    buf_re: &[f64],
-    buf_im: &[f64],
-    out_re: &mut Vec<f64>,
-    out_im: &mut Vec<f64>,
-    m: usize,
-) {
-    out_re.clear();
-    out_im.clear();
-    out_re.resize(m, 0.0);
-    out_im.resize(m, 0.0);
-    convolve_dispatch::<false>(tr, ti, buf_re, buf_im, out_re, out_im, m);
-}
-
-/// Routes a convolution block to the active SIMD backend, or to the scalar
-/// tile ([`convolve_block_impl`] — the golden reference) when none is
-/// selected. Both sides honour the same per-output summation order, so the
-/// choice never changes a bit of output.
-#[allow(clippy::too_many_arguments)]
-fn convolve_dispatch<const ACCUM: bool>(
-    tr: &[f64],
-    ti: &[f64],
-    buf_re: &[f64],
-    buf_im: &[f64],
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    m: usize,
-) {
-    match crate::simd::active_backend() {
-        crate::simd::Backend::Scalar => {
-            convolve_block_impl::<ACCUM>(tr, ti, buf_re, buf_im, out_re, out_im, m)
-        }
-        wide => {
-            crate::simd::convolve_block::<ACCUM>(wide, tr, ti, buf_re, buf_im, out_re, out_im, m)
-        }
-    }
-}
-
-/// [`convolve_block`] body. With `ACCUM` the per-output results are *added*
-/// to the (pre-sized) output planes instead of stored — the polyphase
-/// decimator folds its cross-phase sum into the kernel this way, one phase
-/// at a time in fixed order.
-#[allow(clippy::too_many_arguments)]
-fn convolve_block_impl<const ACCUM: bool>(
-    tr: &[f64],
-    ti: &[f64],
-    buf_re: &[f64],
-    buf_im: &[f64],
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    m: usize,
-) {
-    let l = tr.len();
-    let l2 = l & !1;
-    let m4 = m & !3;
-    let mut i = 0usize;
-    while i < m4 {
-        // Two tap-parity partials per output, four outputs per tile.
-        let mut ar0 = [0.0f64; 4];
-        let mut ar1 = [0.0f64; 4];
-        let mut ai0 = [0.0f64; 4];
-        let mut ai1 = [0.0f64; 4];
-        let mut j = 0usize;
-        while j < l2 {
-            {
-                let t_re = tr[j];
-                let t_im = ti[j];
-                let s_re = &buf_re[i + j..i + j + 4];
-                let s_im = &buf_im[i + j..i + j + 4];
-                for q in 0..4 {
-                    ar0[q] += t_re * s_re[q] - t_im * s_im[q];
-                    ai0[q] += t_re * s_im[q] + t_im * s_re[q];
-                }
-            }
-            {
-                let t_re = tr[j + 1];
-                let t_im = ti[j + 1];
-                let s_re = &buf_re[i + j + 1..i + j + 5];
-                let s_im = &buf_im[i + j + 1..i + j + 5];
-                for q in 0..4 {
-                    ar1[q] += t_re * s_re[q] - t_im * s_im[q];
-                    ai1[q] += t_re * s_im[q] + t_im * s_re[q];
-                }
-            }
-            j += 2;
-        }
-        if j < l {
-            let t_re = tr[j];
-            let t_im = ti[j];
-            let s_re = &buf_re[i + j..i + j + 4];
-            let s_im = &buf_im[i + j..i + j + 4];
-            for q in 0..4 {
-                ar0[q] += t_re * s_re[q] - t_im * s_im[q];
-                ai0[q] += t_re * s_im[q] + t_im * s_re[q];
-            }
-        }
-        for q in 0..4 {
-            if ACCUM {
-                out_re[i + q] += ar0[q] + ar1[q];
-                out_im[i + q] += ai0[q] + ai1[q];
-            } else {
-                out_re[i + q] = ar0[q] + ar1[q];
-                out_im[i + q] = ai0[q] + ai1[q];
-            }
-        }
-        i += 4;
-    }
-    for i in m4..m {
-        let v = dot_window(tr, ti, &buf_re[i..i + l], &buf_im[i..i + l]);
-        if ACCUM {
-            out_re[i] += v.re;
-            out_im[i] += v.im;
-        } else {
-            out_re[i] = v.re;
-            out_im[i] = v.im;
-        }
     }
 }
 

@@ -111,17 +111,18 @@ impl LnaState {
     /// gain, the LNA's own output-referred noise, and the tanh-style soft
     /// limiter around the compression point.
     pub fn amplify_chunk_into(&mut self, chunk: &[Iq], out: &mut Vec<Iq>) {
-        // A quiet LNA (no noise draws) is a pure elementwise map — route it
-        // through the wide kernel when one is active. The noisy path must
-        // stay scalar: its RNG stream is consumed per sample in order.
+        // A quiet LNA (no noise draws) is a pure elementwise map and runs
+        // the quiet kernel. The noisy path stays a per-sample loop: its RNG
+        // stream is consumed per sample in order.
         if self.noise_power_out <= 0.0 {
-            match crate::simd::active_backend() {
-                crate::simd::Backend::Scalar => {}
-                wide => {
-                    crate::simd::lna_quiet_into(wide, chunk, self.gain_amp, self.comp_amp, out);
-                    return;
-                }
-            }
+            crate::simd::lna_quiet_into(
+                crate::simd::active_backend(),
+                chunk,
+                self.gain_amp,
+                self.comp_amp,
+                out,
+            );
+            return;
         }
         out.clear();
         out.reserve(chunk.len());

@@ -71,25 +71,14 @@ impl RfMixer {
         out: &mut Vec<lora_phy::iq::Iq>,
     ) {
         assert_eq!(chunk.len(), clock.len(), "one clock value per sample");
-        match crate::simd::active_backend() {
-            crate::simd::Backend::Scalar => {
-                out.clear();
-                out.reserve(chunk.len());
-                for (s, &c) in chunk.iter().zip(clock) {
-                    out.push(s.scale(self.feedthrough) + s.scale(self.conversion_gain * c));
-                }
-            }
-            wide => {
-                crate::simd::rf_mix_into(
-                    wide,
-                    chunk,
-                    clock,
-                    self.feedthrough,
-                    self.conversion_gain,
-                    out,
-                );
-            }
-        }
+        crate::simd::rf_mix_into(
+            crate::simd::active_backend(),
+            chunk,
+            clock,
+            self.feedthrough,
+            self.conversion_gain,
+            out,
+        );
     }
 }
 
@@ -138,14 +127,12 @@ impl BasebandMixer {
     /// buffer it is handed without a copy.
     pub fn mix_with_clock_in_place(&self, data: &mut [f64], clock: &[f64]) {
         assert_eq!(data.len(), clock.len(), "one clock value per sample");
-        match crate::simd::active_backend() {
-            crate::simd::Backend::Scalar => {
-                for (s, &c) in data.iter_mut().zip(clock) {
-                    *s = self.conversion_gain * *s * c;
-                }
-            }
-            wide => crate::simd::bb_mix_in_place(wide, data, clock, self.conversion_gain),
-        }
+        crate::simd::bb_mix_in_place(
+            crate::simd::active_backend(),
+            data,
+            clock,
+            self.conversion_gain,
+        );
     }
 }
 

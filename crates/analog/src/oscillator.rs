@@ -149,16 +149,12 @@ impl Oscillator {
         out.clear();
         out.resize(len, 0.0);
         let (step_re, step_im) = (w.cos(), w.sin());
-        if backend == crate::simd::Backend::Scalar {
-            self.recurrence_segment(start_index, w, step_re, step_im, out);
-            return;
-        }
         // The anchor grid makes every aligned 256-sample block an independent
         // rotation chain, so a wide backend runs one chain per lane. The
         // ragged head (up to the first anchor) and tail (after the last full
         // block) go through the scalar segment, which re-anchors on the same
-        // absolute grid — outputs are bit-identical to the scalar path
-        // whatever the split.
+        // absolute grid — outputs are bit-identical to one segment over the
+        // whole span whatever the split.
         let interval = Self::RECURRENCE_ANCHOR_INTERVAL as usize;
         let head = ((Self::RECURRENCE_ANCHOR_INTERVAL
             - (start_index % Self::RECURRENCE_ANCHOR_INTERVAL))
@@ -203,9 +199,9 @@ impl Oscillator {
     }
 
     /// The scalar phasor recurrence over one contiguous segment — the
-    /// golden-reference loop of [`Self::values_into_recurrence`], kept
-    /// verbatim: catch up from the grid anchor below `start_index`, then
-    /// rotate once per sample, re-anchoring exactly at every grid multiple.
+    /// golden reference of [`Self::values_into_recurrence`]: catch up from
+    /// the grid anchor below `start_index`, then rotate once per sample,
+    /// re-anchoring exactly at every grid multiple.
     fn recurrence_segment(
         &self,
         start_index: u64,
@@ -384,9 +380,9 @@ mod tests {
         // before, and just after anchors; lengths that end exactly on, one
         // short of, and one past the next anchor; a zero-length chunk; a
         // chunk that never reaches its first anchor (head >= len); and a
-        // span crossing the 64-chain batching boundary of the wide path.
-        // Every compiled backend must be bit-identical to the scalar golden
-        // reference at every point of the matrix.
+        // span crossing the 64-chain batching boundary of the chain path.
+        // Every available backend must be bit-identical to one scalar
+        // segment over the whole span at every point of the matrix.
         use crate::simd::Backend;
         let osc = Oscillator::new(237_000.0)
             .with_phase(1.1)
@@ -415,7 +411,10 @@ mod tests {
             }
             for &start in &starts {
                 for &len in &lens {
-                    osc.values_into_recurrence_dispatch(Backend::Scalar, start, len, fs, &mut want);
+                    let w = 2.0 * PI * osc.actual_frequency() / fs;
+                    want.clear();
+                    want.resize(len, 0.0);
+                    osc.recurrence_segment(start, w, w.cos(), w.sin(), &mut want);
                     osc.values_into_recurrence_dispatch(backend, start, len, fs, &mut got);
                     assert_eq!(got, want, "{} start {start} len {len}", backend.name());
                 }

@@ -501,9 +501,10 @@ impl StreamingDemodulator {
         let mut envelope = std::mem::take(&mut self.env_scratch);
         self.frontend.process_chunk_into(samples, &mut envelope);
         let mut out = Vec::new();
-        match analog::simd::active_backend() {
-            analog::simd::Backend::Scalar => self.track_and_sample(&envelope, &mut out),
-            wide => self.track_and_sample_block(wide, &envelope, &mut out),
+        if analog::simd::active_backend() == analog::simd::Backend::Scalar {
+            self.track_and_sample(&envelope, &mut out);
+        } else {
+            self.track_and_sample_block(&envelope, &mut out);
         }
         self.env_scratch = envelope;
         out
@@ -551,12 +552,7 @@ impl StreamingDemodulator {
     /// updating tracker and comparator for that sample, so a flip only ever
     /// affects later samples and the replay is exact: every output is
     /// bit-identical to [`Self::track_and_sample`].
-    fn track_and_sample_block(
-        &mut self,
-        backend: analog::simd::Backend,
-        envelope: &[f64],
-        out: &mut Vec<DemodResult>,
-    ) {
+    fn track_and_sample_block(&mut self, envelope: &[f64], out: &mut Vec<DemodResult>) {
         // The comparator warm-up (during which bits are forced low) is a
         // one-time startup region of a symbol — run it, and the tracker
         // seeding that spans the same samples, through the per-sample loop.
@@ -587,7 +583,6 @@ impl StreamingDemodulator {
             &mut scratch.lows,
         );
         self.comparator_high = analog::simd::hysteresis_words(
-            backend,
             env,
             &scratch.highs,
             &scratch.lows,
@@ -631,7 +626,6 @@ impl StreamingDemodulator {
                 );
                 words_base = idx + 1;
                 self.comparator_high = analog::simd::hysteresis_words(
-                    backend,
                     &env[words_base..],
                     &scratch.highs[words_base..],
                     &scratch.lows[words_base..],

@@ -34,12 +34,13 @@
 //! ## Exactness
 //!
 //! When an emission has no CFO and no channel offset (`step == 0`,
-//! `phi0 == 0`) the mixer takes a plain [`simd::accumulate_in_place`] pass
-//! over the pre-scaled samples — exactly `chunk[i] += s`, which keeps the
-//! single-channel engine stream bit-identical to `generate_long_trace`.
-//! Rotated emissions match the exact
-//! per-sample rotation (one phasor per sample) to rounding error rather
-//! than bit-for-bit: within 1e-9 relative to the packet amplitude.
+//! `phi0 == 0`) the mixer takes a plain accumulate pass over the pre-scaled
+//! samples — exactly `chunk[i] += s`, which keeps the single-channel engine
+//! stream bit-identical to `generate_long_trace`. Rotated emissions match
+//! the exact per-sample rotation (one phasor per sample) to rounding error
+//! rather than bit-for-bit: within 1e-9 relative to the packet amplitude.
+//! Both passes are plain scalar loops: AVX2 copies of them did not beat the
+//! scalar loops in end-to-end runs.
 //!
 //! ## Buffer lifecycle
 //!
@@ -49,7 +50,6 @@
 //! same scenario.
 
 use lora_phy::iq::Iq;
-use lora_phy::simd::{self, Backend};
 
 /// Absolute-grid anchor spacing (samples) for the fused rotation. Phase is
 /// re-anchored on every 256-sample boundary of the *wideband* sample index,
@@ -86,30 +86,22 @@ impl Emission {
     }
 }
 
-/// Start-sorted pending-emission queue with pooled buffers and
-/// backend-dispatched mixing kernels. See the [module docs](self).
+/// Start-sorted pending-emission queue with pooled buffers and slice
+/// mixing passes. See the [module docs](self).
 #[derive(Debug)]
 pub struct EmissionMixer {
     pending: Vec<Emission>,
     sample_pool: Vec<Vec<Iq>>,
     table_pool: Vec<Vec<Iq>>,
-    backend: Backend,
 }
 
 impl EmissionMixer {
-    /// A mixer using the process-wide dispatched SIMD backend.
+    /// An empty mixer.
     pub fn new() -> Self {
-        Self::with_backend(simd::active_backend())
-    }
-
-    /// A mixer pinned to an explicit backend (tests pin every available
-    /// backend against the scalar reference).
-    pub fn with_backend(backend: Backend) -> Self {
         EmissionMixer {
             pending: Vec::new(),
             sample_pool: Vec::new(),
             table_pool: Vec::new(),
-            backend,
         }
     }
 
@@ -184,7 +176,9 @@ impl EmissionMixer {
             let out = &mut chunk[(lo - pos) as usize..(hi - pos) as usize];
             let src = &e.samples[(lo - e.start) as usize..(hi - e.start) as usize];
             if !e.rotated() {
-                simd::accumulate_in_place(self.backend, out, src);
+                for (o, &s) in out.iter_mut().zip(src) {
+                    *o += s;
+                }
                 continue;
             }
             // Walk the absolute ANCHOR_BLOCK grid across [lo, hi).
@@ -197,13 +191,11 @@ impl EmissionMixer {
                 let t0 = (run_lo - base) as usize;
                 let o0 = (run_lo - lo) as usize;
                 let o1 = (run_hi - lo) as usize;
-                simd::rotate_table_accumulate(
-                    self.backend,
-                    &mut out[o0..o1],
-                    &src[o0..o1],
-                    anchor,
-                    &e.table[t0..],
-                );
+                // `out += src · (anchor · table)`, each complex product in
+                // the `Iq` multiply order.
+                for ((o, &s), &t) in out[o0..o1].iter_mut().zip(&src[o0..o1]).zip(&e.table[t0..]) {
+                    *o += s * (anchor * t);
+                }
                 run_lo = run_hi;
             }
         }
@@ -211,7 +203,6 @@ impl EmissionMixer {
             pending,
             sample_pool,
             table_pool,
-            ..
         } = self;
         pending.retain_mut(|e| {
             if e.end() > chunk_end {
@@ -280,8 +271,8 @@ mod tests {
         ]
     }
 
-    fn mix_partitioned(backend: Backend, total: usize, chunk_sizes: &[usize]) -> Vec<Iq> {
-        let mut mixer = EmissionMixer::with_backend(backend);
+    fn mix_partitioned(total: usize, chunk_sizes: &[usize]) -> Vec<Iq> {
+        let mut mixer = EmissionMixer::new();
         for (start, samples, cfo, off, fs) in fixture() {
             mixer.push(start, samples, cfo, off, fs);
         }
@@ -300,31 +291,26 @@ mod tests {
     }
 
     #[test]
-    fn matches_per_sample_reference_every_backend() {
+    fn matches_per_sample_reference() {
         let total = 3100;
         let mut reference = vec![Iq::ZERO; total];
         reference_mix(&mut reference, 0, &fixture());
-        for backend in Backend::ALL.iter().copied().filter(|b| b.available()) {
-            let got = mix_partitioned(backend, total, &[total]);
-            assert_eq!(got, reference, "{backend:?}");
-        }
+        assert_eq!(mix_partitioned(total, &[total]), reference);
     }
 
     #[test]
     fn chunk_partitioning_is_bit_invariant() {
         let total = 3100;
-        for backend in Backend::ALL.iter().copied().filter(|b| b.available()) {
-            let whole = mix_partitioned(backend, total, &[total]);
-            for sizes in [
-                vec![1usize],
-                vec![7, 64, 129],
-                vec![ANCHOR_BLOCK],
-                vec![ANCHOR_BLOCK + 1],
-                vec![1024, 11],
-            ] {
-                let split = mix_partitioned(backend, total, &sizes);
-                assert_eq!(split, whole, "{backend:?} sizes {sizes:?}");
-            }
+        let whole = mix_partitioned(total, &[total]);
+        for sizes in [
+            vec![1usize],
+            vec![7, 64, 129],
+            vec![ANCHOR_BLOCK],
+            vec![ANCHOR_BLOCK + 1],
+            vec![1024, 11],
+        ] {
+            let split = mix_partitioned(total, &sizes);
+            assert_eq!(split, whole, "sizes {sizes:?}");
         }
     }
 

@@ -14,7 +14,6 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use lora_phy::iq::{Iq, SampleBuffer};
-use lora_phy::simd::{self, Backend};
 
 use crate::units::{Db, Dbm, Hertz};
 
@@ -137,19 +136,18 @@ impl AwgnSource {
     /// the per-sample `*s += self.sample(variance)` loop, bit-identical to
     /// it and consuming the same RNG draw sequence.
     pub fn add_noise_in_place(&mut self, out: &mut [Iq], variance: f64) {
-        self.fill_blocks::<true>(out, (variance / 2.0).sqrt(), simd::active_backend());
+        self.fill_blocks::<true>(out, (variance / 2.0).sqrt());
     }
 
     /// Fills a slice with complex AWGN of the given per-sample variance —
     /// the block-pipelined form of `for s in out { *s = self.sample(v) }`,
     /// bit-identical to it and consuming the same RNG draw sequence.
     pub fn fill_noise_into(&mut self, out: &mut [Iq], variance: f64) {
-        self.fill_blocks::<false>(out, (variance / 2.0).sqrt(), simd::active_backend());
+        self.fill_blocks::<false>(out, (variance / 2.0).sqrt());
     }
 
     /// The staged block pipeline behind [`Self::fill_noise_into`] /
-    /// [`Self::add_noise_in_place`], with the SIMD backend explicit so tests
-    /// can pin every backend against the per-sample reference.
+    /// [`Self::add_noise_in_place`].
     ///
     /// Bit-identity argument, stage by stage (per block of at most
     /// [`NOISE_BLOCK`] complex samples):
@@ -165,10 +163,11 @@ impl AwgnSource {
     ///    same scalar `libm` calls as [`Self::gaussian`]; splitting them
     ///    into their own passes reorders no arithmetic. They stay scalar —
     ///    vectorised `ln`/`cos` would round differently.
-    /// 3. **Scale + interleave.** `std * (r·c)` per `f64` lane via
-    ///    [`simd::scaled_product`], elementwise in the scalar association
-    ///    order on every backend.
-    fn fill_blocks<const ACCUM: bool>(&mut self, out: &mut [Iq], std: f64, backend: Backend) {
+    /// 3. **Scale + interleave.** `std * (r·c)` per `f64` lane of the
+    ///    interleaved I/Q output, the association order of
+    ///    [`Self::sample_with_std`]. A scalar loop: an AVX2 copy did not beat
+    ///    it in end-to-end runs.
+    fn fill_blocks<const ACCUM: bool>(&mut self, out: &mut [Iq], std: f64) {
         let mut draws = [0u64; 4 * NOISE_BLOCK];
         let mut radius = [0.0f64; 2 * NOISE_BLOCK];
         let mut cosine = [0.0f64; 2 * NOISE_BLOCK];
@@ -189,13 +188,15 @@ impl AwgnSource {
                 *c = (2.0 * std::f64::consts::PI * *c).cos();
             }
             // Stage 3: scale and write the flat I/Q lanes.
-            simd::scaled_product::<ACCUM>(
-                backend,
-                &radius[..n_g],
-                &cosine[..n_g],
-                std,
-                &mut simd::iq_lanes_mut(chunk)[..n_g],
-            );
+            let lanes = lora_phy::simd::iq_lanes_mut(chunk);
+            for ((o, &r), &c) in lanes.iter_mut().zip(&radius[..n_g]).zip(&cosine[..n_g]) {
+                let v = std * (r * c);
+                if ACCUM {
+                    *o += v;
+                } else {
+                    *o = v;
+                }
+            }
         }
     }
 
@@ -394,40 +395,36 @@ mod tests {
     #[test]
     fn block_fill_is_bit_identical_to_per_sample_loop() {
         for &n in &FILL_SIZES {
-            for backend in Backend::ALL.iter().copied().filter(|b| b.available()) {
-                let mut reference_src = AwgnSource::new(0x5A1A);
-                let variance = 3.16e-12;
-                let reference: Vec<Iq> = (0..n).map(|_| reference_src.sample(variance)).collect();
-                let mut block_src = AwgnSource::new(0x5A1A);
-                let mut got = vec![Iq::ONE; n];
-                block_src.fill_blocks::<false>(&mut got, (variance / 2.0).sqrt(), backend);
-                assert_eq!(got, reference, "{backend:?} n={n}");
-                // The RNG advanced by exactly the same number of draws.
-                assert_eq!(
-                    block_src.sample(variance),
-                    reference_src.sample(variance),
-                    "{backend:?} n={n} rng state"
-                );
-            }
+            let mut reference_src = AwgnSource::new(0x5A1A);
+            let variance = 3.16e-12;
+            let reference: Vec<Iq> = (0..n).map(|_| reference_src.sample(variance)).collect();
+            let mut block_src = AwgnSource::new(0x5A1A);
+            let mut got = vec![Iq::ONE; n];
+            block_src.fill_blocks::<false>(&mut got, (variance / 2.0).sqrt());
+            assert_eq!(got, reference, "n={n}");
+            // The RNG advanced by exactly the same number of draws.
+            assert_eq!(
+                block_src.sample(variance),
+                reference_src.sample(variance),
+                "n={n} rng state"
+            );
         }
     }
 
     #[test]
     fn block_accumulate_is_bit_identical_to_per_sample_add() {
         for &n in &FILL_SIZES {
-            for backend in Backend::ALL.iter().copied().filter(|b| b.available()) {
-                let base: Vec<Iq> = (0..n).map(|i| Iq::new(i as f64 * 0.25, -1.5)).collect();
-                let variance = 0.125;
-                let mut reference_src = AwgnSource::new(99);
-                let mut reference = base.clone();
-                for s in &mut reference {
-                    *s += reference_src.sample(variance);
-                }
-                let mut block_src = AwgnSource::new(99);
-                let mut got = base.clone();
-                block_src.fill_blocks::<true>(&mut got, (variance / 2.0).sqrt(), backend);
-                assert_eq!(got, reference, "{backend:?} n={n}");
+            let base: Vec<Iq> = (0..n).map(|i| Iq::new(i as f64 * 0.25, -1.5)).collect();
+            let variance = 0.125;
+            let mut reference_src = AwgnSource::new(99);
+            let mut reference = base.clone();
+            for s in &mut reference {
+                *s += reference_src.sample(variance);
             }
+            let mut block_src = AwgnSource::new(99);
+            let mut got = base.clone();
+            block_src.fill_blocks::<true>(&mut got, (variance / 2.0).sqrt());
+            assert_eq!(got, reference, "n={n}");
         }
     }
 

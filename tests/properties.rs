@@ -444,3 +444,194 @@ proptest! {
         }
     }
 }
+
+/// Hostile-but-finite sample soup for the receivers: what the serve wire
+/// can deliver (finite `f32` I/Q pairs), cut into runs of extreme values.
+/// Each `u64` picks one segment: a run of `±f32::MAX` components, a run of
+/// zeros, a DC run, or a single-sample impulse between zeros.
+fn sample_soup(segments: &[u64]) -> Vec<lora_phy::iq::Iq> {
+    use lora_phy::iq::Iq;
+    const MAX: f64 = f32::MAX as f64;
+    const DC_LEVELS: [f64; 6] = [MAX, -MAX, 1.0, -1.0, 1e-3, f32::MIN_POSITIVE as f64];
+    let mut out = Vec::new();
+    for &seg in segments {
+        let len = 1 + (seg >> 8) as usize % 400;
+        let sign = |bit: u32| {
+            if seg >> (40 + bit % 20) & 1 == 0 {
+                MAX
+            } else {
+                -MAX
+            }
+        };
+        match seg % 4 {
+            0 => out.extend((0..len).map(|i| Iq::new(sign(2 * i as u32), sign(2 * i as u32 + 1)))),
+            1 => out.extend(std::iter::repeat_n(Iq::ZERO, len)),
+            2 => {
+                let re = DC_LEVELS[(seg >> 4) as usize % DC_LEVELS.len()];
+                let im = DC_LEVELS[(seg >> 30) as usize % DC_LEVELS.len()];
+                out.extend(std::iter::repeat_n(Iq::new(re, im), len));
+            }
+            _ => {
+                out.extend(std::iter::repeat_n(Iq::ZERO, len / 2));
+                out.push(Iq::new(sign(0), sign(1)));
+                out.extend(std::iter::repeat_n(Iq::ZERO, len / 2));
+            }
+        }
+    }
+    out
+}
+
+/// Feeds `samples` in chunks whose sizes cycle through `sizes`: a size `c`
+/// with `c % 4 == 0` is an empty chunk, `c % 4 == 1` a one-sample chunk,
+/// anything else `c` samples. Each cycle ends with a two-sample chunk, so
+/// the feed advances whatever `sizes` holds.
+fn feed_chunked(rx: &mut dyn saiyan::Receiver, samples: &[lora_phy::iq::Iq], sizes: &[usize]) {
+    let mut cycle = sizes.iter().chain(&[2]).cycle();
+    let mut pos = 0usize;
+    while pos < samples.len() {
+        let size = match *cycle.next().expect("endless cycle") {
+            c if c % 4 == 0 => 0,
+            c if c % 4 == 1 => 1,
+            c => c,
+        };
+        let end = (pos + size).min(samples.len());
+        let _ = rx.feed(&samples[pos..end]);
+        pos = end;
+    }
+}
+
+/// Feeds a whole trace in 2048-sample chunks and flushes.
+fn decode_whole(
+    rx: &mut dyn saiyan::Receiver,
+    samples: &[lora_phy::iq::Iq],
+) -> Vec<saiyan::GatewayPacket> {
+    let mut packets = Vec::new();
+    for chunk in samples.chunks(2048) {
+        packets.extend(rx.feed(chunk));
+    }
+    packets.extend(rx.flush());
+    packets
+}
+
+/// Builds one fresh receiver of a kind the soup fuzz drives.
+type MakeReceiver = fn() -> saiyan::BoxedReceiver;
+
+/// The receivers the soup fuzz drives, each paired with what a fresh
+/// instance decodes from the `single_sf7_bw500_k2_super` golden trace.
+struct SoupFixture {
+    trace: Vec<lora_phy::iq::Iq>,
+    receivers: Vec<(&'static str, MakeReceiver)>,
+    reference: Vec<Vec<saiyan::GatewayPacket>>,
+}
+
+fn soup_lora() -> LoraParams {
+    LoraParams::new(
+        SpreadingFactor::Sf7,
+        Bandwidth::Khz500,
+        BitsPerChirp::new(2).expect("valid"),
+    )
+}
+
+const SOUP_PAYLOAD_SYMBOLS: usize = 8;
+
+fn soup_fixture() -> &'static SoupFixture {
+    use saiyan::config::{SaiyanConfig, Variant};
+    use saiyan::gateway::{Gateway, GatewayChannel, GatewayConfig};
+    use saiyan::{BoxedReceiver, StreamingDemodulator};
+    static FIXTURE: std::sync::OnceLock<SoupFixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+        let golden = netsim::longtrace::read_golden(&dir, "single_sf7_bw500_k2_super")
+            .expect("golden fixture loads");
+        assert_eq!(golden.lora.sample_rate(), soup_lora().sample_rate());
+        assert_eq!(golden.truth[0].symbols.len(), SOUP_PAYLOAD_SYMBOLS);
+        fn streaming(cfg: SaiyanConfig) -> BoxedReceiver {
+            Box::new(StreamingDemodulator::new(cfg, SOUP_PAYLOAD_SYMBOLS))
+        }
+        let receivers: Vec<(&'static str, MakeReceiver)> = vec![
+            ("paper_default vanilla", || {
+                streaming(SaiyanConfig::paper_default(soup_lora(), Variant::Vanilla))
+            }),
+            ("paper_default super", || {
+                streaming(SaiyanConfig::paper_default(soup_lora(), Variant::Super))
+            }),
+            ("high_throughput vanilla", || {
+                streaming(
+                    SaiyanConfig::paper_default(soup_lora(), Variant::Vanilla).high_throughput(),
+                )
+            }),
+            ("high_throughput super", || {
+                streaming(
+                    SaiyanConfig::paper_default(soup_lora(), Variant::Super).high_throughput(),
+                )
+            }),
+            ("two-channel gateway", || {
+                // The golden channel passes through at the wideband rate; a
+                // 125 kHz channel at +500 kHz runs through the polyphase
+                // channelizer (decimation 4).
+                let narrow = LoraParams::new(
+                    SpreadingFactor::Sf7,
+                    Bandwidth::Khz125,
+                    BitsPerChirp::new(2).expect("valid"),
+                );
+                let channels = vec![
+                    GatewayChannel::new(
+                        0,
+                        0.0,
+                        SaiyanConfig::paper_default(soup_lora(), Variant::Super).high_throughput(),
+                        SOUP_PAYLOAD_SYMBOLS,
+                    ),
+                    GatewayChannel::new(
+                        1,
+                        500_000.0,
+                        SaiyanConfig::paper_default(narrow, Variant::Vanilla).high_throughput(),
+                        SOUP_PAYLOAD_SYMBOLS,
+                    ),
+                ];
+                let wideband = soup_lora().sample_rate();
+                Box::new(Gateway::new(GatewayConfig::new(wideband, channels)))
+            }),
+        ];
+        let trace = golden.trace.samples;
+        let reference = receivers
+            .iter()
+            .map(|(name, make)| {
+                let packets = decode_whole(make().as_mut(), &trace);
+                assert!(
+                    !packets.is_empty(),
+                    "{name}: a fresh receiver decodes the golden trace"
+                );
+                packets
+            })
+            .collect();
+        SoupFixture {
+            trace,
+            receivers,
+            reference,
+        }
+    })
+}
+
+// Sample-soup fuzz of every receiver the serve daemon can run: hostile but
+// finite input must never panic one, and `reset` must leave it decoding
+// exactly as a fresh instance does.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn receivers_never_panic_on_finite_sample_soup(
+        segments in proptest::collection::vec(any::<u64>(), 1..10),
+        sizes in proptest::collection::vec(0usize..600, 1..8),
+    ) {
+        let fixture = soup_fixture();
+        let soup = sample_soup(&segments);
+        for ((name, make), reference) in fixture.receivers.iter().zip(&fixture.reference) {
+            let mut rx = make();
+            feed_chunked(rx.as_mut(), &soup, &sizes);
+            let _ = rx.flush();
+            rx.reset();
+            let decoded = decode_whole(rx.as_mut(), &fixture.trace);
+            prop_assert_eq!(&decoded, reference, "{} after soup and reset", name);
+        }
+    }
+}

@@ -2,15 +2,16 @@
 //!
 //! The SIMD dispatch contract (`docs/ARCHITECTURE.md` §4) is that every
 //! backend computes the *same floating-point expression tree* as the scalar
-//! reference, so outputs are bit-identical — not merely close — for every
-//! kernel except none at all (the anchored oscillator fast path is also
-//! bit-identical, because its wide lanes mirror the scalar recurrence order;
-//! the ≤2-ULP allowance the contract grants it is never actually needed).
-//! This suite enforces that: each proptest case runs one kernel under every
-//! backend the CPU can execute and compares the raw bits against
-//! [`Backend::Scalar`], including random chunk partitions for the kernels
-//! that carry state across chunks, plus a forced-`SAIYAN_SIMD` child-process
-//! smoke test for the env override.
+//! path, so outputs are bit-identical — not merely close — for every kernel
+//! (the anchored oscillator fast path too, because its wide lanes mirror the
+//! scalar recurrence order; the ≤2-ULP allowance the contract grants it is
+//! never actually needed). This suite enforces that: each proptest case runs
+//! one kernel under every backend the CPU can execute and compares the raw
+//! bits against [`Backend::Scalar`], including random chunk partitions for
+//! the kernels that carry state across chunks, plus a forced-`SAIYAN_SIMD`
+//! child-process smoke test for the env override. The comparator scan has
+//! one path on every backend and is pinned against the per-sample
+//! recurrence instead.
 
 use analog::simd::{self, Backend};
 use analog::ComplexFirState;
@@ -220,37 +221,11 @@ proptest! {
         }
     }
 
-    /// Split-complex de/interleave: pure data movement, bit-identical, and
-    /// append semantics preserved (existing plane contents untouched).
-    #[test]
-    fn deinterleave_interleave_match_scalar(
-        samples in collection::vec(sane_iq(), 0..130),
-        prefix in collection::vec(sane_f64(), 0..9),
-    ) {
-        for b in backends() {
-            let mut re = prefix.clone();
-            let mut im = prefix.clone();
-            simd::deinterleave_extend(b, &samples, &mut re, &mut im);
-            let mut ref_re = prefix.clone();
-            let mut ref_im = prefix.clone();
-            simd::deinterleave_extend(Backend::Scalar, &samples, &mut ref_re, &mut ref_im);
-            prop_assert_eq!(re.iter().map(|&x| bits(x)).collect::<Vec<_>>(),
-                            ref_re.iter().map(|&x| bits(x)).collect::<Vec<_>>(),
-                            "deinterleave re, backend {}", b.name());
-            prop_assert_eq!(im.iter().map(|&x| bits(x)).collect::<Vec<_>>(),
-                            ref_im.iter().map(|&x| bits(x)).collect::<Vec<_>>(),
-                            "deinterleave im, backend {}", b.name());
-            // Round trip back through interleave_extend.
-            let mut round = vec![Iq::new(3.0, 4.0)];
-            simd::interleave_extend(b, &re[prefix.len()..], &im[prefix.len()..], &mut round);
-            prop_assert_eq!(iq_bits(&round[1..]), iq_bits(&samples), "interleave, backend {}", b.name());
-            prop_assert_eq!(iq_bits(&round[..1]), iq_bits(&[Iq::new(3.0, 4.0)]), "interleave prefix, backend {}", b.name());
-        }
-    }
-
-    /// Double-threshold comparator scan: identical decisions and final state
-    /// per backend, for whole buffers and across random chunk partitions
-    /// with the hysteresis state threaded through.
+    /// Double-threshold comparator scan (one path on every backend): the
+    /// per-sample hysteresis recurrence's decisions and final state, for
+    /// whole buffers and across random chunk partitions with the state
+    /// threaded through, and the word-mask variant against per-sample
+    /// thresholds.
     #[test]
     fn hysteresis_matches_scalar_and_chunking(
         values in collection::vec(-2.0f64..2.0, 0..200),
@@ -260,31 +235,35 @@ proptest! {
         cuts in collection::vec(0usize..300, 0..4),
     ) {
         let low = high - margin;
-        let mut reference = Vec::new();
-        let ref_state = simd::hysteresis_scan(Backend::Scalar, &values, high, low, start, &mut reference);
-        for b in backends() {
-            let mut out = Vec::new();
-            let state = simd::hysteresis_scan(b, &values, high, low, start, &mut out);
-            prop_assert_eq!(&out, &reference, "hysteresis, backend {}", b.name());
-            prop_assert_eq!(state, ref_state, "hysteresis state, backend {}", b.name());
-            // Random partition with carried state.
-            let mut split = Vec::new();
-            let mut st = start;
-            for &(lo, hi) in &partition_from_cuts(values.len(), &cuts) {
-                st = simd::hysteresis_scan(b, &values[lo..hi], high, low, st, &mut split);
-            }
-            prop_assert_eq!(&split, &reference, "hysteresis split, backend {}", b.name());
-            prop_assert_eq!(st, ref_state, "hysteresis split state, backend {}", b.name());
-            // Word-mask variant against per-sample thresholds.
-            let highs = vec![high; values.len()];
-            let lows = vec![low; values.len()];
-            let mut words = Vec::new();
-            let wstate = simd::hysteresis_words(b, &values, &highs, &lows, start, &mut words);
-            prop_assert_eq!(wstate, ref_state, "hysteresis_words state, backend {}", b.name());
-            for (i, &decision) in reference.iter().enumerate() {
-                let bit = (words[i / 64] >> (i % 64)) & 1 == 1;
-                prop_assert_eq!(bit, decision, "hysteresis_words bit {}, backend {}", i, b.name());
-            }
+        let mut ref_state = start;
+        let reference: Vec<bool> = values
+            .iter()
+            .map(|&v| {
+                ref_state = if ref_state { v >= low } else { v >= high };
+                ref_state
+            })
+            .collect();
+        let mut out = Vec::new();
+        let state = simd::hysteresis_scan(&values, high, low, start, &mut out);
+        prop_assert_eq!(&out, &reference, "hysteresis");
+        prop_assert_eq!(state, ref_state, "hysteresis state");
+        // Random partition with carried state.
+        let mut split = Vec::new();
+        let mut st = start;
+        for &(lo, hi) in &partition_from_cuts(values.len(), &cuts) {
+            st = simd::hysteresis_scan(&values[lo..hi], high, low, st, &mut split);
+        }
+        prop_assert_eq!(&split, &reference, "hysteresis split");
+        prop_assert_eq!(st, ref_state, "hysteresis split state");
+        // Word-mask variant against per-sample thresholds.
+        let highs = vec![high; values.len()];
+        let lows = vec![low; values.len()];
+        let mut words = Vec::new();
+        let wstate = simd::hysteresis_words(&values, &highs, &lows, start, &mut words);
+        prop_assert_eq!(wstate, ref_state, "hysteresis_words state");
+        for (i, &decision) in reference.iter().enumerate() {
+            let bit = (words[i / 64] >> (i % 64)) & 1 == 1;
+            prop_assert_eq!(bit, decision, "hysteresis_words bit {}", i);
         }
     }
 
