@@ -24,11 +24,8 @@
 //! `--waveform-cap 100` `--max-wall-s <budget>` (exits non-zero if the
 //! whole sweep's wall time exceeds it) `--check-floor <min PRR>` (the gate
 //! applies to the worst waveform-path PRR among the non-ALOHA policies,
-//! falling back to the worst analytic-path one when no waveform row ran)
-//! `--check-realtime-floor <x>` (gates the slowest waveform row's
-//! simulated-seconds-per-wall-second factor — the synthesis fast-path
-//! headline, also recorded in the snapshot as `waveform_realtime`).
-//! Results land in `results/network_scale.json` and `BENCH_network.json`.
+//! falling back to the worst analytic-path one when no waveform row ran).
+//! Results land in `results/network_scale.json`.
 
 use netsim::engine::{EngineOutcome, EngineReport, EngineScenario, MacPolicy, NetworkEngine};
 use saiyan_bench::{fmt, trial_seeds, Runner};
@@ -142,7 +139,6 @@ fn main() {
     );
     let mut gate_prr = f64::INFINITY;
     let mut analytic_gate_prr = f64::INFINITY;
-    let mut waveform_realtime_min = f64::INFINITY;
     let mut total_wall_s = 0.0;
 
     for &tags in &tag_counts {
@@ -188,9 +184,6 @@ fn main() {
                     } else {
                         analytic_gate_prr = analytic_gate_prr.min(r.prr());
                     }
-                }
-                if backend == "waveform" && realtime.is_finite() {
-                    waveform_realtime_min = waveform_realtime_min.min(realtime);
                 }
                 runner.row(
                     vec![
@@ -255,20 +248,6 @@ fn main() {
          Fixed/Hopping schedules are collision-free and gate the CI floor."
             .to_string(),
     );
-    if waveform_realtime_min.is_finite() {
-        runner.footer(format!(
-            "Waveform synthesis fast path: slowest waveform row ran at \
-             {waveform_realtime_min:.2}x realtime (template-cache assembly, block AWGN, \
-             anchored SIMD emission mixing)."
-        ));
-        runner.annotate(
-            "waveform_realtime",
-            serde_json::json!({
-                "metric": "waveform x realtime (slowest row)",
-                "value": waveform_realtime_min,
-            }),
-        );
-    }
     if run_waveform && gate_prr.is_finite() {
         runner.gate("waveform PRR (worst non-ALOHA policy)", gate_prr);
     } else if analytic_gate_prr.is_finite() {
@@ -280,21 +259,7 @@ fn main() {
              non-ALOHA row (backend {backend:?}, policies {policies:?})"
         );
     }
-    runner.snapshot("BENCH_network.json");
     runner.finish();
-    if let Some(floor) = arg_value("--check-realtime-floor") {
-        let floor: f64 = floor.parse().expect("check-realtime-floor");
-        assert!(
-            waveform_realtime_min.is_finite(),
-            "--check-realtime-floor gates the waveform realtime factor, but this \
-             invocation produced no waveform row (backend {backend:?})"
-        );
-        saiyan_bench::enforce_floor(
-            "waveform x realtime (slowest row)",
-            waveform_realtime_min,
-            Some(floor),
-        );
-    }
     if let Some(budget) = max_wall_s {
         assert!(
             total_wall_s <= budget,

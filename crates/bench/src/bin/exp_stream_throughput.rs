@@ -18,10 +18,11 @@
 //!   anchored phasor-recurrence oscillator. This is the profile the
 //!   multi-channel gateway deploys.
 //!
-//! With `--check-floor <x>` the binary exits non-zero if the *headline*
-//! (production, slowest variant) realtime factor drops below `x` — the CI
-//! regression gate. Results land in `results/stream_throughput.json` and the
-//! top-level `BENCH_streaming.json`.
+//! The binary exits non-zero if any row, exact or production, decodes fewer
+//! than every packet or makes a symbol error. With `--check-floor <x>` it
+//! also exits non-zero if the *headline* (production, slowest variant)
+//! realtime factor drops below `x` — the CI regression gate. Results land in
+//! `results/stream_throughput.json`.
 
 use std::time::Instant;
 
@@ -29,10 +30,7 @@ use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use netsim::longtrace::{generate_long_trace, random_payloads, LongTraceConfig, TracePacket};
 use saiyan::config::{SaiyanConfig, Variant};
 use saiyan::StreamingDemodulator;
-use saiyan_bench::{
-    check_floor_arg, enforce_floor, fmt, print_simd_report, simd_metadata, write_json,
-    write_json_at, Table,
-};
+use saiyan_bench::{check_floor_arg, enforce_floor, fmt, print_simd_report, write_json, Table};
 
 const PACKETS: usize = 12;
 const PAYLOAD_SYMBOLS: usize = 16;
@@ -81,7 +79,7 @@ fn main() {
     );
     let mut json_rows = Vec::new();
     let mut headline: f64 = f64::INFINITY;
-    let mut exact_min: f64 = f64::INFINITY;
+    let mut failed_rows = Vec::new();
     for production in [false, true] {
         let profile = if production { "production" } else { "exact" };
         for variant in Variant::ALL {
@@ -121,8 +119,13 @@ fn main() {
             let realtime = samples_per_sec / trace.sample_rate;
             if production {
                 headline = headline.min(realtime);
-            } else {
-                exact_min = exact_min.min(realtime);
+            }
+            if decoded < truth.len() || symbol_errors > 0 {
+                failed_rows.push(format!(
+                    "{profile} {}: {decoded}/{} decoded, {symbol_errors} symbol errors",
+                    variant.label(),
+                    truth.len()
+                ));
             }
             table.add_row(vec![
                 profile.to_string(),
@@ -149,17 +152,13 @@ fn main() {
         trace.sample_rate / 1e6
     );
     print_simd_report();
-    let summary = serde_json::json!({
-        "bench": "exp_stream_throughput",
-        "simd": simd_metadata(),
-        "sample_rate": trace.sample_rate,
-        "chunk_samples": CHUNK_SAMPLES,
-        "realtime_factor_headline": headline,
-        "realtime_factor_exact_min": exact_min,
-        "rows": serde_json::json!(json_rows.clone()),
-    });
     write_json("stream_throughput", &serde_json::json!(json_rows));
-    write_json_at("BENCH_streaming.json", &summary);
+    if !failed_rows.is_empty() {
+        for row in &failed_rows {
+            eprintln!("decode FAIL: {row}");
+        }
+        std::process::exit(1);
+    }
     enforce_floor(
         "production realtime factor (slowest variant)",
         headline,

@@ -89,17 +89,6 @@ pub fn fmt(value: f64, decimals: usize) -> String {
     format!("{value:.decimals$}")
 }
 
-/// The SIMD dispatch report as JSON metadata for `BENCH_*.json` snapshots,
-/// so every archived measurement records the ISA it ran on.
-pub fn simd_metadata() -> serde_json::Value {
-    let r = analog::simd::simd_report();
-    serde_json::json!({
-        "backend": r.backend,
-        "f64_lanes": r.f64_lanes,
-        "forced": r.forced,
-    })
-}
-
 /// Prints the selected SIMD backend (one line, shared by the `exp_*` bins).
 pub fn print_simd_report() {
     println!("simd: {}", analog::simd::simd_report());
@@ -126,8 +115,7 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
 }
 
 /// Writes a JSON value to an explicit path (best effort, like
-/// [`write_json`]) — used for the top-level `BENCH_*.json` perf snapshots CI
-/// archives and compares across commits.
+/// [`write_json`]) — used by `serve_daemon` for its telemetry file.
 pub fn write_json_at(path: impl Into<PathBuf>, value: &serde_json::Value) {
     let path = path.into();
     match serde_json::to_string_pretty(value) {

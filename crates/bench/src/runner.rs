@@ -23,7 +23,7 @@
 //! runner.finish();
 //! ```
 
-use crate::{check_floor_arg, enforce_floor, write_json, write_json_at, Table};
+use crate::{check_floor_arg, enforce_floor, write_json, Table};
 
 /// Deterministic per-trial seeds for Monte-Carlo sweeps: `trials` seeds
 /// derived from one base seed by a splitmix-style mix, so adding a trial
@@ -47,8 +47,6 @@ pub struct Runner {
     json_rows: Vec<serde_json::Value>,
     footers: Vec<String>,
     gate: Option<(String, f64)>,
-    annotations: Vec<(String, serde_json::Value)>,
-    snapshot_path: Option<String>,
 }
 
 impl Runner {
@@ -61,8 +59,6 @@ impl Runner {
             json_rows: Vec::new(),
             footers: Vec::new(),
             gate: None,
-            annotations: Vec::new(),
-            snapshot_path: None,
         }
     }
 
@@ -84,57 +80,21 @@ impl Runner {
         self.gate = Some((metric.into(), value));
     }
 
-    /// Attaches an extra top-level field to the snapshot file — secondary
-    /// headline metrics beyond the single floor-gated one (e.g. a realtime
-    /// factor next to a PRR gate). Keys repeat last-wins.
-    pub fn annotate(&mut self, key: impl Into<String>, value: serde_json::Value) {
-        self.annotations.push((key.into(), value));
-    }
-
-    /// Additionally writes the JSON rows to a top-level snapshot file
-    /// (e.g. `BENCH_network.json`) that CI archives across commits.
-    pub fn snapshot(&mut self, path: impl Into<String>) {
-        self.snapshot_path = Some(path.into());
-    }
-
     /// Number of rows recorded so far.
     pub fn rows(&self) -> usize {
         self.json_rows.len()
     }
 
-    /// Prints the table and footers, writes the JSON artifacts, and
+    /// Prints the table and footers, writes `results/<name>.json`, and
     /// enforces the floor gate if `--check-floor` was passed (exits
-    /// non-zero on a violation). Snapshot files record the SIMD backend the
-    /// rows were measured on, and the floor gate checks the same headline
-    /// value the snapshot carries.
+    /// non-zero on a violation).
     pub fn finish(self) {
         self.table.print();
         for line in &self.footers {
             println!("{line}");
         }
         crate::print_simd_report();
-        let rows = serde_json::json!(self.json_rows.clone());
-        write_json(self.name, &rows);
-        if let Some(path) = &self.snapshot_path {
-            let mut snapshot = serde_json::json!({
-                "bench": self.name,
-                "simd": crate::simd_metadata(),
-                "headline": self.gate.as_ref().map(|(m, v)| {
-                    serde_json::json!({ "metric": m.as_str(), "value": *v })
-                }),
-                "rows": rows,
-            });
-            if let serde_json::Value::Object(map) = &mut snapshot {
-                for (key, value) in &self.annotations {
-                    if let Some(slot) = map.iter_mut().find(|(k, _)| k == key) {
-                        slot.1 = value.clone();
-                    } else {
-                        map.push((key.clone(), value.clone()));
-                    }
-                }
-            }
-            write_json_at(path.clone(), &snapshot);
-        }
+        write_json(self.name, &serde_json::json!(self.json_rows));
         if let Some((metric, value)) = self.gate {
             enforce_floor(&metric, value, check_floor_arg());
         }

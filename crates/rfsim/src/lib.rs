@@ -11,8 +11,6 @@
 //! * [`channel`] — waveform-level channel applying gain, CFO, interference
 //!   and noise to IQ buffers;
 //! * [`interference`] — CW / wideband / pulsed jammers;
-//! * [`spectrum`] — energy-detection spectrum sensing for the channel-hopping
-//!   workflow;
 //! * [`temperature`] — the diurnal temperature schedule of Fig. 24.
 
 #![warn(missing_docs)]
@@ -22,7 +20,6 @@ pub mod interference;
 pub mod link;
 pub mod noise;
 pub mod pathloss;
-pub mod spectrum;
 pub mod temperature;
 pub mod units;
 
@@ -31,6 +28,5 @@ pub use interference::{InterferenceKind, Interferer};
 pub use link::{paper_downlink, BackscatterLink, BackscatterTagModel, Link, Radio};
 pub use noise::{thermal_noise_floor, AwgnSource, NoiseModel, BOLTZMANN};
 pub use pathloss::{free_space_path_loss, Environment, PathLossModel};
-pub use spectrum::{ChannelMeasurement, SpectrumSensor};
 pub use temperature::TemperatureSchedule;
 pub use units::{sum_dbm, Celsius, Db, Dbm, Hertz, Meters, Watts};

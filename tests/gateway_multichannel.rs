@@ -18,8 +18,8 @@ use saiyan_mac::{AccessPoint, ChannelTable, Command, TagId, UplinkPacket};
 ///
 /// 2x oversampling only supports the vanilla chain — the shifting chain's
 /// intermediate frequency Δf = BW needs fs > 2·BW strictly — and it is the
-/// cost point that keeps four concurrent channels at ≥1x realtime on a
-/// single core (see `exp_gateway_throughput`). The narrow-band streaming
+/// cost point that keeps four concurrent channels well above realtime (see
+/// perfbench's `gateway-4ch` workload). The narrow-band streaming
 /// profile (`SaiyanConfig::narrowband_streaming`) adapts the threshold
 /// tracker to the smaller SAW amplitude gap at 250 kHz. The shifting/super
 /// variants are exercised through the channelizer at 4x oversampling below.

@@ -1,14 +1,11 @@
 //! Integration tests of the waveform-level receive chain's qualitative
-//! properties: the correlator's low-SNR advantage and spectrum-sensing-driven
-//! hopping.
+//! properties: the correlator's low-SNR advantage.
 
 use lora_phy::modulator::{Alphabet, Modulator};
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use rfsim::channel::dbm_to_buffer_power;
-use rfsim::interference::Interferer;
 use rfsim::noise::AwgnSource;
-use rfsim::spectrum::SpectrumSensor;
-use rfsim::units::{Dbm, Hertz};
+use rfsim::units::Dbm;
 use saiyan::metrics::ErrorCounts;
 use saiyan::{SaiyanConfig, SaiyanDemodulator, Variant};
 
@@ -75,40 +72,4 @@ fn correlation_decoding_beats_peak_decoding_at_low_snr() {
         "correlator SER {}",
         super_counts.ser()
     );
-}
-
-#[test]
-fn spectrum_sensor_feeds_the_hopping_controller() {
-    // A jammer on channel 0 of the 433 MHz plan is detected by the sensor and
-    // the hopping controller moves the network off the jammed channel.
-    let sensor = SpectrumSensor::paper_433mhz();
-    let fs = 8.0e6;
-    let jammer = Interferer {
-        kind: rfsim::interference::InterferenceKind::ContinuousWave,
-        received_power: Dbm(-55.0),
-        offset: Hertz(-1.0e6), // 433.0 MHz when the capture is centred at 434.0 MHz
-        seed: 7,
-    };
-    let mut capture = jammer.waveform(65_536, fs);
-    let mut awgn = AwgnSource::new(8);
-    awgn.add_to(&mut capture, dbm_to_buffer_power(Dbm(-110.0)));
-    let scan = sensor.scan(&capture, Hertz::from_mhz(434.0));
-
-    let mut controller = saiyan_mac::HoppingController::new(
-        saiyan_mac::ChannelTable::paper_433mhz(),
-        0,
-        sensor.busy_threshold.value(),
-    )
-    .unwrap();
-    for m in &scan {
-        controller
-            .record_interference(m.channel as u8, m.power.value().max(-200.0))
-            .unwrap();
-    }
-    assert!(controller.current_channel_jammed());
-    let hop = controller.maybe_hop().expect("controller should hop");
-    match hop.command {
-        saiyan_mac::Command::ChannelHop { channel } => assert_ne!(channel, 0),
-        other => panic!("unexpected command {other:?}"),
-    }
 }

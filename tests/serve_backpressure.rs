@@ -8,14 +8,23 @@
 //!   outcome, handle, stream stats, daemon telemetry).
 //! * Blocking mode never drops anything, no matter how hard the producer
 //!   pushes: every frame reaches the receiver, in order.
+//! * Under real load — 1, 2, 4 and 8 concurrent clients replaying a capture
+//!   into production-profile receivers — blocking mode delivers every packet
+//!   of every stream with the transmitted symbols, and the receiver pool
+//!   recycles instances across the sweep.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use lora_phy::iq::Iq;
+use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+use netsim::longtrace::{generate_long_trace, random_payloads, LongTraceConfig, TracePacket};
+use saiyan::config::{SaiyanConfig, Variant};
 use saiyan::gateway::GatewayPacket;
-use saiyan::{BoxedReceiver, FreshExecutor, Receiver};
-use saiyan_serve::{BackpressurePolicy, PushOutcome, ServeConfig, ServeDaemon};
+use saiyan::{
+    BoxedReceiver, FreshExecutor, PooledExecutor, Receiver, ReceiverExecutor, StreamingDemodulator,
+};
+use saiyan_serve::{samples_to_bytes, BackpressurePolicy, PushOutcome, ServeConfig, ServeDaemon};
 
 /// A permit gate: `feed` acquires one permit per frame, the test releases
 /// them, so queue occupancy between release points is exact.
@@ -224,4 +233,115 @@ fn queue_depth_gauge_tracks_occupancy() {
     gate.release(4);
     handle.close();
     daemon.shutdown();
+}
+
+#[test]
+fn blocking_mode_delivers_every_packet_to_one_through_eight_real_streams() {
+    const STREAMS: [usize; 4] = [1, 2, 4, 8];
+    const PAYLOAD_SYMBOLS: usize = 16;
+    const CHUNK_BYTES: usize = 4096 * saiyan_serve::wire::BYTES_PER_SAMPLE;
+
+    let lora = LoraParams::new(
+        SpreadingFactor::Sf7,
+        Bandwidth::Khz500,
+        BitsPerChirp::new(2).expect("valid"),
+    );
+    let payloads = random_payloads(6, PAYLOAD_SYMBOLS, lora.bits_per_chirp, 0x5E7F_10AD);
+    let packets: Vec<TracePacket> = payloads
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            TracePacket::new(
+                p.clone(),
+                -48.0 - (i % 3) as f64 * 2.0,
+                if i == 0 { 4.0 } else { 16.0 },
+            )
+        })
+        .collect();
+    let (trace, truth) =
+        generate_long_trace(&LongTraceConfig::new(lora).with_noise(-82.0), &packets);
+    let bytes = Arc::new(samples_to_bytes(&trace.samples));
+
+    let cfg = SaiyanConfig::paper_default(lora, Variant::Vanilla).high_throughput();
+    let factory = Arc::new(move || {
+        Box::new(StreamingDemodulator::new(cfg.clone(), PAYLOAD_SYMBOLS)) as BoxedReceiver
+    });
+    let executor = Arc::new(PooledExecutor::new(factory, 8));
+    let daemon = ServeDaemon::new(
+        executor.clone(),
+        ServeConfig::default()
+            .with_queue_depth(8)
+            .with_policy(BackpressurePolicy::Block),
+    );
+
+    for n in STREAMS {
+        // Every stream of the row checks its receiver out before any client
+        // sends, and each worker checks it back in before it reports, so the
+        // pool counts below do not depend on thread timing.
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                daemon
+                    .open_stream(format!("load-{n}-{i}"))
+                    .expect("daemon running")
+            })
+            .collect();
+        let clients: Vec<_> = handles
+            .into_iter()
+            .map(|handle| {
+                let bytes = Arc::clone(&bytes);
+                std::thread::spawn(move || {
+                    for chunk in bytes.chunks(CHUNK_BYTES) {
+                        assert_eq!(
+                            handle.send_bytes(chunk.to_vec()),
+                            Ok(PushOutcome::Enqueued),
+                            "blocking push must enqueue"
+                        );
+                    }
+                    handle.wait()
+                })
+            })
+            .collect();
+        for client in clients {
+            let report = client.join().expect("client thread");
+            assert_eq!(
+                report.stats.dropped_chunks, 0,
+                "{}: blocking mode never drops",
+                report.name
+            );
+            assert_eq!(
+                report.packets.len(),
+                truth.len(),
+                "{}: every packet delivered",
+                report.name
+            );
+            for t in &truth {
+                let t_payload = t.payload_start_sample as f64 / trace.sample_rate;
+                let decoded = report
+                    .packets
+                    .iter()
+                    .find(|p| {
+                        (p.result.payload_start_time - t_payload).abs() < lora.symbol_duration()
+                    })
+                    .unwrap_or_else(|| {
+                        panic!("{}: packet at {t_payload:.4} s missing", report.name)
+                    });
+                assert_eq!(
+                    decoded.result.symbols, t.symbols,
+                    "{}: packet at {t_payload:.4} s decodes the transmitted symbols",
+                    report.name
+                );
+            }
+        }
+    }
+    daemon.shutdown();
+    assert_eq!(
+        executor.built(),
+        8,
+        "one receiver built per concurrent stream"
+    );
+    assert_eq!(
+        executor.reused(),
+        7,
+        "rows after the first reuse parked receivers"
+    );
 }
