@@ -50,6 +50,13 @@ pub struct PeakDecoder {
 }
 
 impl PeakDecoder {
+    /// Fraction of a preamble train's median peak amplitude below which a
+    /// leading train member is taken for an onset transient rather than a
+    /// preamble peak (see [`Self::preamble_anchor`]). Preamble peaks differ
+    /// by a few dB with the sampler phase; the onset transient sits ~40 dB
+    /// down.
+    pub const MIN_PEAK_FRACTION: f64 = 0.1;
+
     /// Creates a decoder for the given PHY parameters.
     pub fn new(params: LoraParams) -> Self {
         PeakDecoder {
@@ -147,26 +154,33 @@ impl PeakDecoder {
     }
 
     /// Robust preamble anchor: the first peak time and supporting count of
-    /// the longest regular train, with leading and trailing members trimmed
-    /// when their spacing deviates from the train's *median* spacing by more
-    /// than a tenth of a symbol.
+    /// the longest regular train in `edges`, trimmed in two steps.
+    /// `peaks[i]` is the envelope maximum over the high run that ends at
+    /// `edges[i]`.
     ///
-    /// The ±25 % spacing tolerance that keeps the train search robust also
-    /// lets spurious noise edges (comparator chatter just before a packet)
-    /// chain onto the front of the true preamble train, which would drag the
-    /// timing anchor up to two symbols early. The true preamble's spacings
-    /// are sampler-quantised tightly around one symbol, so a median-spacing
-    /// trim removes the imposters without loosening the search.
-    pub fn preamble_anchor(&self, edges: &[f64]) -> Option<(f64, usize)> {
+    /// 1. Leading and trailing members are dropped when their spacing
+    ///    deviates from the train's *median* spacing by more than a tenth of
+    ///    a symbol. The ±25 % spacing tolerance that keeps the train search
+    ///    robust also lets spurious noise edges (comparator chatter just
+    ///    before a packet) chain onto the front of the true preamble train,
+    ///    which would drag the timing anchor up to two symbols early. The
+    ///    true preamble's spacings are sampler-quantised tightly around one
+    ///    symbol, so a median-spacing trim removes those imposters.
+    /// 2. Leading members whose peak is below [`Self::MIN_PEAK_FRACTION`] of
+    ///    the remaining members' median peak are dropped. A strong packet's
+    ///    abrupt onset leaves an envelope transient ~40 dB below the
+    ///    preamble peaks, about 0.94 symbol before the first of them: the
+    ///    comparator fires on it because the threshold tracker has seen
+    ///    nothing larger yet, and its spacing is within one sampler tick of
+    ///    a true preamble spacing, so step 1 cannot tell it apart.
+    pub fn preamble_anchor(&self, edges: &[f64], peaks: &[f64]) -> Option<(f64, usize)> {
         let members = self.regular_train_members(edges);
         let times: Vec<f64> = members.iter().map(|&i| edges[i]).collect();
         if times.len() < 3 {
             return times.first().map(|&t| (t, times.len()));
         }
         let spacings: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
-        let mut sorted = spacings.clone();
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2];
+        let median = median_of(&spacings);
         let tol = 0.1 * self.params.symbol_duration();
         let mut lo = 0usize;
         let mut hi = times.len() - 1; // inclusive index of the last member
@@ -175,6 +189,11 @@ impl PeakDecoder {
         }
         while hi > lo && (spacings[hi - 1] - median).abs() > tol {
             hi -= 1;
+        }
+        let member_peaks: Vec<f64> = members[lo..=hi].iter().map(|&i| peaks[i]).collect();
+        let floor = Self::MIN_PEAK_FRACTION * median_of(&member_peaks);
+        while lo < hi && peaks[members[lo]] < floor {
+            lo += 1;
         }
         Some((times[lo], hi - lo + 1))
     }
@@ -258,6 +277,13 @@ impl PeakDecoder {
             .map(|i| self.decode_symbol(stream, payload_start + i as f64 * t_sym))
             .collect()
     }
+}
+
+/// The upper median of a non-empty slice.
+fn median_of(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 #[cfg(test)]

@@ -362,8 +362,11 @@ pub struct StreamingDemodulator {
     /// Global tick index of the window's first retained sample.
     window_start_tick: u64,
     prev_bit: bool,
-    /// Falling-edge times (stream seconds) within the retained window.
-    edges: VecDeque<f64>,
+    /// Envelope maximum over the current (or last) high run of ticks.
+    run_peak: f64,
+    /// Falling edges within the retained window: (stream seconds, envelope
+    /// maximum over the high run the edge ends).
+    edges: VecDeque<(f64, f64)>,
     /// Maximum ticks to retain while searching (one packet plus slack).
     keep_ticks: usize,
     decoder: PeakDecoder,
@@ -431,6 +434,7 @@ impl StreamingDemodulator {
             env: VecDeque::new(),
             window_start_tick: 0,
             prev_bit: false,
+            run_peak: 0.0,
             edges: VecDeque::new(),
             keep_ticks,
             decoder,
@@ -691,10 +695,17 @@ impl StreamingDemodulator {
         if self.prev_bit && !bit {
             // Falling edge: the previous tick was the tail of a high run.
             let edge_time = (tick - 1) as f64 / self.sampler_rate;
-            self.edges.push_back(edge_time);
+            self.edges.push_back((edge_time, self.run_peak));
             if matches!(self.state, RxState::Searching) {
                 self.try_candidate();
             }
+        }
+        if bit {
+            self.run_peak = if self.prev_bit {
+                self.run_peak.max(env)
+            } else {
+                env
+            };
         }
         self.prev_bit = bit;
         self.bits.push_back(bit);
@@ -718,8 +729,8 @@ impl StreamingDemodulator {
         if self.edges.len() < self.decoder.min_preamble_peaks() {
             return;
         }
-        let edges: Vec<f64> = self.edges.iter().copied().collect();
-        if let Some((anchor, count)) = self.decoder.preamble_anchor(&edges) {
+        let (edges, peaks): (Vec<f64>, Vec<f64>) = self.edges.iter().copied().unzip();
+        if let Some((anchor, count)) = self.decoder.preamble_anchor(&edges, &peaks) {
             if count >= self.decoder.min_preamble_peaks() {
                 let timing = self.decoder.timing_from_first_peak(anchor, count);
                 let t_sym = self.config.lora.symbol_duration();
@@ -744,7 +755,7 @@ impl StreamingDemodulator {
             self.window_start_tick += 1;
         }
         let start_time = self.window_start_tick as f64 / self.sampler_rate;
-        while let Some(&e) = self.edges.front() {
+        while let Some(&(e, _)) = self.edges.front() {
             if e < start_time {
                 self.edges.pop_front();
             } else {
@@ -783,14 +794,14 @@ impl StreamingDemodulator {
             // The sync down-chirps start at full amplitude, so their falling
             // edges trail the last preamble peak; stop short of them.
             let hi = candidate.payload_start - 1.75 * t_sym;
-            let preamble_edges: Vec<f64> = self
+            let (preamble_edges, preamble_peaks): (Vec<f64>, Vec<f64>) = self
                 .edges
                 .iter()
                 .copied()
-                .filter(|&e| e >= lo && e <= hi)
-                .collect();
+                .filter(|&(e, _)| e >= lo && e <= hi)
+                .unzip();
             self.decoder
-                .preamble_anchor(&preamble_edges)
+                .preamble_anchor(&preamble_edges, &preamble_peaks)
                 .filter(|(_, count)| *count >= self.decoder.min_preamble_peaks())
                 .map(|(anchor, count)| self.decoder.timing_from_first_peak(anchor, count))
         };
@@ -839,7 +850,7 @@ impl StreamingDemodulator {
                 break;
             }
         }
-        while let Some(&e) = self.edges.front() {
+        while let Some(&(e, _)) = self.edges.front() {
             if e < t {
                 self.edges.pop_front();
             } else {
@@ -986,5 +997,47 @@ mod tests {
         let results = StreamingDemodulator::new(cfg, symbols.len()).run_to_end(&cut);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].symbols, symbols);
+    }
+
+    #[test]
+    fn strong_packets_are_timed_from_the_first_preamble_peak() {
+        // At 8x oversampling a strong packet's abrupt onset leaves a small
+        // envelope transient in the shifting chain, ~0.94 symbol before the
+        // first preamble peak. It must not join the preamble train: a
+        // one-symbol-early anchor shifts every payload symbol.
+        let lora = LoraParams::new(
+            SpreadingFactor::Sf7,
+            Bandwidth::Khz500,
+            BitsPerChirp::new(2).unwrap(),
+        )
+        .with_oversampling(8);
+        let symbols: Vec<u32> = (0..12).map(|i| (i * 7 + 3) % 4).collect();
+        let (wave, layout) = Modulator::new(lora)
+            .packet_with_guard(&symbols, Alphabet::Downlink, 2)
+            .unwrap();
+        let truth = layout.payload_start as f64 / lora.sample_rate();
+        let t_sym = lora.symbol_duration();
+        for variant in [Variant::WithShifting, Variant::Super] {
+            for noise in [None, Some(-111.0)] {
+                for rss in [-40.0, -45.0, -50.0, -53.0, -56.0] {
+                    let mut rx = wave
+                        .clone()
+                        .scaled((dbm_to_buffer_power(Dbm(rss)) / wave.mean_power()).sqrt());
+                    if let Some(np) = noise {
+                        AwgnSource::new(0x51).add_to(&mut rx, dbm_to_buffer_power(Dbm(np)));
+                    }
+                    let cfg = SaiyanConfig::paper_default(lora, variant);
+                    let results = StreamingDemodulator::new(cfg, symbols.len()).run_to_end(&rx);
+                    let case = format!("{variant:?} at {rss} dBm, noise {noise:?}");
+                    assert_eq!(results.len(), 1, "{case}");
+                    let offset = (results[0].payload_start_time - truth) / t_sym;
+                    assert!(
+                        offset.abs() <= 0.25,
+                        "{case}: timing off by {offset:.3} symbol"
+                    );
+                    assert_eq!(results[0].symbols, symbols, "{case}");
+                }
+            }
+        }
     }
 }
