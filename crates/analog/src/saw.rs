@@ -4,8 +4,8 @@
 //! converter: within the filter's *critical band* the amplitude response grows
 //! monotonically with frequency, so a frequency-modulated chirp comes out
 //! amplitude-modulated (paper §2.1, Fig. 5/6). We model the filter as a
-//! zero-phase LTI amplitude response applied in the frequency domain, built
-//! from the measured points reported in the paper:
+//! causal linear-phase FIR whose amplitude response follows the measured
+//! points reported in the paper:
 //!
 //! * insertion loss at the 434 MHz band edge: 10 dB;
 //! * 25 dB of amplitude growth from 433.5 MHz → 434 MHz (500 kHz);
@@ -16,7 +16,7 @@
 //! Temperature shifts the whole response in frequency (the filter's
 //! temperature coefficient of frequency), which is what Fig. 24 measures.
 
-use lora_phy::fft::{fft, ifft, next_power_of_two};
+use lora_phy::fft::ifft;
 use lora_phy::iq::{Iq, SampleBuffer};
 use rfsim::units::{Celsius, Db, Hertz};
 
@@ -183,46 +183,29 @@ impl SawFilter {
         Db(top.value() - bottom.value())
     }
 
-    /// Applies the filter to a complex baseband buffer whose 0 Hz corresponds
-    /// to `carrier` absolute frequency. The filter is applied as a zero-phase
-    /// amplitude response in the frequency domain.
-    pub fn apply(&self, input: &SampleBuffer, carrier: Hertz) -> SampleBuffer {
-        let n = input.len();
-        if n == 0 {
-            return input.clone();
-        }
-        let padded = next_power_of_two(n);
-        let mut data = input.samples.clone();
-        data.resize(padded, Iq::ZERO);
-        let mut spectrum = fft(&data).expect("padded to power of two");
-        let fs = input.sample_rate;
-        for (k, bin) in spectrum.iter_mut().enumerate() {
-            // FFT bin k maps to baseband frequency in [-fs/2, fs/2).
-            let fb = if (k as f64) < padded as f64 / 2.0 {
-                k as f64 * fs / padded as f64
-            } else {
-                (k as f64 - padded as f64) * fs / padded as f64
-            };
-            let absolute = Hertz(carrier.value() + fb);
-            let gain_amp = 10f64.powf(self.gain_at(absolute).value() / 20.0);
-            *bin = bin.scale(gain_amp);
-        }
-        let mut time = ifft(&spectrum).expect("padded to power of two");
-        time.truncate(n);
-        SampleBuffer::new(time, fs)
+    /// Applies the filter to a whole complex-baseband buffer whose 0 Hz
+    /// corresponds to `carrier`: the [`Self::streaming_fir`] kernel of
+    /// `n_taps` taps run over the buffer, with its group delay removed so
+    /// each output sample lines up with its input sample.
+    pub fn apply(&self, input: &SampleBuffer, carrier: Hertz, n_taps: usize) -> SampleBuffer {
+        let mut fir = self.streaming_fir(carrier, input.sample_rate, n_taps);
+        let delay = fir.delay_samples();
+        let mut padded = input.samples.clone();
+        padded.resize(input.len() + delay, Iq::ZERO);
+        let mut out = fir.filter_chunk(&padded);
+        out.drain(..delay);
+        SampleBuffer::new(out, input.sample_rate)
     }
 
-    /// Designs a causal FIR approximation of this filter for streaming use.
+    /// Designs the causal FIR realisation of this filter.
     ///
-    /// The batch [`Self::apply`] path filters in the frequency domain over the
-    /// whole capture, which a chunked receiver cannot do. This samples the
-    /// same amplitude response on an `n_taps`-point grid (relative to
-    /// `carrier` at baseband, `n_taps` a power of two), takes the inverse FFT,
-    /// rotates the zero-phase kernel to a causal linear-phase one with a group
-    /// delay of `n_taps / 2` samples, and applies a Hann window. The constant
-    /// group delay shifts every envelope peak equally and is therefore
-    /// invisible to the peak-position decoder, which recovers timing from the
-    /// preamble itself.
+    /// This samples the amplitude response on an `n_taps`-point grid
+    /// (relative to `carrier` at baseband, `n_taps` a power of two), takes
+    /// the inverse FFT, rotates the zero-phase kernel to a causal
+    /// linear-phase one with a group delay of `n_taps / 2` samples, and
+    /// applies a Hann window. The constant group delay shifts every envelope
+    /// peak equally and is therefore invisible to the peak-position decoder,
+    /// which recovers timing from the preamble itself.
     pub fn streaming_fir(&self, carrier: Hertz, sample_rate: f64, n_taps: usize) -> SawFirState {
         assert!(
             n_taps >= 8 && n_taps.is_power_of_two(),
@@ -322,6 +305,9 @@ mod tests {
     use super::*;
     use lora_phy::chirp::ChirpGenerator;
     use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+
+    /// The receiver's SAW FIR length (`saiyan::Frontend::STREAMING_SAW_TAPS`).
+    const RECEIVER_TAPS: usize = 128;
 
     fn sf7_params() -> LoraParams {
         LoraParams::new(
@@ -445,7 +431,7 @@ mod tests {
         let gen = ChirpGenerator::new(params);
         let chirp = gen.base_upchirp();
         let saw = SawFilter::paper_b3790();
-        let out = saw.apply(&chirp, Hertz(params.carrier_hz));
+        let out = saw.apply(&chirp, Hertz(params.carrier_hz), RECEIVER_TAPS);
         let env = out.envelope();
         let n = env.len();
         // Compare early-symbol amplitude to late-symbol amplitude.
@@ -475,7 +461,7 @@ mod tests {
         let mut peak_indices = Vec::new();
         for symbol in 0..4u32 {
             let chirp = gen.downlink_chirp(symbol).unwrap();
-            let out = saw.apply(&chirp, Hertz(params.carrier_hz));
+            let out = saw.apply(&chirp, Hertz(params.carrier_hz), RECEIVER_TAPS);
             let env = out.envelope();
             let peak = env
                 .iter()
@@ -488,6 +474,95 @@ mod tests {
         // Higher symbols start closer to the band edge, so they peak earlier.
         for w in peak_indices.windows(2) {
             assert!(w[1] < w[0], "peaks {peak_indices:?} not strictly earlier");
+        }
+    }
+
+    /// Fig. 6's measurement of one symbol's SAW output envelope: the peak
+    /// time (µs) and the peak over the mean of the first eighth (dB).
+    fn fig06_peak_and_gap(env: &[f64], sample_rate: f64) -> (f64, f64) {
+        let (peak_idx, peak) = env
+            .iter()
+            .copied()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
+        let early = env[..env.len() / 8].iter().sum::<f64>() / (env.len() / 8) as f64;
+        (
+            peak_idx as f64 / sample_rate * 1e6,
+            20.0 * (peak / early.max(1e-12)).log10(),
+        )
+    }
+
+    /// The (peak µs, gap dB) of each K=2 downlink symbol 0..4.
+    type Fig06Symbols = [(f64, f64); 4];
+
+    /// Fig. 6 as the retired zero-phase FFT model of the response measured
+    /// it, per bandwidth and oversampling.
+    const FFT_MODEL_FIG06: [(Bandwidth, u32, Fig06Symbols); 4] = [
+        (
+            Bandwidth::Khz500,
+            8,
+            [
+                (251.0, 20.9717),
+                (187.0, 14.4215),
+                (123.0, 8.1167),
+                (59.0, 4.5387),
+            ],
+        ),
+        (
+            Bandwidth::Khz500,
+            4,
+            [
+                (255.0, 21.1236),
+                (187.0, 14.4206),
+                (123.0, 8.1501),
+                (59.0, 4.5697),
+            ],
+        ),
+        (
+            Bandwidth::Khz250,
+            4,
+            [
+                (510.0, 14.9107),
+                (382.0, 10.7131),
+                (254.0, 6.8501),
+                (126.0, 2.9816),
+            ],
+        ),
+        (
+            Bandwidth::Khz125,
+            4,
+            [
+                (1020.0, 8.3966),
+                (764.0, 5.9934),
+                (508.0, 4.0561),
+                (252.0, 2.1187),
+            ],
+        ),
+    ];
+
+    #[test]
+    fn fir_stays_within_fig06_tolerance_of_the_fft_model() {
+        let saw = SawFilter::paper_b3790();
+        for (bw, oversampling, expected) in FFT_MODEL_FIG06 {
+            let params = LoraParams::new(SpreadingFactor::Sf7, bw, BitsPerChirp::new(2).unwrap())
+                .with_oversampling(oversampling);
+            let gen = ChirpGenerator::new(params);
+            for (symbol, (peak_us, gap_db)) in expected.into_iter().enumerate() {
+                let chirp = gen.downlink_chirp(symbol as u32).unwrap();
+                let out = saw.apply(&chirp, Hertz(params.carrier_hz), RECEIVER_TAPS);
+                let (fir_peak_us, fir_gap_db) =
+                    fig06_peak_and_gap(&out.envelope(), params.sample_rate());
+                let case = format!("{bw:?} x{oversampling} symbol {symbol}");
+                assert!(
+                    (fir_peak_us - peak_us).abs() <= 5.0,
+                    "{case}: peak {fir_peak_us} us vs {peak_us} us"
+                );
+                assert!(
+                    (fir_gap_db - gap_db).abs() <= 0.75,
+                    "{case}: gap {fir_gap_db:.3} dB vs {gap_db} dB"
+                );
+            }
         }
     }
 

@@ -302,7 +302,7 @@ mod tests {
         let gen = ChirpGenerator::new(p);
         let chirp = gen.base_upchirp();
         let saw = SawFilter::paper_b3790();
-        let out = saw.apply(&chirp, Hertz(p.carrier_hz));
+        let out = saw.apply(&chirp, Hertz(p.carrier_hz), 128);
         let current = out.mean_power();
         let target = dbm_to_buffer_power(Dbm(power_dbm));
         out.scaled((target / current).sqrt())

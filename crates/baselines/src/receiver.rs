@@ -17,10 +17,9 @@
 
 use lora_phy::iq::{Iq, SampleBuffer};
 use lora_phy::params::LoraParams;
-use saiyan::calibration::Thresholds;
-use saiyan::demodulator::DemodResult;
 use saiyan::gateway::GatewayPacket;
 use saiyan::receiver::Receiver;
+use saiyan::streaming::{DemodResult, Thresholds};
 
 use crate::detector::PacketDetector;
 

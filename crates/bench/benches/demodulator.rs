@@ -1,47 +1,9 @@
-//! Criterion benchmarks of the end-to-end Saiyan demodulator and the
-//! link-abstraction evaluation path.
+//! Criterion benchmarks of the link-abstraction evaluation path. The
+//! receiver itself is timed by `benches/streaming.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lora_phy::modulator::{Alphabet, Modulator};
-use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use netsim::{paper_demodulation_range, run_link_trials, Scenario, TrialConfig};
-use rfsim::channel::dbm_to_buffer_power;
-use rfsim::units::{Dbm, Meters};
-use saiyan::{SaiyanConfig, SaiyanDemodulator, Variant};
-
-fn setup(variant: Variant) -> (SaiyanDemodulator, lora_phy::SampleBuffer, usize, Vec<u32>) {
-    let lora = LoraParams::new(
-        SpreadingFactor::Sf7,
-        Bandwidth::Khz500,
-        BitsPerChirp::new(2).unwrap(),
-    )
-    .with_oversampling(8);
-    let cfg = SaiyanConfig::paper_default(lora, variant);
-    let demod = SaiyanDemodulator::new(cfg);
-    let symbols: Vec<u32> = (0..16).map(|i| i % 4).collect();
-    let (wave, layout) = Modulator::new(lora)
-        .packet_with_guard(&symbols, Alphabet::Downlink, 2)
-        .unwrap();
-    let rx = wave.scaled(dbm_to_buffer_power(Dbm(-50.0)).sqrt());
-    (demod, rx, layout.payload_start, symbols)
-}
-
-fn bench_demodulator(c: &mut Criterion) {
-    for variant in [Variant::Vanilla, Variant::WithShifting, Variant::Super] {
-        let (demod, rx, payload_start, symbols) = setup(variant);
-        c.bench_function(format!("saiyan/demod_aligned_16sym_{variant:?}"), |b| {
-            b.iter(|| {
-                demod
-                    .demodulate_aligned(&rx, payload_start, symbols.len())
-                    .unwrap()
-            })
-        });
-    }
-    let (demod, rx, _, symbols) = setup(Variant::WithShifting);
-    c.bench_function("saiyan/demod_blind_with_preamble_detection", |b| {
-        b.iter(|| demod.demodulate(&rx, symbols.len()).unwrap())
-    });
-}
+use rfsim::units::Meters;
 
 fn bench_link_abstraction(c: &mut Criterion) {
     let scenario = Scenario::outdoor_default(Meters(120.0));
@@ -63,5 +25,5 @@ fn bench_link_abstraction(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_demodulator, bench_link_abstraction);
+criterion_group!(benches, bench_link_abstraction);
 criterion_main!(benches);

@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use lora_phy::ChirpGenerator;
 use rfsim::units::Hertz;
+use saiyan::Frontend;
 
 fn chirp() -> (lora_phy::SampleBuffer, LoraParams) {
     let params = LoraParams::new(
@@ -25,7 +26,13 @@ fn bench_saw(c: &mut Criterion) {
     let (chirp, params) = chirp();
     let saw = SawFilter::paper_b3790();
     c.bench_function("saw/apply_one_symbol", |b| {
-        b.iter(|| saw.apply(&chirp, Hertz(params.carrier_hz)))
+        b.iter(|| {
+            saw.apply(
+                &chirp,
+                Hertz(params.carrier_hz),
+                Frontend::STREAMING_SAW_TAPS,
+            )
+        })
     });
     c.bench_function("saw/gain_lookup", |b| {
         b.iter(|| saw.gain_at(Hertz::from_mhz(433.75)))
@@ -35,7 +42,11 @@ fn bench_saw(c: &mut Criterion) {
 fn bench_envelope_and_shifting(c: &mut Criterion) {
     let (chirp, params) = chirp();
     let saw = SawFilter::paper_b3790();
-    let transformed = saw.apply(&chirp, Hertz(params.carrier_hz));
+    let transformed = saw.apply(
+        &chirp,
+        Hertz(params.carrier_hz),
+        Frontend::STREAMING_SAW_TAPS,
+    );
     let detector = EnvelopeDetector::default();
     c.bench_function("envelope/detect_one_symbol", |b| {
         b.iter(|| detector.detect(&transformed))
@@ -52,7 +63,11 @@ fn bench_envelope_and_shifting(c: &mut Criterion) {
 fn bench_comparator(c: &mut Criterion) {
     let (chirp, params) = chirp();
     let saw = SawFilter::paper_b3790();
-    let envelope = EnvelopeDetector::ideal().detect(&saw.apply(&chirp, Hertz(params.carrier_hz)));
+    let envelope = EnvelopeDetector::ideal().detect(&saw.apply(
+        &chirp,
+        Hertz(params.carrier_hz),
+        Frontend::STREAMING_SAW_TAPS,
+    ));
     let peak = envelope.max();
     let cmp = DoubleThresholdComparator::new(peak * 0.7, peak * 0.3);
     c.bench_function("comparator/double_threshold_one_symbol", |b| {

@@ -1,14 +1,15 @@
 //! Fig. 6 — SAW filter input/output for four different chirp symbols.
 //!
-//! Feeds the four K=2 downlink chirps through the SAW model and reports where
-//! each symbol's output amplitude peaks; the paper's point is that different
-//! symbols peak at clearly different times, which is what the peak-position
-//! decoder exploits.
+//! Feeds the four K=2 downlink chirps through the SAW model (the receiver's
+//! FIR, with its group delay removed) and reports where each symbol's output
+//! amplitude peaks; the paper's point is that different symbols peak at
+//! clearly different times, which is what the peak-position decoder exploits.
 
 use analog::saw::SawFilter;
 use lora_phy::chirp::ChirpGenerator;
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use rfsim::units::Hertz;
+use saiyan::Frontend;
 use saiyan_bench::{fmt, Table};
 
 fn main() {
@@ -34,7 +35,11 @@ fn main() {
     let mut json_rows = Vec::new();
     for symbol in 0..4u32 {
         let chirp = gen.downlink_chirp(symbol).unwrap();
-        let out = saw.apply(&chirp, Hertz(params.carrier_hz));
+        let out = saw.apply(
+            &chirp,
+            Hertz(params.carrier_hz),
+            Frontend::STREAMING_SAW_TAPS,
+        );
         let env = out.envelope();
         let n = env.len();
         let peak_idx = env

@@ -13,6 +13,7 @@ use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use rfsim::channel::dbm_to_buffer_power;
 use rfsim::noise::AwgnSource;
 use rfsim::units::{Dbm, Hertz};
+use saiyan::Frontend;
 use saiyan_bench::{fmt, Table};
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
     let mut rx = chirp.scaled(dbm_to_buffer_power(Dbm(-55.0)).sqrt());
     let mut awgn = AwgnSource::new(7);
     awgn.add_to(&mut rx, dbm_to_buffer_power(Dbm(-72.0)));
-    let transformed = saw.apply(&rx, Hertz(params.carrier_hz));
+    let transformed = saw.apply(&rx, Hertz(params.carrier_hz), Frontend::STREAMING_SAW_TAPS);
     let envelope = EnvelopeDetector::ideal().detect(&transformed);
 
     let a_max = envelope.max();

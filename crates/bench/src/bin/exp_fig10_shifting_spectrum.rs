@@ -8,6 +8,7 @@ use lora_phy::chirp::ChirpGenerator;
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use rfsim::channel::dbm_to_buffer_power;
 use rfsim::units::{Dbm, Hertz};
+use saiyan::Frontend;
 use saiyan_bench::{fmt, Table};
 
 fn main() {
@@ -45,6 +46,7 @@ fn main() {
         let rf = saw.apply(
             &chirps.clone().scaled((target / chirps.mean_power()).sqrt()),
             Hertz(params.carrier_hz),
+            Frontend::STREAMING_SAW_TAPS,
         );
         let shifter = CyclicFrequencyShifter::new(
             ShiftingConfig::for_bandwidth(params.bw.hz()),

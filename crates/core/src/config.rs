@@ -159,6 +159,13 @@ impl SaiyanConfig {
         self.with_analog_noise(false).with_fast_oscillator(true)
     }
 
+    /// The streaming SAW FIR length in use: [`Self::streaming_saw_taps`] or
+    /// the default [`crate::frontend::Frontend::STREAMING_SAW_TAPS`].
+    pub fn saw_taps(&self) -> usize {
+        self.streaming_saw_taps
+            .unwrap_or(crate::frontend::Frontend::STREAMING_SAW_TAPS)
+    }
+
     /// The sampler rate in Hz: `sampling_margin * 2 * BW / 2^(SF−K)`.
     pub fn sampler_rate(&self) -> f64 {
         self.sampling_margin * self.lora.nyquist_sampling_rate()

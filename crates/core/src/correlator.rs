@@ -28,7 +28,8 @@ impl Correlator {
     pub const TEMPLATE_POWER_DBM: f64 = -60.0;
 
     /// Builds the template bank by pushing each clean candidate chirp through
-    /// the reference (noise-free) front end and sampling the result.
+    /// the reference (noise-free) front end, with the receiver's own SAW FIR
+    /// length and its group delay removed, and sampling the result.
     pub fn from_config(config: &SaiyanConfig) -> Self {
         let frontend = Frontend::reference(config);
         let sampler = VoltageSampler::practical(&config.lora, config.sampling_margin);
@@ -43,7 +44,7 @@ impl Correlator {
                 .expect("symbol within alphabet");
             let current = chirp.mean_power().max(1e-300);
             let scaled = chirp.scaled((template_power / current).sqrt());
-            let envelope = frontend.process(&scaled);
+            let envelope = frontend.process(&scaled, config.saw_taps());
             let sampled = sampler.sample_envelope(&envelope);
             templates.push(normalise(&sampled.samples));
         }
@@ -108,32 +109,6 @@ impl Correlator {
             })
             .collect()
     }
-
-    /// Correlation-based packet detection: slides a one-symbol window over the
-    /// envelope and reports the best correlation score against the symbol-0
-    /// template (the preamble chirp). Scores near 1 indicate a LoRa chirp is
-    /// present.
-    pub fn detect_score(&self, envelope: &RealBuffer, symbol_duration: f64) -> f64 {
-        let rate = envelope.sample_rate;
-        let window = ((symbol_duration * rate).round() as usize).min(envelope.len());
-        if window == 0 {
-            return 0.0;
-        }
-        let step = (window / 4).max(1);
-        let template = &self.templates[0];
-        let mut best = f64::NEG_INFINITY;
-        let mut start = 0usize;
-        while start + window <= envelope.len() {
-            let w = normalise(&envelope.samples[start..start + window]);
-            let n = w.len().min(template.len());
-            let score: f64 = w[..n].iter().zip(&template[..n]).map(|(a, b)| a * b).sum();
-            if score > best {
-                best = score;
-            }
-            start += step;
-        }
-        best.max(0.0)
-    }
 }
 
 /// Removes the mean and scales to unit energy.
@@ -183,7 +158,9 @@ mod tests {
         let chirp = gen.downlink_chirp(symbol).unwrap();
         let target = rfsim::channel::dbm_to_buffer_power(rfsim::units::Dbm(power_dbm));
         let scaled = chirp.scaled((target / 1.0).sqrt());
-        sampler.sample_envelope(&frontend.process(&scaled)).samples
+        sampler
+            .sample_envelope(&frontend.process(&scaled, cfg.saw_taps()))
+            .samples
     }
 
     #[test]
@@ -222,26 +199,5 @@ mod tests {
         let (sym, score) = corr.decide(&[]);
         assert_eq!(sym, 0);
         assert!(score <= 0.0 || score.is_finite());
-    }
-
-    #[test]
-    fn detect_score_is_high_for_chirp_and_low_for_noise() {
-        use rand::Rng;
-        use rand_chacha::rand_core::SeedableRng;
-        let cfg = config();
-        let corr = Correlator::from_config(&cfg);
-        let chirp_env = RealBuffer::new(clean_window(&cfg, 0, -55.0), corr.sample_rate);
-        let t_sym = cfg.lora.symbol_duration();
-        let chirp_score = corr.detect_score(&chirp_env, t_sym);
-
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        let noise = RealBuffer::new(
-            (0..chirp_env.len()).map(|_| rng.gen::<f64>()).collect(),
-            chirp_env.sample_rate,
-        );
-        let noise_score = corr.detect_score(&noise, t_sym);
-        assert!(chirp_score > 0.9, "chirp score {chirp_score}");
-        assert!(noise_score < 0.7, "noise score {noise_score}");
-        assert!(chirp_score > noise_score);
     }
 }

@@ -13,7 +13,6 @@
 use lora_phy::downlink::symbol_from_peak_time;
 use lora_phy::params::{LoraParams, PREAMBLE_UPCHIRPS, SYNC_SYMBOLS};
 
-use crate::error::SaiyanError;
 use crate::sampler::SampledStream;
 
 /// Timing information recovered from the preamble.
@@ -71,24 +70,6 @@ impl PeakDecoder {
         &self.params
     }
 
-    /// Extracts the times of falling edges (tails of high runs) from the
-    /// sampled stream.
-    pub fn falling_edges(&self, stream: &SampledStream) -> Vec<f64> {
-        let mut edges = Vec::new();
-        let mut prev = false;
-        for (i, &b) in stream.bits.iter().enumerate() {
-            if prev && !b {
-                edges.push(stream.time_of(i.saturating_sub(1)));
-            }
-            prev = b;
-        }
-        if prev {
-            // Stream ends while high: treat the last sample as the tail.
-            edges.push(stream.time_of(stream.len().saturating_sub(1)));
-        }
-        edges
-    }
-
     /// The minimum number of regularly spaced peaks required to declare a
     /// preamble.
     pub fn min_preamble_peaks(&self) -> usize {
@@ -99,8 +80,7 @@ impl PeakDecoder {
     /// tolerance) in a pre-extracted, ascending edge-time list. Returns the
     /// `(start index, count)` of the best train, or `None` for an empty list.
     /// Noise edges *inside* a symbol period do not break a train; they are
-    /// skipped. Shared by the batch preamble detector and the streaming
-    /// demodulator's per-edge candidate search.
+    /// skipped.
     pub fn longest_regular_train(&self, edges: &[f64]) -> Option<(usize, usize)> {
         let t_sym = self.params.symbol_duration();
         let tol = self.spacing_tolerance * t_sym;
@@ -216,22 +196,6 @@ impl PeakDecoder {
         }
     }
 
-    /// Detects the preamble: the longest train of falling edges spaced one
-    /// symbol time apart (within tolerance). Returns the recovered timing.
-    pub fn detect_preamble(&self, stream: &SampledStream) -> Result<PreambleTiming, SaiyanError> {
-        let edges = self.falling_edges(stream);
-        if edges.len() < self.min_preamble_peaks {
-            return Err(SaiyanError::PreambleNotFound);
-        }
-        let (start_idx, count) = self
-            .longest_regular_train(&edges)
-            .expect("edges is non-empty");
-        if count < self.min_preamble_peaks {
-            return Err(SaiyanError::PreambleNotFound);
-        }
-        Ok(self.timing_from_first_peak(edges[start_idx], count))
-    }
-
     /// Decodes one symbol whose window starts at `window_start` (seconds from
     /// the start of the stream). Returns the decision and the peak time found.
     pub fn decode_symbol(&self, stream: &SampledStream, window_start: f64) -> SymbolPeak {
@@ -316,19 +280,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn falling_edges_are_extracted() {
-        let s = SampledStream {
-            bits: vec![false, true, true, false, false, true, false, true, true],
-            sample_rate: 10.0,
-            start_time: 0.0,
-        };
-        let d = PeakDecoder::new(params());
-        let edges = d.falling_edges(&s);
-        assert_eq!(edges.len(), 3);
-        assert!((edges[0] - 0.2).abs() < 1e-9);
-        assert!((edges[1] - 0.5).abs() < 1e-9);
-        assert!((edges[2] - 0.8).abs() < 1e-9);
+    /// Quantises peak times onto the sampler's tick grid, the way the
+    /// receiver's falling edges land.
+    fn edges_at(peaks: &[f64], rate: f64) -> Vec<f64> {
+        peaks.iter().map(|p| (p * rate).floor() / rate).collect()
+    }
+
+    /// Anchors a train of equal-amplitude edges and builds its timing.
+    fn timing_of(d: &PeakDecoder, edges: &[f64]) -> Option<PreambleTiming> {
+        d.preamble_anchor(edges, &vec![1.0; edges.len()])
+            .filter(|(_, count)| *count >= d.min_preamble_peaks())
+            .map(|(anchor, count)| d.timing_from_first_peak(anchor, count))
     }
 
     #[test]
@@ -338,9 +300,8 @@ mod tests {
         let rate = 50_000.0;
         // Ten preamble peaks at the end of each preamble symbol.
         let peaks: Vec<f64> = (1..=10).map(|i| i as f64 * t_sym).collect();
-        let stream = stream_with_peaks(&peaks, rate, 16.0 * t_sym);
         let d = PeakDecoder::new(p);
-        let timing = d.detect_preamble(&stream).unwrap();
+        let timing = timing_of(&d, &edges_at(&peaks, rate)).unwrap();
         assert!(timing.supporting_peaks >= 9);
         assert!(timing.preamble_start.abs() < t_sym * 0.1);
         let expected_payload = (10.0 + 2.25) * t_sym;
@@ -361,9 +322,8 @@ mod tests {
         // A spurious noise peak in the middle of symbol 4.
         peaks.push(3.4 * t_sym);
         peaks.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let stream = stream_with_peaks(&peaks, rate, 16.0 * t_sym);
         let d = PeakDecoder::new(p);
-        let timing = d.detect_preamble(&stream).unwrap();
+        let timing = timing_of(&d, &edges_at(&peaks, rate)).unwrap();
         assert!(timing.preamble_start.abs() < t_sym * 0.1);
     }
 
@@ -373,12 +333,27 @@ mod tests {
         let rate = 50_000.0;
         // Irregularly spaced pulses.
         let peaks = [0.0011, 0.0023, 0.0041, 0.0087, 0.0113];
-        let stream = stream_with_peaks(&peaks, rate, 0.02);
         let d = PeakDecoder::new(p);
-        assert!(matches!(
-            d.detect_preamble(&stream),
-            Err(SaiyanError::PreambleNotFound)
-        ));
+        assert!(timing_of(&d, &edges_at(&peaks, rate)).is_none());
+    }
+
+    #[test]
+    fn preamble_anchor_drops_a_weak_onset_edge() {
+        let p = params();
+        let t_sym = p.symbol_duration();
+        let rate = 50_000.0;
+        // An onset transient 40 dB below the preamble peaks, 0.94 symbol
+        // before the first of them: spaced like a preamble peak.
+        let mut peaks = vec![0.06 * t_sym];
+        peaks.extend((1..=9).map(|i| i as f64 * t_sym));
+        let edges = edges_at(&peaks, rate);
+        let mut amplitudes = vec![1.0; edges.len()];
+        amplitudes[0] = 0.01;
+        let d = PeakDecoder::new(p);
+        assert_eq!(d.preamble_anchor(&edges, &amplitudes), Some((edges[1], 9)));
+        // At the preamble's own amplitude the same edge would anchor the train.
+        let equal = vec![1.0; edges.len()];
+        assert_eq!(d.preamble_anchor(&edges, &equal), Some((edges[0], 10)));
     }
 
     #[test]

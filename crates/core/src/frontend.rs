@@ -11,8 +11,8 @@ use analog::lna::Lna;
 use analog::saw::SawFilter;
 use analog::shifting::{CyclicFrequencyShifter, ShiftingConfig};
 use analog::signal::RealBuffer;
-use lora_phy::iq::SampleBuffer;
-use rfsim::units::{Celsius, Hertz};
+use lora_phy::iq::{Iq, SampleBuffer};
+use rfsim::units::Hertz;
 
 use crate::config::{SaiyanConfig, Variant};
 
@@ -29,10 +29,9 @@ pub struct Frontend {
     pub variant: Variant,
     /// Absolute carrier frequency the complex-baseband input is referenced to.
     pub carrier: Hertz,
-    /// Whether streaming instances sample the mixer clocks with the
+    /// Whether the shifter samples the mixer clocks with the
     /// phasor-recurrence fast path (see
-    /// [`crate::config::SaiyanConfig::fast_oscillator`]). Off by default;
-    /// the batch path always uses the exact clock.
+    /// [`crate::config::SaiyanConfig::fast_oscillator`]). Off by default.
     pub fast_oscillator: bool,
 }
 
@@ -71,30 +70,19 @@ impl Frontend {
         fe
     }
 
-    /// Returns a copy operating at the given ambient temperature (shifts the
-    /// SAW filter response; Fig. 24).
-    pub fn at_temperature(mut self, temperature: Celsius) -> Self {
-        self.saw = self.saw.with_temperature(temperature);
-        self
-    }
-
-    /// Processes an RF complex-baseband buffer into the detected envelope.
-    ///
-    /// Every stage past the SAW filter delegates to the streaming
-    /// implementations run over the whole buffer at once (the LNA, detector,
-    /// mixers, IF amplifier and low-pass each have a single source of
-    /// truth). The SAW stage is the one deliberate batch/streaming split:
-    /// here it is the zero-phase frequency-domain response over the whole
-    /// capture, while the streaming path uses its causal linear-phase FIR
-    /// approximation (see [`StreamingFrontend`]).
-    pub fn process(&self, rf: &SampleBuffer) -> RealBuffer {
-        let transformed = self.saw.apply(rf, self.carrier);
-        let amplified = self.lna.amplify(&transformed);
-        if self.variant.uses_shifting() {
-            self.shifter.process(&amplified)
-        } else {
-            self.shifter.process_without_shifting(&amplified)
-        }
+    /// Processes a whole RF complex-baseband buffer into the detected
+    /// envelope: the [`StreamingFrontend`] with an `n_taps` SAW FIR run over
+    /// the buffer, with the FIR's group delay removed so each envelope
+    /// sample lines up with its input sample (the same form as
+    /// [`analog::saw::SawFilter::apply`]).
+    pub fn process(&self, rf: &SampleBuffer, n_taps: usize) -> RealBuffer {
+        let mut chain = self.streaming_with_taps(rf.sample_rate, n_taps);
+        let delay = chain.group_delay_samples();
+        let mut padded = rf.samples.clone();
+        padded.resize(rf.len() + delay, Iq::ZERO);
+        let mut envelope = chain.process_chunk(&padded);
+        envelope.drain(..delay);
+        RealBuffer::new(envelope, rf.sample_rate)
     }
 
     /// Number of taps of the streaming SAW FIR. At the default 4x
@@ -134,12 +122,9 @@ impl Frontend {
 /// memories) across chunk boundaries, so the envelope produced for a chunked
 /// stream is bit-exactly independent of where the chunks are cut.
 ///
-/// The one modelling difference from the batch [`Frontend`] is the SAW stage:
-/// the batch path applies the measured amplitude response as a zero-phase
-/// filter over the whole capture (impossible on an unbounded stream), while
-/// the streaming path uses a causal linear-phase FIR approximation of the
-/// same response. The FIR's constant group delay shifts all envelope peaks
-/// equally, which the preamble-derived timing absorbs.
+/// The SAW stage is a causal linear-phase FIR. Its constant group delay
+/// shifts all envelope peaks equally, which the preamble-derived timing
+/// absorbs.
 #[derive(Debug, Clone)]
 pub struct StreamingFrontend {
     saw: analog::saw::SawFirState,
@@ -147,9 +132,9 @@ pub struct StreamingFrontend {
     shifter: analog::shifting::ShifterState,
     /// Reusable SAW-output scratch: the front end allocates nothing in
     /// steady state.
-    saw_scratch: Vec<lora_phy::iq::Iq>,
+    saw_scratch: Vec<Iq>,
     /// Reusable LNA-output scratch.
-    lna_scratch: Vec<lora_phy::iq::Iq>,
+    lna_scratch: Vec<Iq>,
 }
 
 impl StreamingFrontend {
@@ -157,7 +142,7 @@ impl StreamingFrontend {
     /// sample), advancing all carried state. Allocates a fresh output buffer
     /// per call; steady-state callers should prefer
     /// [`Self::process_chunk_into`].
-    pub fn process_chunk(&mut self, chunk: &[lora_phy::iq::Iq]) -> Vec<f64> {
+    pub fn process_chunk(&mut self, chunk: &[Iq]) -> Vec<f64> {
         let mut out = Vec::new();
         self.process_chunk_into(chunk, &mut out);
         out
@@ -168,7 +153,7 @@ impl StreamingFrontend {
     /// intermediates live in scratch buffers owned by the front end, so once
     /// buffers have grown to the chunk working size no per-chunk heap
     /// traffic remains.
-    pub fn process_chunk_into(&mut self, chunk: &[lora_phy::iq::Iq], out: &mut Vec<f64>) {
+    pub fn process_chunk_into(&mut self, chunk: &[Iq], out: &mut Vec<f64>) {
         self.saw.filter_chunk_into(chunk, &mut self.saw_scratch);
         self.lna
             .amplify_chunk_into(&self.saw_scratch, &mut self.lna_scratch);
@@ -188,7 +173,7 @@ mod tests {
     use lora_phy::chirp::ChirpGenerator;
     use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
     use rfsim::channel::dbm_to_buffer_power;
-    use rfsim::units::Dbm;
+    use rfsim::units::{Celsius, Dbm};
 
     fn config(variant: Variant) -> SaiyanConfig {
         let lora = LoraParams::new(
@@ -213,7 +198,7 @@ mod tests {
         let cfg = config(Variant::Vanilla);
         let fe = Frontend::paper(&cfg);
         let rf = chirp_at(-50.0, 0, &cfg);
-        let env = fe.process(&rf);
+        let env = fe.process(&rf, Frontend::STREAMING_SAW_TAPS);
         assert_eq!(env.len(), rf.len());
         // Symbol 0 peaks at the end of the symbol.
         let peak = env.argmax();
@@ -225,7 +210,7 @@ mod tests {
         let cfg = config(Variant::WithShifting);
         let fe = Frontend::paper(&cfg);
         let rf = chirp_at(-50.0, 1, &cfg);
-        let env = fe.process(&rf);
+        let env = fe.process(&rf, Frontend::STREAMING_SAW_TAPS);
         // Symbol 1 of a K=2 alphabet peaks at 3/4 of the symbol.
         let peak = env.argmax() as f64 / env.len() as f64;
         assert!((peak - 0.75).abs() < 0.15, "relative peak at {peak}");
@@ -236,8 +221,8 @@ mod tests {
         let cfg = config(Variant::Super);
         let fe = Frontend::reference(&cfg);
         let rf = chirp_at(-45.0, 2, &cfg);
-        let a = fe.process(&rf);
-        let b = fe.process(&rf);
+        let a = fe.process(&rf, Frontend::STREAMING_SAW_TAPS);
+        let b = fe.process(&rf, Frontend::STREAMING_SAW_TAPS);
         assert_eq!(a, b);
     }
 
@@ -245,10 +230,11 @@ mod tests {
     fn temperature_changes_envelope_amplitude() {
         let cfg = config(Variant::Vanilla);
         let fe_ref = Frontend::reference(&cfg);
-        let fe_cold = Frontend::reference(&cfg).at_temperature(Celsius(-40.0));
+        let mut fe_cold = Frontend::reference(&cfg);
+        fe_cold.saw = fe_cold.saw.with_temperature(Celsius(-40.0));
         let rf = chirp_at(-50.0, 0, &cfg);
-        let a = fe_ref.process(&rf).max();
-        let b = fe_cold.process(&rf).max();
+        let a = fe_ref.process(&rf, Frontend::STREAMING_SAW_TAPS).max();
+        let b = fe_cold.process(&rf, Frontend::STREAMING_SAW_TAPS).max();
         assert!(
             (a - b).abs() / a > 0.01,
             "temperature had no visible effect"

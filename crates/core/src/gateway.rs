@@ -50,7 +50,7 @@ use analog::fir::PhaseSplit;
 use lora_phy::iq::{Iq, SampleBuffer};
 
 use crate::config::SaiyanConfig;
-use crate::demodulator::DemodResult;
+use crate::streaming::DemodResult;
 use crate::streaming::StreamingDemodulator;
 
 /// One channel served by the gateway.

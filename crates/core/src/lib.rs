@@ -6,13 +6,12 @@
 //!   super ablation variants;
 //! * [`frontend`] — the analog chain (SAW → LNA → envelope detection, with or
 //!   without cyclic-frequency shifting);
-//! * [`calibration`] — comparator threshold calibration (`U_H`, `U_L`);
 //! * [`sampler`] — the MCU's low-rate voltage sampler and Table 1;
 //! * [`decoder`] — preamble detection and peak-position symbol decoding;
 //! * [`correlator`] — the Super Saiyan correlation decoder;
-//! * [`demodulator`] — the assembled end-to-end receiver;
-//! * [`streaming`] — the chunked streaming receiver for unbounded,
-//!   multi-packet sample streams;
+//! * [`streaming`] — the assembled receiver: causal comparator-threshold
+//!   calibration (`U_H`, `U_L`) and packet detection over an unbounded,
+//!   multi-packet sample stream, fed in chunks or as one pre-cut capture;
 //! * [`gateway`] — the multi-channel streaming gateway: a wideband
 //!   channelizer feeding a bank of streaming demodulators on a worker pool,
 //!   merged into one time-ordered packet stream;
@@ -27,12 +26,9 @@
 
 #![warn(missing_docs)]
 
-pub mod calibration;
 pub mod config;
 pub mod correlator;
 pub mod decoder;
-pub mod demodulator;
-pub mod error;
 pub mod executor;
 pub mod frontend;
 pub mod gateway;
@@ -43,12 +39,9 @@ pub mod sampler;
 pub mod sensitivity;
 pub mod streaming;
 
-pub use calibration::{auto_calibrate, CalibrationEntry, CalibrationTable, Thresholds};
 pub use config::{SaiyanConfig, Variant};
 pub use correlator::Correlator;
 pub use decoder::{PeakDecoder, PreambleTiming, SymbolPeak};
-pub use demodulator::{DemodResult, SaiyanDemodulator};
-pub use error::SaiyanError;
 pub use executor::{
     BoxedReceiver, FreshExecutor, PooledExecutor, ReceiverExecutor, ReceiverFactory,
 };
@@ -63,4 +56,4 @@ pub use sampler::{table1_sampling_rates, SampledStream, SamplingRateEntry, Volta
 pub use sensitivity::{
     SensitivityConfig, CONVENTIONAL_ENVELOPE_DETECTOR_SENSITIVITY_DBM, SUPER_SAIYAN_SENSITIVITY_DBM,
 };
-pub use streaming::StreamingDemodulator;
+pub use streaming::{DemodResult, StreamingDemodulator, Thresholds};

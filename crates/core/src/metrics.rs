@@ -25,6 +25,9 @@ pub struct ErrorCounts {
     pub packets_total: usize,
     /// Packets containing at least one bit error (or lost entirely).
     pub packets_error: usize,
+    /// Packets lost entirely: never detected, so no symbol was decoded.
+    /// They also count as all-wrong in every other field.
+    pub packets_lost: usize,
 }
 
 impl ErrorCounts {
@@ -63,6 +66,7 @@ impl ErrorCounts {
         self.symbols_error += sent_symbols;
         self.packets_total += 1;
         self.packets_error += 1;
+        self.packets_lost += 1;
     }
 
     /// Merges another set of counts into this one.
@@ -73,6 +77,7 @@ impl ErrorCounts {
         self.symbols_error += other.symbols_error;
         self.packets_total += other.packets_total;
         self.packets_error += other.packets_error;
+        self.packets_lost += other.packets_lost;
     }
 
     /// Bit error rate.
@@ -168,6 +173,7 @@ mod tests {
         let mut c = ErrorCounts::default();
         c.add_lost_packet(32, 2);
         assert_eq!(c.bits_error, 64);
+        assert_eq!(c.packets_lost, 1);
         assert_eq!(c.prr(), 0.0);
         assert!(!c.meets_demodulation_threshold());
     }
@@ -180,6 +186,7 @@ mod tests {
         b.add_lost_packet(2, 2);
         a.merge(&b);
         assert_eq!(a.packets_total, 2);
+        assert_eq!(a.packets_lost, 1);
         assert!((a.prr() - 0.5).abs() < 1e-12);
     }
 

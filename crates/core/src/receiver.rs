@@ -30,8 +30,8 @@
 
 use lora_phy::iq::Iq;
 
-use crate::demodulator::DemodResult;
 use crate::gateway::{Gateway, GatewayPacket};
+use crate::streaming::DemodResult;
 use crate::streaming::StreamingDemodulator;
 
 /// A streaming receive backend: feed chunks, drain decoded packets.

@@ -2,12 +2,12 @@
 //!
 //! The comparator's binary output is latched by the MCU at a rate far below
 //! the chirp bandwidth: the Nyquist minimum is `2·BW/2^(SF−K)` and the paper
-//! uses `3.2·BW/2^(SF−K)` in practice (Table 1). This module models that
-//! sampler: it takes the comparator's high-rate binary stream (or the raw
-//! envelope) and produces the low-rate stream the decoder actually sees, along
-//! with Table 1's theory-vs-practice sampling-rate figures.
+//! uses `3.2·BW/2^(SF−K)` in practice (Table 1). This module holds the
+//! sampler's rate rule, the low-rate binary stream the decoder reads (the
+//! streaming receiver latches comparator bits at the sampler's ticks), the
+//! envelope sampling the correlator's templates use, and Table 1's
+//! theory-vs-practice sampling-rate figures.
 
-use analog::comparator::BinaryStream;
 use analog::signal::RealBuffer;
 use lora_phy::params::{BitsPerChirp, LoraParams, SpreadingFactor};
 
@@ -64,34 +64,9 @@ impl VoltageSampler {
         }
     }
 
-    /// Samples a high-rate comparator output at the sampler rate (latching the
-    /// most recent comparator value at each sampler tick).
-    pub fn sample_binary(&self, input: &BinaryStream) -> SampledStream {
-        if input.bits.is_empty() || self.rate <= 0.0 {
-            return SampledStream {
-                bits: Vec::new(),
-                sample_rate: self.rate,
-                start_time: 0.0,
-            };
-        }
-        let duration = input.bits.len() as f64 / input.sample_rate;
-        let n = (duration * self.rate).floor() as usize;
-        let bits = (0..n)
-            .map(|i| {
-                let t = i as f64 / self.rate;
-                let idx = ((t * input.sample_rate).round() as usize).min(input.bits.len() - 1);
-                input.bits[idx]
-            })
-            .collect();
-        SampledStream {
-            bits,
-            sample_rate: self.rate,
-            start_time: 0.0,
-        }
-    }
-
-    /// Samples a real envelope at the sampler rate (used by the correlator,
-    /// which works on the analog samples the comparator would have seen).
+    /// Samples a real envelope at the sampler rate, latching the nearest
+    /// waveform sample at each tick (used for the correlator's templates,
+    /// which hold the analog samples the comparator would have seen).
     pub fn sample_envelope(&self, input: &RealBuffer) -> RealBuffer {
         input.resample_nearest(self.rate)
     }
@@ -147,31 +122,6 @@ mod tests {
     fn practical_sampler_rate() {
         let s = VoltageSampler::practical(&params(), 1.6);
         assert!((s.rate - 50_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn binary_sampling_latches_values() {
-        let input = BinaryStream {
-            bits: (0..2000).map(|i| i >= 1000).collect(),
-            sample_rate: 2_000_000.0,
-        };
-        let sampler = VoltageSampler { rate: 50_000.0 };
-        let out = sampler.sample_binary(&input);
-        // 1 ms of input at 50 kHz = 50 samples, half low then half high.
-        assert_eq!(out.len(), 50);
-        assert!(!out.bits[10]);
-        assert!(out.bits[40]);
-        assert!((out.time_of(10) - 10.0 / 50_000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_input_gives_empty_output() {
-        let sampler = VoltageSampler { rate: 50_000.0 };
-        let out = sampler.sample_binary(&BinaryStream {
-            bits: Vec::new(),
-            sample_rate: 1e6,
-        });
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! configuration. The anchor points are the paper's own headline measurements
 //! (receiver sensitivity −85.8 dBm at SF7/BW500/K=2 for the full design, the
 //! ablation ratios of Fig. 25, and the bandwidth/SF trends of Figs. 17/18);
-//! the waveform-level pipeline in [`crate::demodulator`] demonstrates the
+//! the waveform-level receiver in [`crate::streaming`] demonstrates the
 //! mechanisms those numbers come from.
 
 use lora_phy::params::{Bandwidth, BitsPerChirp, SpreadingFactor};

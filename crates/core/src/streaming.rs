@@ -1,13 +1,16 @@
-//! Chunked streaming demodulation.
+//! The Saiyan receiver: a continuously running analog chain (SAW → LNA →
+//! envelope or cyclic-frequency-shifting detector, paper Fig. 12) feeding
+//! the double-threshold comparator, the MCU's low-rate voltage sampler, and
+//! peak-position (or, for Super Saiyan, correlation) decoding.
 //!
-//! The batch [`crate::demodulator::SaiyanDemodulator`] assumes a complete,
-//! pre-cut capture: it calibrates thresholds over the whole buffer, detects a
-//! single preamble, and decodes one packet. Real Saiyan hardware is a
-//! continuously-running analog chain — the tag never sees buffer boundaries.
-//! This module models that: a [`StreamingDemodulator`] accepts arbitrary-size
-//! sample chunks (down to one sample, including empty chunks), carries every
-//! piece of analog and digital state across chunk boundaries, and emits a
-//! [`DemodResult`] whenever a packet completes inside the stream.
+//! Real Saiyan hardware never sees buffer boundaries, and neither does this
+//! receiver: a [`StreamingDemodulator`] accepts arbitrary-size sample chunks
+//! (down to one sample, including empty chunks), carries every piece of
+//! analog and digital state across chunk boundaries, calibrates its
+//! comparator thresholds causally, finds each packet's preamble itself, and
+//! emits a [`DemodResult`] whenever a packet completes inside the stream. A
+//! pre-cut capture is just a short stream:
+//! [`StreamingDemodulator::run_to_end`] pushes it as one chunk and flushes.
 //!
 //! ## Chunk invariance
 //!
@@ -16,8 +19,7 @@
 //!
 //! * every analog stage is causal and carries its state (FIR delay line, LNA
 //!   noise RNG, clock phase, detector flicker integrator, filter memories);
-//! * threshold calibration is a causal tracker updated per waveform sample
-//!   (the streaming equivalent of [`crate::calibration::auto_calibrate`]);
+//! * threshold calibration is a causal tracker updated per waveform sample;
 //! * the MCU sampler latches at tick positions fixed on the global sample
 //!   index;
 //! * all detection/decode decisions advance strictly per low-rate sample.
@@ -29,19 +31,108 @@
 use std::collections::VecDeque;
 
 use analog::signal::RealBuffer;
+use lora_phy::downlink::symbols_to_bytes;
 use lora_phy::iq::{Iq, SampleBuffer};
-use lora_phy::params::{PREAMBLE_UPCHIRPS, SYNC_SYMBOLS};
+use lora_phy::params::{BitsPerChirp, PREAMBLE_UPCHIRPS, SYNC_SYMBOLS};
 
-use crate::calibration::Thresholds;
 use crate::config::SaiyanConfig;
 use crate::correlator::Correlator;
 use crate::decoder::{PeakDecoder, PreambleTiming};
-use crate::demodulator::DemodResult;
 use crate::frontend::{Frontend, StreamingFrontend};
 use crate::sampler::SampledStream;
 
-/// Causal comparator-threshold calibration: the streaming stand-in for
-/// [`crate::calibration::auto_calibrate`], which needs the whole buffer.
+/// A pair of comparator thresholds (paper §4.1): the high threshold `U_H`
+/// slightly below the envelope's peak amplitude `A_max`, and the low
+/// threshold `U_L = U_H − U_F`, where `U_F` is the detector's output floor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Thresholds {
+    /// The high threshold `U_H` (volts).
+    pub high: f64,
+    /// The low threshold `U_L` (volts).
+    pub low: f64,
+}
+
+/// One decoded downlink packet.
+///
+/// The quickstart round trip (`examples/quickstart.rs`): the access point
+/// modulates a downlink MAC command, the channel model attenuates it over a
+/// 40 m outdoor link, and the tag's Super Saiyan receiver finds the packet
+/// and decodes it:
+///
+/// ```
+/// use lora_phy::downlink::bytes_to_symbols;
+/// use lora_phy::modulator::{Alphabet, Modulator};
+/// use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+/// use rfsim::channel::Channel;
+/// use rfsim::link::paper_downlink;
+/// use rfsim::noise::NoiseModel;
+/// use rfsim::pathloss::{Environment, PathLossModel};
+/// use rfsim::units::{Db, Hertz, Meters};
+/// use saiyan::{SaiyanConfig, StreamingDemodulator, Variant};
+/// use saiyan_mac::{Addressing, Command, DownlinkPacket, TagId};
+///
+/// let lora = LoraParams::new(
+///     SpreadingFactor::Sf7,
+///     Bandwidth::Khz500,
+///     BitsPerChirp::new(2).unwrap(),
+/// )
+/// .with_oversampling(8);
+///
+/// // The access point wants tag #7 to retransmit packet 42.
+/// let command = DownlinkPacket {
+///     addressing: Addressing::Unicast(TagId(7)),
+///     command: Command::Retransmit { sequence: 42 },
+/// };
+/// let payload = command.to_bytes();
+/// let symbols = bytes_to_symbols(&payload, lora.bits_per_chirp);
+///
+/// // Modulate and propagate over a 40 m outdoor link.
+/// let (wave, _) = Modulator::new(lora)
+///     .packet_with_guard(&symbols, Alphabet::Downlink, 4)
+///     .unwrap();
+/// let path_loss = PathLossModel::for_environment(Environment::OutdoorLos, Hertz(lora.carrier_hz));
+/// let channel = Channel::new(
+///     paper_downlink(path_loss, Meters(40.0)),
+///     NoiseModel::new(Db(6.0), Hertz(lora.bw.hz())),
+/// );
+/// let rx = channel.propagate(&wave);
+///
+/// // The tag finds the packet and decodes it with the full (Super Saiyan)
+/// // receive chain.
+/// let config = SaiyanConfig::paper_default(lora, Variant::Super);
+/// let packets = StreamingDemodulator::new(config, symbols.len()).run_to_end(&rx);
+/// assert_eq!(packets.len(), 1);
+/// let decoded_bytes = packets[0].to_bytes(lora.bits_per_chirp, payload.len());
+/// let decoded = DownlinkPacket::from_bytes(&decoded_bytes).unwrap();
+/// assert_eq!(decoded, command);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct DemodResult {
+    /// Decoded payload symbols.
+    pub symbols: Vec<u32>,
+    /// Per-symbol peak time within its window, where the comparator fired.
+    pub peak_times: Vec<Option<f64>>,
+    /// Per-symbol correlation scores (Super Saiyan only, else empty).
+    pub correlation_scores: Vec<f64>,
+    /// Time (seconds from the start of the stream) at which the payload
+    /// began, as recovered from the preamble. It includes the SAW FIR's
+    /// constant group delay.
+    pub payload_start_time: f64,
+    /// Number of regular preamble peaks that supported timing recovery.
+    pub preamble_peaks: usize,
+    /// The comparator thresholds in force when the packet was decoded.
+    pub thresholds: Thresholds,
+}
+
+impl DemodResult {
+    /// Unpacks the decoded symbols into payload bytes.
+    pub fn to_bytes(&self, k: BitsPerChirp, payload_len: usize) -> Vec<u8> {
+        symbols_to_bytes(&self.symbols, k, payload_len)
+    }
+}
+
+/// Causal comparator-threshold calibration, the AGC the paper leaves to
+/// future work (§4.1).
 ///
 /// The peak amplitude `A_max` is tracked with an exponentially decaying peak
 /// hold (the decay lets the thresholds re-adapt to the next packet's power).
@@ -53,10 +144,9 @@ use crate::sampler::SampledStream;
 /// median sits within a few dB of the maxima. A mean-based floor cannot make
 /// that call — the chirp ramp drags the mean up until the packet itself looks
 /// like floor. While no signal stands out, `U_H` is parked strictly *above*
-/// the running peak so the comparator stays silent: the batch calibration
-/// parks it just below the global maximum instead, which is safe there
-/// because the maximum includes the packet, but on a live stream it would
-/// chatter on every new noise maximum and flood the edge detector.
+/// the running peak so the comparator stays silent: parked just below it,
+/// the comparator would chatter on every new noise maximum and flood the
+/// edge detector.
 #[derive(Debug, Clone)]
 struct ThresholdTracker {
     peak: f64,
@@ -396,10 +486,7 @@ impl StreamingDemodulator {
             * t_sym
             * sampler_rate)
             .ceil() as usize;
-        let saw_taps = config
-            .streaming_saw_taps
-            .unwrap_or(Frontend::STREAMING_SAW_TAPS);
-        let frontend = Frontend::paper(&config).streaming_with_taps(sample_rate, saw_taps);
+        let frontend = Frontend::paper(&config).streaming_with_taps(sample_rate, config.saw_taps());
         let tracker = ThresholdTracker::new(
             config.threshold_gap_db,
             config.comparator_hysteresis,
@@ -673,9 +760,10 @@ impl StreamingDemodulator {
         out
     }
 
-    /// Convenience: streams an entire trace through this demodulator (one
-    /// chunk) and flushes. With a fresh instance this is the whole-buffer
-    /// reference the chunked runs are compared against.
+    /// Streams an entire trace through this demodulator (one chunk) and
+    /// flushes: the entry point for a pre-cut capture. With a fresh instance
+    /// this is also the whole-buffer reference the chunked runs are compared
+    /// against.
     pub fn run_to_end(mut self, trace: &SampleBuffer) -> Vec<DemodResult> {
         let mut out = self.push_chunk(trace);
         out.extend(self.finish());
@@ -683,7 +771,7 @@ impl StreamingDemodulator {
     }
 
     /// Waveform index at which sampler tick `k` latches (the same nearest-
-    /// sample rule as the batch [`crate::sampler::VoltageSampler`]).
+    /// sample rule as [`crate::sampler::VoltageSampler::sample_envelope`]).
     fn tick_target(&self, k: u64) -> u64 {
         (k as f64 / self.sampler_rate * self.sample_rate).round() as u64
     }
@@ -879,6 +967,15 @@ mod tests {
         SaiyanConfig::paper_default(lora, variant)
     }
 
+    fn lora_8x() -> LoraParams {
+        LoraParams::new(
+            SpreadingFactor::Sf7,
+            Bandwidth::Khz500,
+            BitsPerChirp::new(2).unwrap(),
+        )
+        .with_oversampling(8)
+    }
+
     /// A trace holding one packet at `rx_power_dbm`, padded with
     /// `guard_symbols` of silence on both sides.
     fn packet_trace(
@@ -1000,24 +1097,31 @@ mod tests {
     }
 
     #[test]
+    fn round_trip_survives_moderate_noise() {
+        let symbols = vec![2u32, 0, 3, 1, 2, 2, 0, 3];
+        let cfg = SaiyanConfig::paper_default(lora_8x(), Variant::Super);
+        // Signal -55 dBm, noise -75 dBm: 20 dB SNR.
+        let trace = packet_trace(&cfg, &symbols, -55.0, 2, Some(-75.0));
+        let results = StreamingDemodulator::new(cfg, symbols.len()).run_to_end(&trace);
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].symbols, symbols);
+    }
+
+    #[test]
     fn strong_packets_are_timed_from_the_first_preamble_peak() {
         // At 8x oversampling a strong packet's abrupt onset leaves a small
         // envelope transient in the shifting chain, ~0.94 symbol before the
         // first preamble peak. It must not join the preamble train: a
-        // one-symbol-early anchor shifts every payload symbol.
-        let lora = LoraParams::new(
-            SpreadingFactor::Sf7,
-            Bandwidth::Khz500,
-            BitsPerChirp::new(2).unwrap(),
-        )
-        .with_oversampling(8);
+        // one-symbol-early anchor shifts every payload symbol. Vanilla, which
+        // has no such transient, runs the same sweep as a control.
+        let lora = lora_8x();
         let symbols: Vec<u32> = (0..12).map(|i| (i * 7 + 3) % 4).collect();
         let (wave, layout) = Modulator::new(lora)
             .packet_with_guard(&symbols, Alphabet::Downlink, 2)
             .unwrap();
         let truth = layout.payload_start as f64 / lora.sample_rate();
         let t_sym = lora.symbol_duration();
-        for variant in [Variant::WithShifting, Variant::Super] {
+        for variant in Variant::ALL {
             for noise in [None, Some(-111.0)] {
                 for rss in [-40.0, -45.0, -50.0, -53.0, -56.0] {
                     let mut rx = wave

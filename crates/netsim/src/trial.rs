@@ -6,8 +6,8 @@
 //!   the calibrated RSS→BER model. This is what the big evaluation sweeps use
 //!   (the paper itself sends 1,000 packets × 100 repetitions per point).
 //! * **Waveform level** ([`run_waveform_trials`]): full modulation → channel →
-//!   Saiyan receive chain, used by micro-benchmarks and to sanity-check the
-//!   abstraction on a few points.
+//!   Saiyan receiver (packet detection included), used by micro-benchmarks
+//!   and to sanity-check the abstraction on a few points.
 
 use lora_phy::downlink::bytes_to_symbols;
 use lora_phy::modulator::{Alphabet, Modulator};
@@ -17,8 +17,8 @@ use rand_chacha::ChaCha8Rng;
 use rfsim::channel::dbm_to_buffer_power;
 use rfsim::noise::AwgnSource;
 use saiyan::config::SaiyanConfig;
-use saiyan::demodulator::SaiyanDemodulator;
 use saiyan::metrics::ErrorCounts;
+use saiyan::streaming::StreamingDemodulator;
 
 use crate::scenario::Scenario;
 
@@ -71,15 +71,17 @@ pub fn run_link_trials(scenario: &Scenario, config: &TrialConfig) -> ErrorCounts
     counts
 }
 
-/// Runs waveform-level trials through the full Saiyan receive chain with
-/// ground-truth packet timing (isolating symbol decisions). Slow; keep
-/// `config.packets` small.
+/// Runs waveform-level trials through the full Saiyan receiver. Each packet
+/// is a capture of its own, decoded by a fresh [`StreamingDemodulator`] that
+/// has to find the preamble itself. A packet with no decode within one
+/// symbol of its true payload start is lost ([`ErrorCounts::packets_lost`]);
+/// the others count their symbol errors. Slow; keep `config.packets` small.
 pub fn run_waveform_trials(
     scenario: &Scenario,
     saiyan_config: &SaiyanConfig,
     config: &TrialConfig,
 ) -> ErrorCounts {
-    let demod = SaiyanDemodulator::new(saiyan_config.clone());
+    let t_sym = saiyan_config.lora.symbol_duration();
     let modulator = Modulator::new(saiyan_config.lora);
     let rss = scenario.effective_rss();
     let noise_power = scenario.noise_model().noise_power();
@@ -105,9 +107,14 @@ pub fn run_waveform_trials(
         let mut awgn = AwgnSource::new(config.seed ^ (trial as u64).wrapping_mul(0x9E37_79B9));
         awgn.add_to(&mut rx, dbm_to_buffer_power(noise_power));
 
-        match demod.demodulate_aligned(&rx, layout.payload_start, symbols.len()) {
-            Ok(result) => counts.add_packet(&symbols, &result.symbols, k.bits() as u32),
-            Err(_) => counts.add_lost_packet(symbols.len(), k.bits() as u32),
+        let truth = layout.payload_start as f64 / rx.sample_rate;
+        let decoded = StreamingDemodulator::new(saiyan_config.clone(), symbols.len())
+            .run_to_end(&rx)
+            .into_iter()
+            .find(|r| (r.payload_start_time - truth).abs() < t_sym);
+        match decoded {
+            Some(result) => counts.add_packet(&symbols, &result.symbols, k.bits() as u32),
+            None => counts.add_lost_packet(symbols.len(), k.bits() as u32),
         }
     }
     counts
@@ -190,6 +197,26 @@ mod tests {
             },
         );
         assert_eq!(counts.packets_total, 3);
+        assert_eq!(counts.packets_lost, 0);
         assert!(counts.ber() < 0.05, "waveform BER {}", counts.ber());
+    }
+
+    #[test]
+    fn waveform_trials_report_vanilla_detection_loss_at_minus_60_dbm() {
+        let template = Scenario::outdoor_default(Meters(1.0));
+        let distance = crate::range::detection_range(&template, rfsim::units::Dbm(-60.0));
+        let scenario = template.with_distance(distance);
+        let lora = scenario.lora.with_oversampling(8);
+        let counts = run_waveform_trials(
+            &scenario,
+            &SaiyanConfig::paper_default(lora, Variant::Vanilla),
+            &TrialConfig {
+                packets: 3,
+                payload_symbols: 16,
+                seed: 5,
+            },
+        );
+        assert_eq!(counts.packets_total, 3);
+        assert!(counts.packets_lost > 0, "{counts:?}");
     }
 }

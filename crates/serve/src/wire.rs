@@ -34,9 +34,8 @@
 //! ingest loops convert whole frames without a per-frame allocation.
 
 use lora_phy::iq::Iq;
-use saiyan::calibration::Thresholds;
-use saiyan::demodulator::DemodResult;
 use saiyan::gateway::GatewayPacket;
+use saiyan::streaming::{DemodResult, Thresholds};
 
 /// Binary format version tag.
 pub const WIRE_VERSION: u8 = 1;

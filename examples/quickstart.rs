@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! The round trip at the heart of this example is also a compile-checked
-//! doctest on `saiyan::SaiyanDemodulator`, so the API it shows cannot drift.
+//! doctest on `saiyan::DemodResult`, so the API it shows cannot drift.
 
 use lora_phy::downlink::{bytes_to_symbols, symbols_for_bytes};
 use lora_phy::modulator::{Alphabet, Modulator};
@@ -14,7 +14,7 @@ use rfsim::link::paper_downlink;
 use rfsim::noise::NoiseModel;
 use rfsim::pathloss::{Environment, PathLossModel};
 use rfsim::units::{Db, Hertz, Meters};
-use saiyan::{SaiyanConfig, SaiyanDemodulator, Variant};
+use saiyan::{SaiyanConfig, StreamingDemodulator, Variant};
 use saiyan_mac::{Addressing, Command, DownlinkPacket, TagId};
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
     //    levels; the calibrated link-abstraction model in `netsim` covers the
     //    full 148.6 m evaluation range — see EXPERIMENTS.md.)
     let modulator = Modulator::new(lora);
-    let (wave, layout) = modulator
+    let (wave, _) = modulator
         .packet_with_guard(&symbols, Alphabet::Downlink, 4)
         .expect("valid symbols");
     let path_loss = PathLossModel::for_environment(Environment::OutdoorLos, Hertz(lora.carrier_hz));
@@ -60,12 +60,15 @@ fn main() {
     );
     let rx = channel.propagate(&wave);
 
-    // 4. The tag demodulates with the full (Super Saiyan) receive chain.
+    // 4. The tag finds the packet's preamble and demodulates it with the
+    //    full (Super Saiyan) receive chain.
     let config = SaiyanConfig::paper_default(lora, Variant::Super);
-    let demod = SaiyanDemodulator::new(config);
-    let result = demod
-        .demodulate_aligned(&rx, layout.payload_start, symbols.len())
-        .expect("demodulation succeeds at 40 m");
+    let packets = StreamingDemodulator::new(config, symbols.len()).run_to_end(&rx);
+    let result = packets.first().expect("the tag detects the packet at 40 m");
+    println!(
+        "Detected a packet with {} preamble peaks",
+        result.preamble_peaks
+    );
     let decoded_bytes = result.to_bytes(lora.bits_per_chirp, payload.len());
     let decoded = DownlinkPacket::from_bytes(&decoded_bytes).expect("valid packet");
 

@@ -1,22 +1,23 @@
 //! Batch == streaming, stage by stage, on a golden fixture.
 //!
-//! The block-pipeline refactor left exactly one implementation per analog
-//! stage: every batch entry point (`Lna::amplify`, `EnvelopeDetector::detect`,
+//! Every analog stage has exactly one implementation: each batch entry point
+//! (`SawFilter::apply`, `Lna::amplify`, `EnvelopeDetector::detect`,
 //! `CyclicFrequencyShifter::process`, `IfAmplifier::amplify`,
-//! `LowPassFilter::filter`, `DoubleThresholdComparator::compare`) delegates to
-//! its streaming state run over the whole buffer at once. These tests pin the
-//! consequence — batch output is bit-identical to chunked streaming output on
-//! a committed golden trace — so the delegation can never silently fork
-//! again. The SAW stage is the one deliberate exception (zero-phase
-//! frequency-domain batch model vs causal FIR streaming approximation), so
-//! the full-front-end parity check runs on the post-SAW chain.
+//! `LowPassFilter::filter`, `DoubleThresholdComparator::compare`, and the
+//! assembled `Frontend::process`) runs its streaming state over the whole
+//! buffer at once. The SAW FIR's group delay is the one difference: the two
+//! entry points that contain the FIR feed it that many trailing zeros and
+//! drop as many leading outputs, so their output lines up with their input.
+//! These tests pin the consequence — batch output is bit-identical to
+//! chunked streaming output on a committed golden trace — so the delegation
+//! can never silently fork again.
 
 use analog::envelope::EnvelopeDetector;
 use analog::filters::{IfAmplifier, LowPassFilter};
 use analog::lna::Lna;
 use analog::shifting::{CyclicFrequencyShifter, ShiftingConfig};
 use analog::signal::RealBuffer;
-use lora_phy::iq::SampleBuffer;
+use lora_phy::iq::{Iq, SampleBuffer};
 use netsim::longtrace::read_golden;
 use rfsim::units::Hertz;
 use saiyan::config::SaiyanConfig;
@@ -27,23 +28,60 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// A slice of the shifting golden fixture, SAW-transformed so the post-SAW
-/// stages see realistic amplitudes.
-fn fixture_rf() -> (SampleBuffer, SaiyanConfig) {
+/// A slice of the shifting golden fixture: two symbols past the first
+/// packet start, which keeps the parity checks fast.
+fn fixture_cut() -> (SampleBuffer, SaiyanConfig) {
     let fixture = read_golden(&golden_dir(), "dual_sf7_bw500_k2_shifting").expect("fixture loads");
     let cfg = SaiyanConfig::paper_default(fixture.lora, fixture.variant);
-    let fe = Frontend::paper(&cfg);
-    // Keep the parity check fast: two symbols past the first packet start.
     let n = (4 * fixture.lora.samples_per_symbol()).min(fixture.trace.len());
     let cut = SampleBuffer::new(
         fixture.trace.samples[..n].to_vec(),
         fixture.trace.sample_rate,
     );
-    (fe.saw.apply(&cut, fe.carrier), cfg)
+    (cut, cfg)
+}
+
+/// The fixture slice, SAW-transformed so the post-SAW stages see realistic
+/// amplitudes.
+fn fixture_rf() -> (SampleBuffer, SaiyanConfig) {
+    let (cut, cfg) = fixture_cut();
+    let fe = Frontend::paper(&cfg);
+    (
+        fe.saw.apply(&cut, fe.carrier, Frontend::STREAMING_SAW_TAPS),
+        cfg,
+    )
 }
 
 fn chunkings() -> [usize; 4] {
     [1, 7, 997, usize::MAX]
+}
+
+/// `input` followed by `delay` zero samples: what a batch entry point with
+/// a SAW FIR feeds its streaming state.
+fn with_trailing_zeros(input: &SampleBuffer, delay: usize) -> Vec<Iq> {
+    let mut padded = input.samples.clone();
+    padded.resize(input.len() + delay, Iq::ZERO);
+    padded
+}
+
+#[test]
+fn saw_batch_equals_chunked_streaming_on_golden_fixture() {
+    let (cut, cfg) = fixture_cut();
+    let fe = Frontend::paper(&cfg);
+    let taps = Frontend::STREAMING_SAW_TAPS;
+    let batch = fe.saw.apply(&cut, fe.carrier, taps);
+    for chunk_size in chunkings() {
+        let mut state = fe.saw.streaming_fir(fe.carrier, cut.sample_rate, taps);
+        let delay = state.delay_samples();
+        let padded = with_trailing_zeros(&cut, delay);
+        let mut out = Vec::new();
+        let mut scratch = Vec::new();
+        for chunk in padded.chunks(chunk_size.min(padded.len())) {
+            state.filter_chunk_into(chunk, &mut scratch);
+            out.extend_from_slice(&scratch);
+        }
+        assert_eq!(out[delay..], batch.samples, "chunk size {chunk_size}");
+    }
 }
 
 #[test]
@@ -159,28 +197,23 @@ fn comparator_batch_equals_chunked_streaming_on_golden_envelope() {
 
 #[test]
 fn full_batch_front_end_equals_saw_plus_streamed_chain_on_golden_fixture() {
-    // Frontend::process = batch SAW, then the streaming implementations of
-    // LNA + shifter run whole-buffer. Recomposing those pieces by hand must
-    // reproduce it bit-exactly — the "single source of truth per stage"
-    // regression gate.
-    let fixture = read_golden(&golden_dir(), "dual_sf7_bw500_k2_shifting").expect("fixture loads");
-    let cfg = SaiyanConfig::paper_default(fixture.lora, fixture.variant);
+    // Frontend::process is the streaming front end (SAW FIR, LNA, shifter)
+    // run whole-buffer with the FIR's group delay removed. The chunked
+    // streaming front end must reproduce it bit-exactly — the "single
+    // source of truth per stage" regression gate.
+    let (cut, cfg) = fixture_cut();
     let fe = Frontend::paper(&cfg);
-    let n = (4 * fixture.lora.samples_per_symbol()).min(fixture.trace.len());
-    let cut = SampleBuffer::new(
-        fixture.trace.samples[..n].to_vec(),
-        fixture.trace.sample_rate,
-    );
-    let batch: RealBuffer = fe.process(&cut);
-
-    let transformed = fe.saw.apply(&cut, fe.carrier);
-    let mut lna_state = fe.lna.streaming();
-    let mut shifter_state = fe
-        .shifter
-        .streaming(cut.sample_rate, fe.variant.uses_shifting());
-    let mut amplified = Vec::new();
-    let mut out = Vec::new();
-    lna_state.amplify_chunk_into(&transformed.samples, &mut amplified);
-    shifter_state.process_chunk_into(&amplified, &mut out);
-    assert_eq!(out, batch.samples);
+    let batch: RealBuffer = fe.process(&cut, Frontend::STREAMING_SAW_TAPS);
+    for chunk_size in chunkings() {
+        let mut state = fe.streaming(cut.sample_rate);
+        let delay = state.group_delay_samples();
+        let padded = with_trailing_zeros(&cut, delay);
+        let mut out = Vec::new();
+        let mut scratch = Vec::new();
+        for chunk in padded.chunks(chunk_size.min(padded.len())) {
+            state.process_chunk_into(chunk, &mut scratch);
+            out.extend_from_slice(&scratch);
+        }
+        assert_eq!(out[delay..], batch.samples, "chunk size {chunk_size}");
+    }
 }

@@ -8,7 +8,7 @@ use rfsim::link::paper_downlink;
 use rfsim::noise::NoiseModel;
 use rfsim::pathloss::{Environment, PathLossModel};
 use rfsim::units::{Db, Hertz, Meters};
-use saiyan::{SaiyanConfig, SaiyanDemodulator, Variant};
+use saiyan::{DemodResult, SaiyanConfig, StreamingDemodulator, Variant};
 use saiyan_mac::{Addressing, Command, DownlinkPacket, TagId};
 
 fn lora(k: u8) -> LoraParams {
@@ -28,6 +28,22 @@ fn channel_at(distance_m: f64, lora: &LoraParams) -> Channel {
     )
 }
 
+/// The tag's receiver run over one capture: the decode whose payload starts
+/// within a symbol of `payload_start_sample`, if any.
+fn receive(
+    lora: LoraParams,
+    variant: Variant,
+    rx: &lora_phy::SampleBuffer,
+    payload_start_sample: usize,
+    n_symbols: usize,
+) -> Option<DemodResult> {
+    let truth = payload_start_sample as f64 / rx.sample_rate;
+    StreamingDemodulator::new(SaiyanConfig::paper_default(lora, variant), n_symbols)
+        .run_to_end(rx)
+        .into_iter()
+        .find(|r| (r.payload_start_time - truth).abs() < lora.symbol_duration())
+}
+
 /// Modulates a MAC command, sends it through the channel, demodulates it on
 /// the tag, and returns the decoded command.
 fn round_trip(
@@ -45,10 +61,7 @@ fn round_trip(
         .unwrap();
     let channel = channel_at(distance_m, &lora).with_seed(seed);
     let rx = channel.propagate(&wave);
-    let demod = SaiyanDemodulator::new(SaiyanConfig::paper_default(lora, variant));
-    let result = demod
-        .demodulate_aligned(&rx, layout.payload_start, symbols.len())
-        .ok()?;
+    let result = receive(lora, variant, &rx, layout.payload_start, symbols.len())?;
     DownlinkPacket::from_bytes(&result.to_bytes(lora.bits_per_chirp, payload.len())).ok()
 }
 
@@ -87,14 +100,18 @@ fn blind_demodulation_recovers_timing_and_payload() {
     let lora = lora(2);
     let payload = vec![0xDE, 0xAD, 0xBE, 0xEF];
     let symbols = bytes_to_symbols(&payload, lora.bits_per_chirp);
-    let (wave, _) = Modulator::new(lora)
+    let (wave, layout) = Modulator::new(lora)
         .packet_with_guard(&symbols, Alphabet::Downlink, 5)
         .unwrap();
     let rx = channel_at(30.0, &lora).with_seed(3).propagate(&wave);
-    let demod = SaiyanDemodulator::new(SaiyanConfig::paper_default(lora, Variant::WithShifting));
-    let result = demod
-        .demodulate(&rx, symbols.len())
-        .expect("preamble found");
+    let result = receive(
+        lora,
+        Variant::WithShifting,
+        &rx,
+        layout.payload_start,
+        symbols.len(),
+    )
+    .expect("preamble found");
     assert!(result.preamble_peaks >= 5);
     assert_eq!(result.to_bytes(lora.bits_per_chirp, payload.len()), payload);
 }
@@ -114,10 +131,14 @@ fn the_standard_receiver_and_saiyan_agree_on_clean_packets() {
     let standard_result = standard
         .demodulate_payload(&rx, layout.payload_start, symbols.len(), Alphabet::Downlink)
         .unwrap();
-    let saiyan_demod = SaiyanDemodulator::new(SaiyanConfig::paper_default(lora, Variant::Super));
-    let saiyan_result = saiyan_demod
-        .demodulate_aligned(&rx, layout.payload_start, symbols.len())
-        .unwrap();
+    let saiyan_result = receive(
+        lora,
+        Variant::Super,
+        &rx,
+        layout.payload_start,
+        symbols.len(),
+    )
+    .expect("Saiyan detects the packet");
 
     assert_eq!(standard_result.symbols, symbols);
     assert_eq!(saiyan_result.symbols, symbols);
@@ -133,8 +154,11 @@ fn demodulation_fails_gracefully_far_beyond_range() {
     // 2 km is far outside any configuration's range: the packet should either
     // fail preamble detection or decode incorrectly — but never panic.
     let rx = channel_at(2000.0, &lora).with_seed(5).propagate(&wave);
-    let demod = SaiyanDemodulator::new(SaiyanConfig::paper_default(lora, Variant::Super));
-    if let Ok(result) = demod.demodulate(&rx, symbols.len()) {
+    let demod = StreamingDemodulator::new(
+        SaiyanConfig::paper_default(lora, Variant::Super),
+        symbols.len(),
+    );
+    for result in demod.run_to_end(&rx) {
         // If something was "decoded", it must at least have the right length.
         assert_eq!(result.symbols.len(), symbols.len());
     }

@@ -103,6 +103,7 @@ fn waveform_chain_decodes_cleanly_well_inside_the_link_budget() {
         },
     );
     assert_eq!(counts.packets_total, 4);
+    assert_eq!(counts.packets_lost, 0);
     assert!(counts.ber() < 0.02, "waveform BER {}", counts.ber());
     assert!(scenario.ber() < 1e-4);
 }

@@ -8,10 +8,11 @@
 //!    memory reproduces the committed files byte-for-byte (if you changed the
 //!    modulator/channel models intentionally, rerun
 //!    `cargo run -p saiyan_bench --bin gen_golden_traces` and commit);
-//! 2. the *batch* receiver decodes each packet, cut from the trace the way
-//!    its API expects (one pre-cut capture per packet), bit-exactly;
-//! 3. the *streaming* receiver decodes the same packets from the continuous
-//!    trace — chunked and whole-buffer — bit-exactly.
+//! 2. the receiver decodes each packet in *batch*: cut from the trace as a
+//!    capture of its own, with a symbol of guard on each side, and pushed
+//!    whole;
+//! 3. the receiver decodes the same packets from the continuous trace —
+//!    chunked and whole-buffer — bit-exactly.
 
 use std::path::PathBuf;
 
@@ -19,7 +20,7 @@ use lora_phy::iq::SampleBuffer;
 use netsim::golden_fixture_set;
 use netsim::longtrace::{manifest_to_string, read_golden, trace_to_bytes, GoldenFixture};
 use saiyan::config::SaiyanConfig;
-use saiyan::{SaiyanDemodulator, StreamingDemodulator};
+use saiyan::StreamingDemodulator;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -63,11 +64,9 @@ fn batch_demodulation_reproduces_golden_symbols() {
     for fixture in golden_fixture_set().iter().map(|f| &f.name) {
         let fixture = read_golden(&golden_dir(), fixture).expect("fixture loads");
         let cfg = config(&fixture);
-        let demod = SaiyanDemodulator::new(cfg.clone());
         let sps = fixture.lora.samples_per_symbol();
         for (i, truth) in fixture.truth.iter().enumerate() {
-            // Cut the capture the way the batch API expects: one packet with
-            // a symbol of guard on each side.
+            // One packet with a symbol of guard on each side.
             let start = truth.packet_start_sample.saturating_sub(sps);
             let end = (truth.payload_start_sample + truth.symbols.len() * sps + sps)
                 .min(fixture.trace.len());
@@ -75,13 +74,16 @@ fn batch_demodulation_reproduces_golden_symbols() {
                 fixture.trace.samples[start..end].to_vec(),
                 fixture.trace.sample_rate,
             );
-            let result = demod
-                .demodulate(&capture, truth.symbols.len())
-                .unwrap_or_else(|e| {
-                    panic!("{}: batch decode of packet {i} failed: {e}", fixture.name)
-                });
+            let results =
+                StreamingDemodulator::new(cfg.clone(), truth.symbols.len()).run_to_end(&capture);
             assert_eq!(
-                result.symbols, truth.symbols,
+                results.len(),
+                1,
+                "{}: batch decode of packet {i} (decoded {results:?})",
+                fixture.name
+            );
+            assert_eq!(
+                results[0].symbols, truth.symbols,
                 "{}: batch symbols for packet {i}",
                 fixture.name
             );

@@ -7,7 +7,7 @@ use rfsim::channel::dbm_to_buffer_power;
 use rfsim::noise::AwgnSource;
 use rfsim::units::Dbm;
 use saiyan::metrics::ErrorCounts;
-use saiyan::{SaiyanConfig, SaiyanDemodulator, Variant};
+use saiyan::{SaiyanConfig, StreamingDemodulator, Variant};
 
 fn lora() -> LoraParams {
     LoraParams::new(
@@ -18,13 +18,14 @@ fn lora() -> LoraParams {
     .with_oversampling(8)
 }
 
-/// Builds a noisy received packet at the given signal and noise powers.
+/// Builds a noisy received packet at the given signal and noise powers, and
+/// returns it with its payload start time.
 fn noisy_packet(
     symbols: &[u32],
     signal_dbm: f64,
     noise_dbm: f64,
     seed: u64,
-) -> (lora_phy::SampleBuffer, usize) {
+) -> (lora_phy::SampleBuffer, f64) {
     let (wave, layout) = Modulator::new(lora())
         .packet_with_guard(symbols, Alphabet::Downlink, 2)
         .unwrap();
@@ -33,7 +34,29 @@ fn noisy_packet(
     let mut rx = wave.scaled((target / tx_power).sqrt());
     let mut awgn = AwgnSource::new(seed);
     awgn.add_to(&mut rx, dbm_to_buffer_power(Dbm(noise_dbm)));
-    (rx, layout.payload_start)
+    let payload_start = layout.payload_start as f64 / rx.sample_rate;
+    (rx, payload_start)
+}
+
+/// Decodes one capture with a fresh receiver of `variant` and tallies it:
+/// the decode within a symbol of the true payload start, or a lost packet.
+fn tally(
+    counts: &mut ErrorCounts,
+    variant: Variant,
+    rx: &lora_phy::SampleBuffer,
+    payload_start: f64,
+    symbols: &[u32],
+) {
+    let t_sym = lora().symbol_duration();
+    let decoded =
+        StreamingDemodulator::new(SaiyanConfig::paper_default(lora(), variant), symbols.len())
+            .run_to_end(rx)
+            .into_iter()
+            .find(|r| (r.payload_start_time - payload_start).abs() < t_sym);
+    match decoded {
+        Some(result) => counts.add_packet(symbols, &result.symbols, 2),
+        None => counts.add_lost_packet(symbols.len(), 2),
+    }
 }
 
 #[test]
@@ -42,24 +65,30 @@ fn correlation_decoding_beats_peak_decoding_at_low_snr() {
     // errors than the comparator-only chain (shifting variant), which is the
     // mechanism behind the Fig. 25 correlation gain.
     let symbols: Vec<u32> = (0..24).map(|i| (i * 7 + 3) % 4).collect();
-    let super_demod = SaiyanDemodulator::new(SaiyanConfig::paper_default(lora(), Variant::Super));
-    let shifting_demod =
-        SaiyanDemodulator::new(SaiyanConfig::paper_default(lora(), Variant::WithShifting));
 
     let mut super_counts = ErrorCounts::default();
     let mut shifting_counts = ErrorCounts::default();
     for seed in 0..6u64 {
         // -62 dBm signal with -70 dBm noise: only ~8 dB of SNR at the antenna.
         let (rx, payload_start) = noisy_packet(&symbols, -62.0, -70.0, 1000 + seed);
-        let s = super_demod
-            .demodulate_aligned(&rx, payload_start, symbols.len())
-            .unwrap();
-        let p = shifting_demod
-            .demodulate_aligned(&rx, payload_start, symbols.len())
-            .unwrap();
-        super_counts.add_packet(&symbols, &s.symbols, 2);
-        shifting_counts.add_packet(&symbols, &p.symbols, 2);
+        tally(
+            &mut super_counts,
+            Variant::Super,
+            &rx,
+            payload_start,
+            &symbols,
+        );
+        tally(
+            &mut shifting_counts,
+            Variant::WithShifting,
+            &rx,
+            payload_start,
+            &symbols,
+        );
     }
+    // Both chains find every packet's preamble at this SNR.
+    assert_eq!(super_counts.packets_lost, 0);
+    assert_eq!(shifting_counts.packets_lost, 0);
     assert!(
         super_counts.ser() <= shifting_counts.ser(),
         "correlator SER {} vs peak-decoder SER {}",

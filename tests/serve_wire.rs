@@ -4,9 +4,8 @@
 //! decoders must reject — never panic on — arbitrary byte soup.
 
 use proptest::prelude::*;
-use saiyan::calibration::Thresholds;
-use saiyan::demodulator::DemodResult;
 use saiyan::gateway::GatewayPacket;
+use saiyan::streaming::{DemodResult, Thresholds};
 use saiyan_serve::{
     bytes_to_samples, decode_binary_stream, decode_jsonl_stream, decode_packet_binary,
     decode_packet_jsonl, encode_packet_binary, encode_packet_jsonl, samples_to_bytes,

@@ -12,7 +12,7 @@ use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use netsim::longtrace::{generate_long_trace, random_payloads, LongTraceConfig, TracePacket};
 use proptest::prelude::*;
 use saiyan::config::{SaiyanConfig, Variant};
-use saiyan::demodulator::DemodResult;
+use saiyan::streaming::DemodResult;
 use saiyan::StreamingDemodulator;
 
 fn run_chunked(

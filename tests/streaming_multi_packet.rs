@@ -1,14 +1,12 @@
 //! Multi-packet end-to-end test: N packets with inter-packet gaps and
 //! per-packet receive powers (hence per-packet SNR) through the netsim
 //! long-trace generator, decoded by the streaming receiver from the
-//! continuous stream. Per-packet decode success must match the batch path
-//! fed the same packets as the pre-cut captures its API expects.
+//! continuous stream, every one of them bit-exactly.
 
-use lora_phy::iq::SampleBuffer;
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use netsim::longtrace::{generate_long_trace, random_payloads, LongTraceConfig, TracePacket};
 use saiyan::config::{SaiyanConfig, Variant};
-use saiyan::{SaiyanDemodulator, StreamingDemodulator};
+use saiyan::StreamingDemodulator;
 
 const PAYLOAD_SYMBOLS: usize = 8;
 const NOISE_DBM: f64 = -78.0;
@@ -47,46 +45,29 @@ fn packets() -> Vec<TracePacket> {
 }
 
 #[test]
-fn streaming_decodes_every_packet_the_batch_path_decodes() {
+fn streaming_decodes_every_packet_of_the_stream() {
     let config = LongTraceConfig::new(lora()).with_noise(NOISE_DBM);
     let specs = packets();
     let (trace, truth) = generate_long_trace(&config, &specs);
     let cfg = SaiyanConfig::paper_default(lora(), Variant::Super);
-    let sps = lora().samples_per_symbol();
 
-    // Streaming: one pass over the continuous trace in hardware-sized chunks.
-    let mut streaming = StreamingDemodulator::new(cfg.clone(), PAYLOAD_SYMBOLS);
+    // One pass over the continuous trace in hardware-sized chunks.
+    let mut streaming = StreamingDemodulator::new(cfg, PAYLOAD_SYMBOLS);
     let mut results = Vec::new();
     for chunk in trace.samples.chunks(4096) {
         results.extend(streaming.push_samples(chunk));
     }
     results.extend(streaming.finish());
 
-    // Batch: each packet as its own pre-cut capture with guard symbols.
-    let batch = SaiyanDemodulator::new(cfg);
     for (i, t) in truth.iter().enumerate() {
-        let start = t.packet_start_sample.saturating_sub(sps);
-        let end = (t.payload_start_sample + PAYLOAD_SYMBOLS * sps + sps).min(trace.len());
-        let capture = SampleBuffer::new(trace.samples[start..end].to_vec(), trace.sample_rate);
-        let batch_symbols = batch
-            .demodulate(&capture, PAYLOAD_SYMBOLS)
-            .map(|r| r.symbols);
         let expected_t = t.payload_start_sample as f64 / trace.sample_rate;
         let stream_symbols = results
             .iter()
             .find(|r| (r.payload_start_time - expected_t).abs() < lora().symbol_duration())
             .map(|r| r.symbols.clone());
 
-        // At these SNRs both paths must decode every packet bit-exactly;
-        // equal success per packet is the invariant the streaming refactor
-        // must preserve.
-        let batch_ok = matches!(&batch_symbols, Ok(s) if *s == t.symbols);
+        // At these SNRs every packet must decode bit-exactly.
         let stream_ok = stream_symbols.as_deref() == Some(&t.symbols[..]);
-        assert!(
-            batch_ok,
-            "packet {i} ({} dBm): batch decode failed: {batch_symbols:?} vs {:?}",
-            t.rx_power_dbm, t.symbols
-        );
         assert!(
             stream_ok,
             "packet {i} ({} dBm): streaming decode failed: {stream_symbols:?} vs {:?}",

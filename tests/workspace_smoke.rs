@@ -10,7 +10,7 @@
 
 use saiyan_suite::lora_phy::modulator::{Alphabet, Modulator};
 use saiyan_suite::lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
-use saiyan_suite::saiyan::{SaiyanConfig, SaiyanDemodulator, Variant};
+use saiyan_suite::saiyan::{SaiyanConfig, StreamingDemodulator, Variant};
 
 #[test]
 fn umbrella_reexports_resolve() {
@@ -41,15 +41,13 @@ fn end_to_end_downlink_round_trip_decodes() {
     .with_oversampling(8);
     let symbols = vec![0u32, 3, 1, 2, 2, 1, 3, 0];
 
-    let (wave, layout) = Modulator::new(params)
+    let (wave, _) = Modulator::new(params)
         .packet_with_guard(&symbols, Alphabet::Downlink, 2)
         .expect("modulation succeeds");
 
     let config = SaiyanConfig::paper_default(params, Variant::Super);
-    let demod = SaiyanDemodulator::new(config);
-    let result = demod
-        .demodulate_aligned(&wave, layout.payload_start, symbols.len())
-        .expect("clean capture demodulates");
+    let packets = StreamingDemodulator::new(config, symbols.len()).run_to_end(&wave);
 
-    assert_eq!(result.symbols, symbols);
+    assert_eq!(packets.len(), 1, "clean capture demodulates");
+    assert_eq!(packets[0].symbols, symbols);
 }
