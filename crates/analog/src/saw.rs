@@ -111,31 +111,9 @@ impl SawFilter {
         }
     }
 
-    /// Builds a filter from custom response points (sorted internally).
-    pub fn from_points(mut points: Vec<ResponsePoint>, reference_temperature: Celsius) -> Self {
-        points.sort_by(|a, b| {
-            a.frequency
-                .value()
-                .partial_cmp(&b.frequency.value())
-                .expect("finite frequencies")
-        });
-        SawFilter {
-            points,
-            reference_temperature,
-            tcf_ppm_per_c: Self::DEFAULT_TCF_PPM_PER_C,
-            temperature: reference_temperature,
-        }
-    }
-
     /// Sets the operating temperature (shifts the response).
     pub fn with_temperature(mut self, temperature: Celsius) -> Self {
         self.temperature = temperature;
-        self
-    }
-
-    /// Sets the temperature coefficient of frequency.
-    pub fn with_tcf(mut self, tcf_ppm_per_c: f64) -> Self {
-        self.tcf_ppm_per_c = tcf_ppm_per_c;
         self
     }
 

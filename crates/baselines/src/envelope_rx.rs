@@ -68,35 +68,14 @@ impl PacketDetector for EnvelopeReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lora_phy::modulator::{Alphabet, Modulator};
-    use lora_phy::params::{Bandwidth, BitsPerChirp, SpreadingFactor};
+    use crate::test_support::{packet_at, params};
     use rfsim::channel::dbm_to_buffer_power;
     use rfsim::noise::AwgnSource;
-
-    fn params() -> LoraParams {
-        LoraParams::new(
-            SpreadingFactor::Sf7,
-            Bandwidth::Khz500,
-            BitsPerChirp::new(2).unwrap(),
-        )
-    }
-
-    fn packet_at(power_dbm: f64, seed: u64) -> SampleBuffer {
-        let m = Modulator::new(params());
-        let (wave, _) = m
-            .packet_with_guard(&[0, 1, 2, 3], Alphabet::Downlink, 8)
-            .unwrap();
-        let target = dbm_to_buffer_power(Dbm(power_dbm));
-        let mut rx = wave.scaled(target.sqrt());
-        let mut awgn = AwgnSource::new(seed);
-        awgn.add_to(&mut rx, dbm_to_buffer_power(Dbm(-110.0)));
-        rx
-    }
 
     #[test]
     fn detects_strong_signal() {
         let rx = EnvelopeReceiver::new(params());
-        assert!(rx.detect(&packet_at(-40.0, 1)));
+        assert!(rx.detect(&packet_at(-40.0, -110.0, 1)));
     }
 
     #[test]
@@ -105,7 +84,7 @@ mod tests {
         // below the bare envelope detector's -55.8 dBm: the detector noise
         // dominates and the receiver sees nothing.
         let rx = EnvelopeReceiver::new(params());
-        assert!(!rx.detect(&packet_at(-80.0, 2)));
+        assert!(!rx.detect(&packet_at(-80.0, -110.0, 2)));
     }
 
     #[test]

@@ -113,30 +113,9 @@ pub(crate) fn uplink_ber(snr: Db, threshold_db: f64, floor: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lora_phy::modulator::{Alphabet, Modulator};
-    use lora_phy::params::{Bandwidth, BitsPerChirp, SpreadingFactor};
+    use crate::test_support::{packet_at, params};
     use rfsim::channel::dbm_to_buffer_power;
     use rfsim::noise::AwgnSource;
-
-    fn params() -> LoraParams {
-        LoraParams::new(
-            SpreadingFactor::Sf7,
-            Bandwidth::Khz500,
-            BitsPerChirp::new(2).unwrap(),
-        )
-    }
-
-    fn packet_at(power_dbm: f64, noise_dbm: f64, seed: u64) -> SampleBuffer {
-        let m = Modulator::new(params());
-        let (wave, _) = m
-            .packet_with_guard(&[0, 1, 2, 3], Alphabet::Downlink, 8)
-            .unwrap();
-        let target = dbm_to_buffer_power(Dbm(power_dbm));
-        let mut rx = wave.scaled(target.sqrt());
-        let mut awgn = AwgnSource::new(seed);
-        awgn.add_to(&mut rx, dbm_to_buffer_power(Dbm(noise_dbm)));
-        rx
-    }
 
     #[test]
     fn detects_strong_packet_and_rejects_noise() {

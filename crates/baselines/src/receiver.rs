@@ -205,8 +205,9 @@ mod tests {
     use crate::aloba::AlobaDetector;
     use crate::envelope_rx::EnvelopeReceiver;
     use crate::plora::PLoRaDetector;
-    use lora_phy::modulator::{Alphabet, Modulator};
+    use lora_phy::modulator::Alphabet;
     use lora_phy::params::{Bandwidth, BitsPerChirp, SpreadingFactor};
+    use lora_phy::templates::PacketTemplates;
     use rfsim::channel::dbm_to_buffer_power;
     use rfsim::noise::AwgnSource;
     use rfsim::units::Dbm;
@@ -221,15 +222,17 @@ mod tests {
 
     fn trace_with_two_packets() -> SampleBuffer {
         let lora = lora();
-        let modulator = Modulator::new(lora);
+        let templates = PacketTemplates::new(lora, Alphabet::Downlink);
         let sps = lora.samples_per_symbol();
         let scale = dbm_to_buffer_power(Dbm(-45.0)).sqrt();
-        let mut trace = SampleBuffer::zeros(8 * sps, lora.sample_rate());
-        let (wave, _) = modulator.packet(&[0, 1, 2, 3], Alphabet::Downlink).unwrap();
-        trace.append(&wave.clone().scaled(scale));
-        trace.append(&SampleBuffer::zeros(24 * sps, lora.sample_rate()));
-        trace.append(&wave.scaled(scale));
-        trace.append(&SampleBuffer::zeros(8 * sps, lora.sample_rate()));
+        let mut samples = vec![Iq::ZERO; 8 * sps];
+        for gap in [24, 8] {
+            templates
+                .assemble_scaled_extend(&[0, 1, 2, 3], scale, &mut samples)
+                .unwrap();
+            samples.resize(samples.len() + gap * sps, Iq::ZERO);
+        }
+        let mut trace = SampleBuffer::new(samples, lora.sample_rate());
         let mut awgn = AwgnSource::new(0xDE7);
         awgn.add_to(&mut trace, dbm_to_buffer_power(Dbm(-80.0)));
         trace

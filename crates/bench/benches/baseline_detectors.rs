@@ -3,11 +3,8 @@
 
 use baselines::{AlobaDetector, EnvelopeReceiver, PLoRaDetector, PacketDetector};
 use criterion::{criterion_group, criterion_main, Criterion};
-use lora_phy::modulator::{Alphabet, Modulator};
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
-use rfsim::channel::dbm_to_buffer_power;
-use rfsim::noise::AwgnSource;
-use rfsim::units::Dbm;
+use netsim::longtrace::{generate_long_trace, LongTraceConfig, TracePacket};
 
 fn capture() -> (lora_phy::SampleBuffer, LoraParams) {
     let params = LoraParams::new(
@@ -15,12 +12,14 @@ fn capture() -> (lora_phy::SampleBuffer, LoraParams) {
         Bandwidth::Khz500,
         BitsPerChirp::new(2).unwrap(),
     );
-    let (wave, _) = Modulator::new(params)
-        .packet_with_guard(&[0, 1, 2, 3], Alphabet::Downlink, 8)
-        .unwrap();
-    let mut rx = wave.scaled(dbm_to_buffer_power(Dbm(-60.0)).sqrt());
-    let mut awgn = AwgnSource::new(9);
-    awgn.add_to(&mut rx, dbm_to_buffer_power(Dbm(-110.0)));
+    // A -60 dBm packet between 8-symbol silent guards over -110 dBm AWGN.
+    let config = LongTraceConfig {
+        seed: 9,
+        tail_gap_symbols: 8.0,
+        ..LongTraceConfig::new(params).with_noise(-110.0)
+    };
+    let packet = TracePacket::new(vec![0, 1, 2, 3], -60.0, 8.0);
+    let (rx, _) = generate_long_trace(&config, &[packet]);
     (rx, params)
 }
 

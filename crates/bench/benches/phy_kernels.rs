@@ -1,10 +1,12 @@
-//! Criterion benchmarks of the LoRa PHY kernels: chirp modulation, FFT
+//! Criterion benchmarks of the LoRa PHY kernels: chirp generation, FFT
 //! demodulation, and the FEC coding chain.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lora_phy::fec::{decode_payload, encode_payload};
-use lora_phy::modulator::{Alphabet, Modulator};
+use lora_phy::modulator::Alphabet;
 use lora_phy::params::{Bandwidth, BitsPerChirp, CodeRate, LoraParams, SpreadingFactor};
+use lora_phy::templates::PacketTemplates;
+use lora_phy::SampleBuffer;
 use lora_phy::{ChirpGenerator, StandardDemodulator};
 
 fn params() -> LoraParams {
@@ -25,20 +27,15 @@ fn bench_chirp_generation(c: &mut Criterion) {
     });
 }
 
-fn bench_packet_modulation(c: &mut Criterion) {
-    let m = Modulator::new(params());
-    let symbols: Vec<u32> = (0..32).map(|i| i % 4).collect();
-    c.bench_function("modulator/packet_32_symbols", |b| {
-        b.iter(|| m.packet(&symbols, Alphabet::Downlink).unwrap())
-    });
-}
-
 fn bench_standard_demodulation(c: &mut Criterion) {
     let p = params();
-    let m = Modulator::new(p);
     let d = StandardDemodulator::new(p);
     let symbols: Vec<u32> = (0..32).map(|i| i % 4).collect();
-    let (wave, layout) = m.packet(&symbols, Alphabet::Downlink).unwrap();
+    let mut samples = Vec::new();
+    let layout = PacketTemplates::new(p, Alphabet::Downlink)
+        .assemble_scaled_extend(&symbols, 1.0, &mut samples)
+        .unwrap();
+    let wave = SampleBuffer::new(samples, p.sample_rate());
     c.bench_function("standard_demod/payload_32_symbols", |b| {
         b.iter(|| {
             d.demodulate_payload(&wave, layout.payload_start, 32, Alphabet::Downlink)
@@ -68,7 +65,6 @@ fn bench_fec_chain(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_chirp_generation,
-    bench_packet_modulation,
     bench_standard_demodulation,
     bench_fec_chain
 );

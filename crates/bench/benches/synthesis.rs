@@ -1,7 +1,6 @@
 //! Criterion benchmarks of the waveform synthesis fast path: template
-//! packet assembly vs the oscillator-path modulator, the block AWGN fill vs
-//! the per-sample draw loop, and slice-kernel emission mixing vs the
-//! per-sample indexed reference.
+//! packet assembly, the block AWGN fill vs the per-sample draw loop, and
+//! slice-kernel emission mixing vs the per-sample indexed reference.
 //!
 //! Sizes mirror the `exp_network_scale` 100-tag waveform row: SF7 /
 //! 250 kHz / K = 2 packets modulated at the 3 Msps wideband rate
@@ -10,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lora_phy::iq::Iq;
-use lora_phy::modulator::{Alphabet, Modulator};
+use lora_phy::modulator::Alphabet;
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use lora_phy::templates::PacketTemplates;
 use netsim::synthesis::EmissionMixer;
@@ -34,16 +33,9 @@ fn bench_packet_assembly(c: &mut Criterion) {
     let p = wideband_params();
     let symbols = packet_symbols();
     let templates = PacketTemplates::new(p, Alphabet::Downlink);
-    let modulator = Modulator::new(p);
     let n = templates.packet_samples(symbols.len());
     let scale = 0.003_162;
 
-    c.bench_function("synthesis/assembly/oscillator_modulator", |b| {
-        b.iter(|| {
-            let (wave, _) = modulator.packet(&symbols, Alphabet::Downlink).unwrap();
-            wave.scaled(scale)
-        })
-    });
     c.bench_function("synthesis/assembly/template_cache", |b| {
         b.iter_batched(
             || Vec::with_capacity(n),

@@ -4,8 +4,9 @@
 //! so this binary and the regression suite (`tests/golden_traces.rs`) can
 //! never drift apart: the suite regenerates every fixture in memory and
 //! compares it byte-for-byte against the committed files. After an
-//! intentional change to the modulator, channel models, or the fixture set,
-//! run this binary from the repository root and commit the updated files.
+//! intentional change to packet synthesis (`PacketTemplates`, the
+//! `EmissionMixer`, AWGN) or to the fixture set, run this binary from the
+//! repository root and commit the updated files.
 
 use std::path::PathBuf;
 

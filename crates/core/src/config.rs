@@ -125,12 +125,6 @@ impl SaiyanConfig {
         config
     }
 
-    /// Returns a copy with a different comparator-hysteresis cap.
-    pub fn with_comparator_hysteresis(mut self, fraction: f64) -> Self {
-        self.comparator_hysteresis = fraction;
-        self
-    }
-
     /// Returns a copy with the analog-noise model enabled or disabled.
     pub fn with_analog_noise(mut self, enabled: bool) -> Self {
         self.analog_noise = enabled;

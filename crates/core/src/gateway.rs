@@ -300,8 +300,10 @@ enum WorkerPool {
 /// [`Gateway::finish`] to flush the stream and collect the remainder.
 ///
 /// ```
-/// use lora_phy::modulator::{Alphabet, Modulator};
+/// use lora_phy::iq::{Iq, SampleBuffer};
+/// use lora_phy::modulator::Alphabet;
 /// use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+/// use lora_phy::templates::PacketTemplates;
 /// use rfsim::channel::dbm_to_buffer_power;
 /// use rfsim::units::Dbm;
 /// use saiyan::gateway::{Gateway, GatewayConfig};
@@ -314,10 +316,14 @@ enum WorkerPool {
 /// );
 /// let config = SaiyanConfig::paper_default(lora, Variant::Vanilla);
 /// let symbols = vec![3u32, 1, 0, 2];
-/// let (trace, _) = Modulator::new(lora)
-///     .packet_with_guard(&symbols, Alphabet::Downlink, 3)
+/// // One -50 dBm packet between 3-symbol silent guards.
+/// let guard = vec![Iq::ZERO; 3 * lora.samples_per_symbol()];
+/// let mut samples = guard.clone();
+/// PacketTemplates::new(lora, Alphabet::Downlink)
+///     .assemble_scaled_extend(&symbols, dbm_to_buffer_power(Dbm(-50.0)).sqrt(), &mut samples)
 ///     .unwrap();
-/// let trace = trace.scaled(dbm_to_buffer_power(Dbm(-50.0)).sqrt());
+/// samples.extend_from_slice(&guard);
+/// let trace = SampleBuffer::new(samples, lora.sample_rate());
 ///
 /// // An N = 1 gateway is bit-identical to the plain streaming receiver.
 /// let mut gateway = Gateway::new(GatewayConfig::single_channel(config.clone(), symbols.len()));
@@ -524,11 +530,6 @@ impl Gateway {
     /// The wideband input sample rate (Hz).
     pub fn wideband_rate(&self) -> f64 {
         self.wideband_rate
-    }
-
-    /// Number of channels served.
-    pub fn channel_count(&self) -> usize {
-        self.channel_ids.len()
     }
 
     /// Pushes one wideband chunk and returns the packets whose position in
@@ -740,8 +741,9 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::config::Variant;
-    use lora_phy::modulator::{Alphabet, Modulator};
+    use lora_phy::modulator::Alphabet;
     use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+    use lora_phy::templates::PacketTemplates;
     use rfsim::channel::dbm_to_buffer_power;
     use rfsim::units::Dbm;
 
@@ -754,11 +756,19 @@ mod tests {
         SaiyanConfig::paper_default(lora, variant)
     }
 
+    /// One packet at `rx_power_dbm` between 3-symbol silent guards.
     fn packet_trace(cfg: &SaiyanConfig, symbols: &[u32], rx_power_dbm: f64) -> SampleBuffer {
-        let (wave, _) = Modulator::new(cfg.lora)
-            .packet_with_guard(symbols, Alphabet::Downlink, 3)
+        let guard = vec![Iq::ZERO; 3 * cfg.lora.samples_per_symbol()];
+        let mut samples = guard.clone();
+        PacketTemplates::new(cfg.lora, Alphabet::Downlink)
+            .assemble_scaled_extend(
+                symbols,
+                dbm_to_buffer_power(Dbm(rx_power_dbm)).sqrt(),
+                &mut samples,
+            )
             .unwrap();
-        wave.scaled(dbm_to_buffer_power(Dbm(rx_power_dbm)).sqrt())
+        samples.extend_from_slice(&guard);
+        SampleBuffer::new(samples, cfg.lora.sample_rate())
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl TagPowerModel {
         self.budget.total_uw() + pm
     }
 
-    /// Whether the harvester can sustain continuous duty-cycled operation.
-    pub fn sustainable_on_harvester(&self) -> bool {
-        self.average_power_uw() <= HARVESTER_AVERAGE_UW + POWER_MANAGEMENT_UW
-    }
-
     /// Energy (joules) to demodulate one downlink packet of
     /// `payload_symbols` symbols with the given PHY parameters, assuming the
     /// receive chain runs at full power for the packet duration.

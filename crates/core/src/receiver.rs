@@ -131,8 +131,10 @@ mod tests {
     use super::*;
     use crate::config::{SaiyanConfig, Variant};
     use crate::gateway::GatewayConfig;
-    use lora_phy::modulator::{Alphabet, Modulator};
+    use lora_phy::iq::SampleBuffer;
+    use lora_phy::modulator::Alphabet;
     use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+    use lora_phy::templates::PacketTemplates;
     use rfsim::channel::dbm_to_buffer_power;
     use rfsim::units::Dbm;
 
@@ -158,10 +160,17 @@ mod tests {
     fn streaming_and_gateway_backends_agree_through_the_trait() {
         let cfg = config();
         let symbols = vec![1u32, 3, 0, 2, 2, 1];
-        let (wave, _) = Modulator::new(cfg.lora)
-            .packet_with_guard(&symbols, Alphabet::Downlink, 3)
+        let guard = vec![Iq::ZERO; 3 * cfg.lora.samples_per_symbol()];
+        let mut samples = guard.clone();
+        PacketTemplates::new(cfg.lora, Alphabet::Downlink)
+            .assemble_scaled_extend(
+                &symbols,
+                dbm_to_buffer_power(Dbm(-50.0)).sqrt(),
+                &mut samples,
+            )
             .unwrap();
-        let trace = wave.scaled(dbm_to_buffer_power(Dbm(-50.0)).sqrt());
+        samples.extend_from_slice(&guard);
+        let trace = SampleBuffer::new(samples, cfg.lora.sample_rate());
 
         let reference = StreamingDemodulator::new(cfg.clone(), symbols.len()).run_to_end(&trace);
         assert_eq!(reference.len(), 1);

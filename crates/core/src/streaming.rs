@@ -55,17 +55,19 @@ pub struct Thresholds {
 /// One decoded downlink packet.
 ///
 /// The quickstart round trip (`examples/quickstart.rs`): the access point
-/// modulates a downlink MAC command, the channel model attenuates it over a
-/// 40 m outdoor link, and the tag's Super Saiyan receiver finds the packet
-/// and decodes it:
+/// sends a downlink MAC command, which arrives at the RSS of a 40 m outdoor
+/// link over the receiver's thermal noise, and the tag's Super Saiyan
+/// receiver finds the packet and decodes it:
 ///
 /// ```
 /// use lora_phy::downlink::bytes_to_symbols;
-/// use lora_phy::modulator::{Alphabet, Modulator};
+/// use lora_phy::iq::{Iq, SampleBuffer};
+/// use lora_phy::modulator::Alphabet;
 /// use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
-/// use rfsim::channel::Channel;
+/// use lora_phy::templates::PacketTemplates;
+/// use rfsim::channel::dbm_to_buffer_power;
 /// use rfsim::link::paper_downlink;
-/// use rfsim::noise::NoiseModel;
+/// use rfsim::noise::{AwgnSource, NoiseModel};
 /// use rfsim::pathloss::{Environment, PathLossModel};
 /// use rfsim::units::{Db, Hertz, Meters};
 /// use saiyan::{SaiyanConfig, StreamingDemodulator, Variant};
@@ -86,16 +88,19 @@ pub struct Thresholds {
 /// let payload = command.to_bytes();
 /// let symbols = bytes_to_symbols(&payload, lora.bits_per_chirp);
 ///
-/// // Modulate and propagate over a 40 m outdoor link.
-/// let (wave, _) = Modulator::new(lora)
-///     .packet_with_guard(&symbols, Alphabet::Downlink, 4)
-///     .unwrap();
+/// // Synthesize the packet at the link's RSS (its mean power) between
+/// // 4-symbol silent guards, then add the receiver's thermal noise.
 /// let path_loss = PathLossModel::for_environment(Environment::OutdoorLos, Hertz(lora.carrier_hz));
-/// let channel = Channel::new(
-///     paper_downlink(path_loss, Meters(40.0)),
-///     NoiseModel::new(Db(6.0), Hertz(lora.bw.hz())),
-/// );
-/// let rx = channel.propagate(&wave);
+/// let rss = paper_downlink(path_loss, Meters(40.0)).received_power();
+/// let guard = vec![Iq::ZERO; 4 * lora.samples_per_symbol()];
+/// let mut samples = guard.clone();
+/// PacketTemplates::new(lora, Alphabet::Downlink)
+///     .assemble_scaled_extend(&symbols, dbm_to_buffer_power(rss).sqrt(), &mut samples)
+///     .unwrap();
+/// samples.extend_from_slice(&guard);
+/// let mut rx = SampleBuffer::new(samples, lora.sample_rate());
+/// let noise = NoiseModel::new(Db(6.0), Hertz(lora.bw.hz())).noise_power();
+/// AwgnSource::new(1).add_to(&mut rx, dbm_to_buffer_power(noise));
 ///
 /// // The tag finds the packet and decodes it with the full (Super Saiyan)
 /// // receive chain.
@@ -401,8 +406,10 @@ enum RxState {
 /// field — the tag knows its frame format).
 ///
 /// ```
-/// use lora_phy::modulator::{Alphabet, Modulator};
+/// use lora_phy::iq::Iq;
+/// use lora_phy::modulator::Alphabet;
 /// use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+/// use lora_phy::templates::PacketTemplates;
 /// use rfsim::channel::dbm_to_buffer_power;
 /// use rfsim::units::Dbm;
 /// use saiyan::{SaiyanConfig, StreamingDemodulator, Variant};
@@ -414,15 +421,18 @@ enum RxState {
 /// );
 /// let config = SaiyanConfig::paper_default(lora, Variant::WithShifting);
 /// let symbols = vec![3u32, 1, 0, 2];
-/// let (trace, _) = Modulator::new(lora)
-///     .packet_with_guard(&symbols, Alphabet::Downlink, 3)
+/// // One -50 dBm packet between 3-symbol silent guards.
+/// let guard = vec![Iq::ZERO; 3 * lora.samples_per_symbol()];
+/// let mut trace = guard.clone();
+/// PacketTemplates::new(lora, Alphabet::Downlink)
+///     .assemble_scaled_extend(&symbols, dbm_to_buffer_power(Dbm(-50.0)).sqrt(), &mut trace)
 ///     .unwrap();
-/// let trace = trace.scaled(dbm_to_buffer_power(Dbm(-50.0)).sqrt());
+/// trace.extend_from_slice(&guard);
 ///
 /// // Push the stream in arbitrary chunks; packets fall out as they complete.
 /// let mut demod = StreamingDemodulator::new(config, symbols.len());
 /// let mut packets = Vec::new();
-/// for chunk in trace.samples.chunks(777) {
+/// for chunk in trace.chunks(777) {
 ///     packets.extend(demod.push_samples(chunk));
 /// }
 /// packets.extend(demod.finish()); // flush a packet cut at stream end
@@ -952,8 +962,9 @@ impl StreamingDemodulator {
 mod tests {
     use super::*;
     use crate::config::Variant;
-    use lora_phy::modulator::{Alphabet, Modulator};
+    use lora_phy::modulator::Alphabet;
     use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+    use lora_phy::templates::PacketTemplates;
     use rfsim::channel::dbm_to_buffer_power;
     use rfsim::noise::AwgnSource;
     use rfsim::units::Dbm;
@@ -976,6 +987,25 @@ mod tests {
         .with_oversampling(8)
     }
 
+    /// One packet at `rx_power_dbm` after `lead` silent samples, and the
+    /// sample index where its payload starts.
+    fn assemble(
+        lora: LoraParams,
+        symbols: &[u32],
+        rx_power_dbm: f64,
+        lead: usize,
+    ) -> (Vec<Iq>, usize) {
+        let mut samples = vec![Iq::ZERO; lead];
+        let layout = PacketTemplates::new(lora, Alphabet::Downlink)
+            .assemble_scaled_extend(
+                symbols,
+                dbm_to_buffer_power(Dbm(rx_power_dbm)).sqrt(),
+                &mut samples,
+            )
+            .unwrap();
+        (samples, lead + layout.payload_start)
+    }
+
     /// A trace holding one packet at `rx_power_dbm`, padded with
     /// `guard_symbols` of silence on both sides.
     fn packet_trace(
@@ -985,12 +1015,10 @@ mod tests {
         guard_symbols: usize,
         noise_power_dbm: Option<f64>,
     ) -> SampleBuffer {
-        let m = Modulator::new(cfg.lora);
-        let (wave, _) = m
-            .packet_with_guard(symbols, Alphabet::Downlink, guard_symbols)
-            .unwrap();
-        let target = dbm_to_buffer_power(Dbm(rx_power_dbm));
-        let mut rx = wave.scaled(target.sqrt());
+        let guard = guard_symbols * cfg.lora.samples_per_symbol();
+        let (mut samples, _) = assemble(cfg.lora, symbols, rx_power_dbm, guard);
+        samples.resize(samples.len() + guard, Iq::ZERO);
+        let mut rx = SampleBuffer::new(samples, cfg.lora.sample_rate());
         if let Some(np) = noise_power_dbm {
             let mut awgn = AwgnSource::new(0x57EA);
             awgn.add_to(&mut rx, dbm_to_buffer_power(Dbm(np)));
@@ -1081,16 +1109,9 @@ mod tests {
     fn trace_ending_at_payload_end_still_decodes_via_finish() {
         let symbols = vec![3u32, 2, 1, 0, 3, 2];
         let cfg = config(Variant::Vanilla);
-        let m = Modulator::new(cfg.lora);
-        let (wave, layout) = m
-            .packet_with_guard(&symbols, Alphabet::Downlink, 2)
-            .unwrap();
-        // Keep the leading guard but drop everything after the payload's
-        // final sample (the trailing guard).
-        let payload_end = layout.payload_start + symbols.len() * cfg.lora.samples_per_symbol();
-        let target = dbm_to_buffer_power(Dbm(-50.0));
-        let cut = SampleBuffer::new(wave.samples[..payload_end].to_vec(), wave.sample_rate)
-            .scaled(target.sqrt());
+        // A leading guard but nothing after the payload's final sample.
+        let (samples, _) = assemble(cfg.lora, &symbols, -50.0, 2 * cfg.lora.samples_per_symbol());
+        let cut = SampleBuffer::new(samples, cfg.lora.sample_rate());
         let results = StreamingDemodulator::new(cfg, symbols.len()).run_to_end(&cut);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].symbols, symbols);
@@ -1116,20 +1137,18 @@ mod tests {
         // has no such transient, runs the same sweep as a control.
         let lora = lora_8x();
         let symbols: Vec<u32> = (0..12).map(|i| (i * 7 + 3) % 4).collect();
-        let (wave, layout) = Modulator::new(lora)
-            .packet_with_guard(&symbols, Alphabet::Downlink, 2)
-            .unwrap();
-        let truth = layout.payload_start as f64 / lora.sample_rate();
+        let guard = 2 * lora.samples_per_symbol();
         let t_sym = lora.symbol_duration();
         for variant in Variant::ALL {
             for noise in [None, Some(-111.0)] {
                 for rss in [-40.0, -45.0, -50.0, -53.0, -56.0] {
-                    let mut rx = wave
-                        .clone()
-                        .scaled((dbm_to_buffer_power(Dbm(rss)) / wave.mean_power()).sqrt());
+                    let (mut samples, payload_start) = assemble(lora, &symbols, rss, guard);
+                    samples.resize(samples.len() + guard, Iq::ZERO);
+                    let mut rx = SampleBuffer::new(samples, lora.sample_rate());
                     if let Some(np) = noise {
                         AwgnSource::new(0x51).add_to(&mut rx, dbm_to_buffer_power(Dbm(np)));
                     }
+                    let truth = payload_start as f64 / lora.sample_rate();
                     let cfg = SaiyanConfig::paper_default(lora, variant);
                     let results = StreamingDemodulator::new(cfg, symbols.len()).run_to_end(&rx);
                     let case = format!("{variant:?} at {rss} dBm, noise {noise:?}");

@@ -5,7 +5,7 @@
 //! multiplying with a conjugate base chirp, FFT, and pick the strongest bin
 //! (§1, "the commercial LoRa receiver operates by ... FFT"). The access point
 //! in the network simulator uses this demodulator for the backscatter uplink;
-//! it also provides the ground-truth receiver used to validate the modulator.
+//! it also provides the ground-truth receiver used to validate packet synthesis.
 
 use crate::chirp::ChirpGenerator;
 use crate::error::PhyError;
@@ -221,8 +221,9 @@ pub fn bit_errors(sent: &[u32], received: &[u32], bits_per_symbol: u32) -> usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modulator::Modulator;
+    use crate::modulator::PacketLayout;
     use crate::params::{Bandwidth, BitsPerChirp, SpreadingFactor};
+    use crate::templates::PacketTemplates;
 
     fn params() -> LoraParams {
         LoraParams::new(
@@ -232,13 +233,26 @@ mod tests {
         )
     }
 
+    /// One unit-power packet after `guard` silent samples.
+    fn packet(
+        p: LoraParams,
+        alphabet: Alphabet,
+        symbols: &[u32],
+        guard: usize,
+    ) -> (SampleBuffer, PacketLayout) {
+        let mut samples = vec![Iq::ZERO; guard];
+        let layout = PacketTemplates::new(p, alphabet)
+            .assemble_scaled_extend(symbols, 1.0, &mut samples)
+            .unwrap();
+        (SampleBuffer::new(samples, p.sample_rate()), layout)
+    }
+
     #[test]
     fn clean_downlink_round_trip() {
         let p = params();
-        let m = Modulator::new(p);
         let d = StandardDemodulator::new(p);
         let symbols = vec![0, 5, 7, 1, 3, 6, 2, 4];
-        let (wave, layout) = m.packet(&symbols, Alphabet::Downlink).unwrap();
+        let (wave, layout) = packet(p, Alphabet::Downlink, &symbols, 0);
         let decision = d
             .demodulate_payload(
                 &wave,
@@ -254,10 +268,9 @@ mod tests {
     #[test]
     fn clean_standard_round_trip() {
         let p = params();
-        let m = Modulator::new(p);
         let d = StandardDemodulator::new(p);
         let symbols = vec![0, 17, 64, 127, 90, 33];
-        let (wave, layout) = m.packet(&symbols, Alphabet::Standard).unwrap();
+        let (wave, layout) = packet(p, Alphabet::Standard, &symbols, 0);
         let decision = d
             .demodulate_payload(
                 &wave,
@@ -272,12 +285,10 @@ mod tests {
     #[test]
     fn preamble_detection_on_clean_packet() {
         let p = params();
-        let m = Modulator::new(p);
         let d = StandardDemodulator::new(p);
-        let (wave, _) = m
-            .packet_with_guard(&[1, 2, 3, 4], Alphabet::Downlink, 2)
-            .unwrap();
         let guard = 2 * p.samples_per_symbol();
+        let (mut wave, _) = packet(p, Alphabet::Downlink, &[1, 2, 3, 4], guard);
+        wave.append(&SampleBuffer::zeros(guard, p.sample_rate()));
         let found = d.detect_preamble(&wave).unwrap();
         // Detection should land within one symbol of the true preamble start.
         assert!(

@@ -27,8 +27,6 @@ impl Iq {
     pub const ZERO: Iq = Iq { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     pub const ONE: Iq = Iq { re: 1.0, im: 0.0 };
-    /// The imaginary unit `j`.
-    pub const J: Iq = Iq { re: 0.0, im: 1.0 };
 
     /// Creates a sample from rectangular coordinates.
     #[inline]

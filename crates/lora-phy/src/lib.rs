@@ -9,8 +9,9 @@
 //! * [`chirp`] — chirp waveform generation and peak-time geometry;
 //! * [`fft`] — a self-contained radix-2 FFT with spectrum helpers;
 //! * [`fec`] — Gray mapping, Hamming FEC, whitening and interleaving;
-//! * [`modulator`] / [`demodulator`] — packet modulation and the standard
-//!   (access-point grade) dechirp + FFT receiver;
+//! * [`modulator`] — the payload alphabets and the packet layout;
+//! * [`demodulator`] — the standard (access-point grade) dechirp + FFT
+//!   receiver;
 //! * [`frame`] — frame header, CRC and the byte↔symbol coding chain;
 //! * [`downlink`] — the reduced `2^K`-symbol alphabet used by the Saiyan
 //!   downlink and its peak-position ground truth;
@@ -19,8 +20,8 @@
 //!   `SAIYAN_SIMD` override). It lives here, at the bottom of the crate
 //!   graph, so the RF channel models and the serving layer can reach the
 //!   same dispatch as the receiver front end;
-//! * [`templates`] — the per-parameter chirp template cache the waveform
-//!   synthesis fast path assembles packets from.
+//! * [`templates`] — the packet synthesizer: a per-parameter chirp
+//!   template cache every IQ packet in the workspace is assembled from.
 //!
 //! The paper this reproduces: *Saiyan: Design and Implementation of a
 //! Low-power Demodulator for LoRa Backscatter Systems* (NSDI 2022).
@@ -47,7 +48,7 @@ pub use demodulator::{
 pub use error::PhyError;
 pub use frame::{crc16, Frame, FrameFlags};
 pub use iq::{db_to_lin, lin_to_db, Iq, SampleBuffer};
-pub use modulator::{Alphabet, Modulator, PacketLayout};
+pub use modulator::{Alphabet, PacketLayout};
 pub use params::{
     Bandwidth, BitsPerChirp, CodeRate, LoraParams, SpreadingFactor, DEFAULT_CARRIER_HZ,
     DEFAULT_PAYLOAD_SYMBOLS, PREAMBLE_UPCHIRPS, SYNC_SYMBOLS,

@@ -1,14 +1,10 @@
-//! LoRa packet modulator.
+//! LoRa packet structure: the payload alphabets and the packet layout.
 //!
-//! Produces the complex-baseband waveform of a complete LoRa transmission:
-//! a preamble of identical up-chirps, a 2.25-symbol sync/SFD section, and the
-//! payload chirps. Both the standard uplink alphabet (`2^SF` symbols) and the
-//! Saiyan downlink alphabet (`2^K` symbols) are supported.
-
-use crate::chirp::{ChirpDirection, ChirpGenerator};
-use crate::error::PhyError;
-use crate::iq::SampleBuffer;
-use crate::params::{LoraParams, PREAMBLE_UPCHIRPS};
+//! A packet is a preamble of identical up-chirps, a 2.25-symbol sync/SFD
+//! section, and the payload chirps, drawn from either the standard uplink
+//! alphabet (`2^SF` symbols) or the Saiyan downlink alphabet (`2^K`
+//! symbols). [`crate::templates::PacketTemplates`] is the one synthesizer
+//! that turns symbols into those samples.
 
 /// Which symbol alphabet the payload uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +15,7 @@ pub enum Alphabet {
     Downlink,
 }
 
-/// Structural description of a modulated packet, useful for tests and for
+/// Structural description of a synthesized packet, useful for tests and for
 /// receivers that need ground truth about where the payload starts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PacketLayout {
@@ -37,119 +33,15 @@ pub struct PacketLayout {
     pub total_samples: usize,
 }
 
-/// LoRa packet modulator.
-#[derive(Debug, Clone)]
-pub struct Modulator {
-    params: LoraParams,
-    generator: ChirpGenerator,
-}
-
-impl Modulator {
-    /// Creates a modulator for the given parameters.
-    pub fn new(params: LoraParams) -> Self {
-        Modulator {
-            generator: ChirpGenerator::new(params),
-            params,
-        }
-    }
-
-    /// The parameter set in use.
-    pub fn params(&self) -> &LoraParams {
-        &self.params
-    }
-
-    /// The underlying chirp generator.
-    pub fn generator(&self) -> &ChirpGenerator {
-        &self.generator
-    }
-
-    /// Modulates the preamble: [`PREAMBLE_UPCHIRPS`] identical base up-chirps.
-    pub fn preamble(&self) -> SampleBuffer {
-        let base = self.generator.base_upchirp();
-        let mut out = SampleBuffer::new(Vec::new(), base.sample_rate);
-        for _ in 0..PREAMBLE_UPCHIRPS {
-            out.append(&base);
-        }
-        out
-    }
-
-    /// Modulates the sync section: 2 down-chirps plus a quarter down-chirp
-    /// (the 2.25 symbols the paper's decoder waits out, Fig. 8).
-    pub fn sync(&self) -> SampleBuffer {
-        let down = self.generator.base_downchirp();
-        let mut out = SampleBuffer::new(Vec::new(), down.sample_rate);
-        out.append(&down);
-        out.append(&down);
-        let quarter = down.samples.len() / 4;
-        let q = SampleBuffer::new(down.samples[..quarter].to_vec(), down.sample_rate);
-        out.append(&q);
-        out
-    }
-
-    /// Modulates a sequence of payload symbols using the chosen alphabet.
-    pub fn payload(&self, symbols: &[u32], alphabet: Alphabet) -> Result<SampleBuffer, PhyError> {
-        let fs = self.params.sample_rate();
-        let mut out = SampleBuffer::new(Vec::new(), fs);
-        for &sym in symbols {
-            let chirp = match alphabet {
-                Alphabet::Standard => self.generator.symbol_chirp(sym, ChirpDirection::Up)?,
-                Alphabet::Downlink => self.generator.downlink_chirp(sym)?,
-            };
-            out.append(&chirp);
-        }
-        Ok(out)
-    }
-
-    /// Modulates a complete packet (preamble + sync + payload) and returns the
-    /// waveform together with its layout.
-    pub fn packet(
-        &self,
-        symbols: &[u32],
-        alphabet: Alphabet,
-    ) -> Result<(SampleBuffer, PacketLayout), PhyError> {
-        let preamble = self.preamble();
-        let sync = self.sync();
-        let payload = self.payload(symbols, alphabet)?;
-
-        let layout = PacketLayout {
-            preamble_symbols: PREAMBLE_UPCHIRPS,
-            preamble_samples: preamble.len(),
-            sync_samples: sync.len(),
-            payload_symbols: symbols.len(),
-            payload_start: preamble.len() + sync.len(),
-            total_samples: preamble.len() + sync.len() + payload.len(),
-        };
-
-        let mut wave = preamble;
-        wave.append(&sync);
-        wave.append(&payload);
-        Ok((wave, layout))
-    }
-
-    /// Modulates a packet and prepends/appends `guard_symbols` of silence on
-    /// each side, which is how most experiments feed the channel model.
-    pub fn packet_with_guard(
-        &self,
-        symbols: &[u32],
-        alphabet: Alphabet,
-        guard_symbols: usize,
-    ) -> Result<(SampleBuffer, PacketLayout), PhyError> {
-        let (wave, mut layout) = self.packet(symbols, alphabet)?;
-        let guard_len = guard_symbols * self.params.samples_per_symbol();
-        let fs = wave.sample_rate;
-        let mut out = SampleBuffer::zeros(guard_len, fs);
-        out.append(&wave);
-        out.append(&SampleBuffer::zeros(guard_len, fs));
-        layout.payload_start += guard_len;
-        layout.total_samples = out.len();
-        Ok((out, layout))
-    }
-}
-
+/// The packet structure as [`crate::templates::PacketTemplates`] assembles
+/// it, checked against the chirp generator.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{Bandwidth, BitsPerChirp, SpreadingFactor};
+    use crate::chirp::ChirpGenerator;
+    use crate::iq::Iq;
+    use crate::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor, PREAMBLE_UPCHIRPS};
+    use crate::templates::PacketTemplates;
 
     fn params() -> LoraParams {
         LoraParams::new(
@@ -159,26 +51,42 @@ mod tests {
         )
     }
 
+    fn packet(symbols: &[u32]) -> (Vec<Iq>, PacketLayout) {
+        let mut wave = Vec::new();
+        let layout = PacketTemplates::new(params(), Alphabet::Downlink)
+            .assemble_scaled_extend(symbols, 1.0, &mut wave)
+            .unwrap();
+        (wave, layout)
+    }
+
     #[test]
     fn preamble_length() {
-        let m = Modulator::new(params());
-        let p = m.preamble();
-        assert_eq!(p.len(), PREAMBLE_UPCHIRPS * params().samples_per_symbol());
+        let (wave, layout) = packet(&[0, 1]);
+        let sps = params().samples_per_symbol();
+        assert_eq!(layout.preamble_symbols, PREAMBLE_UPCHIRPS);
+        assert_eq!(layout.preamble_samples, PREAMBLE_UPCHIRPS * sps);
+        let up = ChirpGenerator::new(params()).base_upchirp().samples;
+        for chirp in wave[..layout.preamble_samples].chunks(sps) {
+            assert_eq!(chirp, &up[..]);
+        }
     }
 
     #[test]
     fn sync_is_2_25_symbols() {
-        let m = Modulator::new(params());
-        let s = m.sync();
+        let (wave, layout) = packet(&[0, 1]);
         let sps = params().samples_per_symbol();
-        assert_eq!(s.len(), 2 * sps + sps / 4);
+        assert_eq!(layout.sync_samples, 2 * sps + sps / 4);
+        let down = ChirpGenerator::new(params()).base_downchirp().samples;
+        let sync = &wave[layout.preamble_samples..layout.payload_start];
+        assert_eq!(&sync[..sps], &down[..]);
+        assert_eq!(&sync[sps..2 * sps], &down[..]);
+        assert_eq!(&sync[2 * sps..], &down[..sps / 4]);
     }
 
     #[test]
     fn packet_layout_is_consistent() {
-        let m = Modulator::new(params());
         let symbols = vec![0, 1, 2, 3];
-        let (wave, layout) = m.packet(&symbols, Alphabet::Downlink).unwrap();
+        let (wave, layout) = packet(&symbols);
         assert_eq!(wave.len(), layout.total_samples);
         assert_eq!(
             layout.payload_start,
@@ -194,27 +102,35 @@ mod tests {
 
     #[test]
     fn guard_offsets_payload_start() {
-        let m = Modulator::new(params());
-        let (wave, layout) = m.packet_with_guard(&[0, 1], Alphabet::Downlink, 3).unwrap();
+        // A capture is the packet assembled into a zero-padded buffer: the
+        // leading guard offsets the payload and stays silent.
         let guard = 3 * params().samples_per_symbol();
-        assert_eq!(wave.len(), layout.total_samples);
-        assert!(layout.payload_start > guard);
-        // The guard sections must be silent.
-        assert!(wave.samples[..guard].iter().all(|s| s.abs() == 0.0));
+        let mut wave = vec![Iq::ZERO; guard];
+        let layout = PacketTemplates::new(params(), Alphabet::Downlink)
+            .assemble_scaled_extend(&[0, 1], 1.0, &mut wave)
+            .unwrap();
+        assert_eq!(wave.len(), guard + layout.total_samples);
+        assert!(guard + layout.payload_start > guard);
+        assert!(wave[..guard].iter().all(|s| s.abs() == 0.0));
+        assert!(wave[guard..].iter().all(|s| s.abs() > 0.0));
     }
 
     #[test]
     fn invalid_symbol_rejected() {
-        let m = Modulator::new(params());
-        assert!(m.payload(&[4], Alphabet::Downlink).is_err());
-        assert!(m.payload(&[200], Alphabet::Standard).is_err());
+        let mut out = Vec::new();
+        assert!(PacketTemplates::new(params(), Alphabet::Downlink)
+            .assemble_scaled_extend(&[4], 1.0, &mut out)
+            .is_err());
+        assert!(PacketTemplates::new(params(), Alphabet::Standard)
+            .assemble_scaled_extend(&[200], 1.0, &mut out)
+            .is_err());
+        assert!(out.is_empty());
     }
 
     #[test]
     fn waveform_is_constant_envelope() {
-        let m = Modulator::new(params());
-        let (wave, _) = m.packet(&[0, 3, 1, 2], Alphabet::Downlink).unwrap();
-        for s in &wave.samples {
+        let (wave, _) = packet(&[0, 3, 1, 2]);
+        for s in &wave {
             assert!((s.abs() - 1.0).abs() < 1e-9);
         }
     }

@@ -274,11 +274,6 @@ impl LoraParams {
         self.bits_per_chirp.bits() as f64 * self.bw.hz() / self.chips_per_symbol() as f64
     }
 
-    /// Standard (uplink) LoRa raw symbol rate in symbols per second.
-    pub fn symbol_rate(&self) -> f64 {
-        1.0 / self.symbol_duration()
-    }
-
     /// Theoretical minimum (Nyquist) sampling rate of the Saiyan voltage
     /// sampler: `2 * BW / 2^(SF - K)` (paper §2.3).
     pub fn nyquist_sampling_rate(&self) -> f64 {

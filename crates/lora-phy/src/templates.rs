@@ -1,25 +1,22 @@
-//! Chirp template cache: packet assembly without per-sample oscillators.
+//! The packet synthesizer: chirp templates assembled by copy.
 //!
-//! [`crate::modulator::Modulator::packet`] re-runs the chirp generator's
-//! per-sample phase-integration loop (one `sin`/`cos` pair per sample) for
-//! every packet it modulates, even though a parameter set only ever produces
-//! a handful of distinct chirps: the base up-chirp (preamble), the base
-//! down-chirp (sync), and one payload chirp per alphabet symbol. For a
-//! waveform-path network scenario that re-modulates hundreds of packets from
-//! the same alphabet, that loop is the single largest synthesis cost.
-//!
-//! [`PacketTemplates`] computes each distinct chirp **once** per parameter
-//! set and assembles packets by `memcpy`-style copies out of the cache. The
-//! assembled samples are **bit-identical** to [`Modulator::packet`]'s output:
-//! the cached chirps are produced by the same [`ChirpGenerator`] calls, and
-//! concatenation copies them verbatim in the same order (preamble ×
+//! A parameter set only ever produces a handful of distinct chirps: the base
+//! up-chirp (preamble), the base down-chirp (sync), and one payload chirp per
+//! alphabet symbol. [`PacketTemplates`] runs the [`ChirpGenerator`]'s
+//! per-sample phase integration **once** per chirp and assembles packets by
+//! `memcpy`-style copies out of the cache: preamble ×
 //! [`PREAMBLE_UPCHIRPS`], two down-chirps plus the quarter sync tail, then
-//! the payload chirps). [`PacketTemplates::assemble_scaled_extend`] fuses the
-//! per-packet power scale into the copy — `Iq::scale` per sample, the exact
-//! operation [`SampleBuffer::scaled`] applies — so the fast synthesis path
-//! needs no second pass over the waveform.
+//! the payload chirps, each copied verbatim from the generator's output.
+//! [`PacketTemplates::assemble_scaled_extend`] fuses the per-packet amplitude
+//! into the copy — `Iq::scale` per sample, the exact operation
+//! [`SampleBuffer::scaled`] applies — so synthesis needs no second pass over
+//! the waveform.
 //!
-//! [`Modulator::packet`]: crate::modulator::Modulator::packet
+//! This is the only way a packet becomes IQ. Every chirp is unit power, so
+//! a packet scaled by `sqrt(p)` has mean power `p` over its own span: the
+//! received power a capture is built for is the packet's mean power, with
+//! any silent guard around it excluded.
+//!
 //! [`ChirpGenerator`]: crate::chirp::ChirpGenerator
 //! [`SampleBuffer::scaled`]: crate::iq::SampleBuffer::scaled
 
@@ -33,7 +30,7 @@ use crate::params::{LoraParams, PREAMBLE_UPCHIRPS};
 ///
 /// Build one per `(LoraParams, Alphabet)` pair per scenario; assembly is
 /// then pure copy+scale. See the [module docs](self) for the bit-identity
-/// contract with the oscillator-path modulator.
+/// contract with the chirp generator.
 #[derive(Debug, Clone)]
 pub struct PacketTemplates {
     params: LoraParams,
@@ -132,7 +129,7 @@ impl PacketTemplates {
         let layout = self.layout(symbols.len());
         out.reserve(layout.total_samples);
         if scale == 1.0 {
-            // Plain copies: bit-identical to `Modulator::packet`'s appends.
+            // Plain copies of the generator's chirps.
             for _ in 0..PREAMBLE_UPCHIRPS {
                 out.extend_from_slice(&self.base_up);
             }
@@ -158,24 +155,11 @@ impl PacketTemplates {
         }
         Ok(layout)
     }
-
-    /// Clears `out` and assembles one packet into it at unit scale —
-    /// bit-identical to the sample vector of
-    /// [`Modulator::packet`](crate::modulator::Modulator::packet).
-    pub fn assemble_into(
-        &self,
-        symbols: &[u32],
-        out: &mut Vec<Iq>,
-    ) -> Result<PacketLayout, PhyError> {
-        out.clear();
-        self.assemble_scaled_extend(symbols, 1.0, out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modulator::Modulator;
     use crate::params::{Bandwidth, BitsPerChirp, SpreadingFactor};
 
     fn params() -> LoraParams {
@@ -186,18 +170,56 @@ mod tests {
         )
     }
 
+    /// The reference modulator: every packet segment straight from the
+    /// chirp generator, concatenated, with the layout its lengths imply.
+    fn modulate(p: LoraParams, alphabet: Alphabet, symbols: &[u32]) -> (Vec<Iq>, PacketLayout) {
+        let generator = ChirpGenerator::new(p);
+        let down = generator.base_downchirp().samples;
+        let mut wave = Vec::new();
+        for _ in 0..PREAMBLE_UPCHIRPS {
+            wave.extend(generator.base_upchirp().samples);
+        }
+        let preamble_samples = wave.len();
+        wave.extend_from_slice(&down);
+        wave.extend_from_slice(&down);
+        wave.extend_from_slice(&down[..down.len() / 4]);
+        let payload_start = wave.len();
+        for &sym in symbols {
+            let chirp = match alphabet {
+                Alphabet::Standard => generator.symbol_chirp(sym, ChirpDirection::Up),
+                Alphabet::Downlink => generator.downlink_chirp(sym),
+            };
+            wave.extend(chirp.unwrap().samples);
+        }
+        let layout = PacketLayout {
+            preamble_symbols: PREAMBLE_UPCHIRPS,
+            preamble_samples,
+            sync_samples: payload_start - preamble_samples,
+            payload_symbols: symbols.len(),
+            payload_start,
+            total_samples: wave.len(),
+        };
+        (wave, layout)
+    }
+
+    fn assemble(templates: &PacketTemplates, symbols: &[u32]) -> (Vec<Iq>, PacketLayout) {
+        let mut out = Vec::new();
+        let layout = templates
+            .assemble_scaled_extend(symbols, 1.0, &mut out)
+            .unwrap();
+        (out, layout)
+    }
+
     #[test]
     fn assembly_is_bit_identical_to_the_modulator() {
         for oversampling in [1u32, 2, 4] {
             let p = params().with_oversampling(oversampling);
             let templates = PacketTemplates::new(p, Alphabet::Downlink);
-            let modulator = Modulator::new(p);
             let symbols = vec![0, 3, 1, 2, 2, 0];
-            let (wave, layout) = modulator.packet(&symbols, Alphabet::Downlink).unwrap();
-            let mut fast = Vec::new();
-            let fast_layout = templates.assemble_into(&symbols, &mut fast).unwrap();
+            let (wave, layout) = modulate(p, Alphabet::Downlink, &symbols);
+            let (fast, fast_layout) = assemble(&templates, &symbols);
             assert_eq!(fast_layout, layout, "oversampling {oversampling}");
-            assert_eq!(fast, wave.samples, "oversampling {oversampling}");
+            assert_eq!(fast, wave, "oversampling {oversampling}");
         }
     }
 
@@ -205,13 +227,11 @@ mod tests {
     fn standard_alphabet_assembly_matches_too() {
         let p = params();
         let templates = PacketTemplates::new(p, Alphabet::Standard);
-        let modulator = Modulator::new(p);
         let symbols = vec![0, 127, 64, 5];
-        let (wave, layout) = modulator.packet(&symbols, Alphabet::Standard).unwrap();
-        let mut fast = Vec::new();
-        let fast_layout = templates.assemble_into(&symbols, &mut fast).unwrap();
+        let (wave, layout) = modulate(p, Alphabet::Standard, &symbols);
+        let (fast, fast_layout) = assemble(&templates, &symbols);
         assert_eq!(fast_layout, layout);
-        assert_eq!(fast, wave.samples);
+        assert_eq!(fast, wave);
     }
 
     #[test]
@@ -219,8 +239,7 @@ mod tests {
         let templates = PacketTemplates::new(params(), Alphabet::Downlink);
         let symbols = vec![1, 2, 3, 0];
         let scale = 0.003_162_277_660_168_379_4; // sqrt of a -50 dBm power
-        let mut reference = Vec::new();
-        templates.assemble_into(&symbols, &mut reference).unwrap();
+        let (mut reference, _) = assemble(&templates, &symbols);
         for s in &mut reference {
             *s = s.scale(scale);
         }
@@ -257,8 +276,7 @@ mod tests {
     fn layout_matches_modulator_layout() {
         let p = params().with_oversampling(2);
         let templates = PacketTemplates::new(p, Alphabet::Downlink);
-        let modulator = Modulator::new(p);
-        let (_, layout) = modulator.packet(&[0, 1, 2], Alphabet::Downlink).unwrap();
+        let (_, layout) = modulate(p, Alphabet::Downlink, &[0, 1, 2]);
         assert_eq!(templates.layout(3), layout);
         assert_eq!(templates.packet_samples(3), layout.total_samples);
     }

@@ -82,7 +82,7 @@ impl Air for WaveformAir {
     /// second, exactly as the reference oscillator path drew them, so every
     /// per-packet random quantity is unchanged. The packet waveform is
     /// assembled from the template cache with the power scale fused into
-    /// the copy — bit-identical to `Modulator::packet` followed by
+    /// the copy — bit-identical to the chirp generator's output followed by
     /// `SampleBuffer::scaled` — and the CFO is *not* applied here: the
     /// mixer fuses it with the channel-offset rotation at mix time.
     fn transmit(cell: &mut Cell<Self>, p: &RunParams, t: f64, tag: u32, seq: u8, channel: usize) {

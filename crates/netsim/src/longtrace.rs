@@ -98,8 +98,9 @@ pub struct TraceGroundTruth {
 }
 
 /// Generates a long trace: a layout preset over the [`EmissionMixer`]. Every
-/// packet is assembled from the chirp template cache (bit-identical to
-/// modulating it — the scale is fused into the copy) and queued after its
+/// packet is assembled from the chirp template cache with its amplitude
+/// `sqrt(rx_power)` fused into the copy, so each packet's mean power over
+/// its own span is its `rx_power_dbm` (gaps excluded), and queued after its
 /// gap with its CFO; one mixing pass then sums the emissions into the
 /// zeroed stream, and channel noise is added over it in one block pass.
 /// Returns the trace and per-packet ground truth.

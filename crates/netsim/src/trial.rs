@@ -5,21 +5,22 @@
 //! * **Link abstraction** ([`run_link_trials`]): per-bit coin flips against
 //!   the calibrated RSS→BER model. This is what the big evaluation sweeps use
 //!   (the paper itself sends 1,000 packets × 100 repetitions per point).
-//! * **Waveform level** ([`run_waveform_trials`]): full modulation → channel →
-//!   Saiyan receiver (packet detection included), used by micro-benchmarks
-//!   and to sanity-check the abstraction on a few points.
+//! * **Waveform level** ([`run_waveform_trials`]): packet synthesis at the
+//!   scenario's RSS plus thermal noise → Saiyan receiver (packet detection
+//!   included), used by micro-benchmarks and to sanity-check the
+//!   abstraction on a few points.
 
 use lora_phy::downlink::bytes_to_symbols;
-use lora_phy::modulator::{Alphabet, Modulator};
+use lora_phy::iq::SampleBuffer;
+use lora_phy::params::LoraParams;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rfsim::channel::dbm_to_buffer_power;
-use rfsim::noise::AwgnSource;
 use saiyan::config::SaiyanConfig;
 use saiyan::metrics::ErrorCounts;
 use saiyan::streaming::StreamingDemodulator;
 
+use crate::longtrace::{generate_long_trace, LongTraceConfig, TraceGroundTruth, TracePacket};
 use crate::scenario::Scenario;
 
 /// Configuration of a Monte-Carlo run.
@@ -71,20 +72,48 @@ pub fn run_link_trials(scenario: &Scenario, config: &TrialConfig) -> ErrorCounts
     counts
 }
 
+/// Silence on each side of a waveform trial's packet, in symbols.
+const TRIAL_GUARD_SYMBOLS: f64 = 2.0;
+
+/// The capture one waveform trial decodes: `symbols` at the scenario's
+/// effective RSS between silent guards of [`TRIAL_GUARD_SYMBOLS`], plus the
+/// scenario's thermal noise drawn from `noise_seed` (`None`: noiseless).
+/// Built by [`generate_long_trace`], so the RSS is the packet's own mean
+/// power, guards excluded.
+fn trial_capture(
+    scenario: &Scenario,
+    lora: LoraParams,
+    symbols: Vec<u32>,
+    noise_seed: Option<u64>,
+) -> (SampleBuffer, TraceGroundTruth) {
+    let config = LongTraceConfig {
+        lora,
+        noise_power_dbm: noise_seed.map(|_| scenario.noise_model().noise_power().value()),
+        seed: noise_seed.unwrap_or_default(),
+        tail_gap_symbols: TRIAL_GUARD_SYMBOLS,
+    };
+    let packet = TracePacket::new(
+        symbols,
+        scenario.effective_rss().value(),
+        TRIAL_GUARD_SYMBOLS,
+    );
+    let (rx, mut truth) = generate_long_trace(&config, &[packet]);
+    (rx, truth.remove(0))
+}
+
 /// Runs waveform-level trials through the full Saiyan receiver. Each packet
-/// is a capture of its own, decoded by a fresh [`StreamingDemodulator`] that
-/// has to find the preamble itself. A packet with no decode within one
-/// symbol of its true payload start is lost ([`ErrorCounts::packets_lost`]);
-/// the others count their symbol errors. Slow; keep `config.packets` small.
+/// is a capture of its own: the packet at the scenario's effective RSS (its
+/// mean power, guards excluded) between 2-symbol silent guards, plus thermal
+/// noise. A fresh [`StreamingDemodulator`] decodes it and has to find the
+/// preamble itself. A packet with no decode within one symbol of its true
+/// payload start is lost ([`ErrorCounts::packets_lost`]); the others count
+/// their symbol errors. Slow; keep `config.packets` small.
 pub fn run_waveform_trials(
     scenario: &Scenario,
     saiyan_config: &SaiyanConfig,
     config: &TrialConfig,
 ) -> ErrorCounts {
     let t_sym = saiyan_config.lora.symbol_duration();
-    let modulator = Modulator::new(saiyan_config.lora);
-    let rss = scenario.effective_rss();
-    let noise_power = scenario.noise_model().noise_power();
     let k = saiyan_config.lora.bits_per_chirp;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut counts = ErrorCounts::default();
@@ -97,24 +126,17 @@ pub fn run_waveform_trials(
             .into_iter()
             .take(config.payload_symbols)
             .collect();
-        let (wave, layout) = modulator
-            .packet_with_guard(&symbols, Alphabet::Downlink, 2)
-            .expect("valid symbols");
-        // Scale to the scenario RSS and add thermal noise.
-        let target = dbm_to_buffer_power(rss);
-        let current = wave.mean_power().max(1e-300);
-        let mut rx = wave.scaled((target / current).sqrt());
-        let mut awgn = AwgnSource::new(config.seed ^ (trial as u64).wrapping_mul(0x9E37_79B9));
-        awgn.add_to(&mut rx, dbm_to_buffer_power(noise_power));
+        let noise_seed = config.seed ^ (trial as u64).wrapping_mul(0x9E37_79B9);
+        let (rx, truth) = trial_capture(scenario, saiyan_config.lora, symbols, Some(noise_seed));
 
-        let truth = layout.payload_start as f64 / rx.sample_rate;
-        let decoded = StreamingDemodulator::new(saiyan_config.clone(), symbols.len())
+        let truth_time = truth.payload_start_sample as f64 / rx.sample_rate;
+        let decoded = StreamingDemodulator::new(saiyan_config.clone(), truth.symbols.len())
             .run_to_end(&rx)
             .into_iter()
-            .find(|r| (r.payload_start_time - truth).abs() < t_sym);
+            .find(|r| (r.payload_start_time - truth_time).abs() < t_sym);
         match decoded {
-            Some(result) => counts.add_packet(&symbols, &result.symbols, k.bits() as u32),
-            None => counts.add_lost_packet(symbols.len(), k.bits() as u32),
+            Some(result) => counts.add_packet(&truth.symbols, &result.symbols, k.bits() as u32),
+            None => counts.add_lost_packet(truth.symbols.len(), k.bits() as u32),
         }
     }
     counts
@@ -123,8 +145,36 @@ pub fn run_waveform_trials(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lora_phy::iq::Iq;
+    use rfsim::channel::buffer_power_dbm;
     use rfsim::units::Meters;
     use saiyan::config::Variant;
+
+    #[test]
+    fn trial_capture_packet_power_is_the_scenario_rss() {
+        // The RSS is the packet's mean power: the silent guards do not
+        // dilute it. Scaling the guarded buffer to the RSS would put the
+        // packet 0.58 dB high at 16 payload symbols and 0.38 dB at 32.
+        let scenario = Scenario::outdoor_default(Meters(25.0));
+        let lora = scenario.lora.with_oversampling(8);
+        let sps = lora.samples_per_symbol();
+        for payload_symbols in [16usize, 32] {
+            let symbols = (0..payload_symbols as u32).map(|i| i % 4).collect();
+            let (rx, truth) = trial_capture(&scenario, lora, symbols, None);
+            let start = truth.packet_start_sample;
+            let end = truth.payload_start_sample + payload_symbols * sps;
+            assert_eq!(start, 2 * sps);
+            assert_eq!(rx.len(), end + 2 * sps);
+            assert!(rx.samples[..start].iter().all(|s| *s == Iq::ZERO));
+            assert!(rx.samples[end..].iter().all(|s| *s == Iq::ZERO));
+            let span = SampleBuffer::new(rx.samples[start..end].to_vec(), rx.sample_rate);
+            let error_db = buffer_power_dbm(&span).value() - scenario.effective_rss().value();
+            assert!(
+                error_db.abs() < 0.01,
+                "{payload_symbols} symbols: {error_db} dB"
+            );
+        }
+    }
 
     #[test]
     fn link_trials_match_configured_ber() {

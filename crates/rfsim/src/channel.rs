@@ -1,22 +1,19 @@
-//! Waveform-level channel: gain, carrier-frequency offset, noise, interference.
+//! The workspace's power scaling convention.
 //!
-//! The [`Channel`] takes a transmitted complex-baseband waveform (unit
-//! amplitude out of the modulator), applies the link budget as a scalar gain,
-//! adds carrier-frequency offset, interference and thermal noise, and hands
-//! the result to a receiver front end. Powers are tracked in absolute dBm so
-//! the analog models downstream (envelope detector, comparator thresholds)
-//! can reason about real signal levels.
+//! Powers are tracked in absolute dBm so the analog models downstream
+//! (envelope detector, comparator thresholds) can reason about real signal
+//! levels. A waveform with mean power 1.0 (unit amplitude) represents
+//! [`REFERENCE_POWER_DBM`]. A packet received at `p` dBm is its unit-power
+//! chirps scaled by `sqrt(dbm_to_buffer_power(p))`, so `p` is the packet's
+//! mean power over its own span; silence around it does not count.
 
 use lora_phy::iq::SampleBuffer;
 
-use crate::interference::Interferer;
-use crate::link::Link;
-use crate::noise::{AwgnSource, NoiseModel};
-use crate::units::{Db, Dbm, Hertz};
+use crate::units::Dbm;
 
 /// Scaling convention: a waveform with mean power 1.0 (unit amplitude)
-/// represents `REFERENCE_POWER_DBM` at the point of measurement. All channel
-/// gains are applied relative to this reference so that `mean_power()` of a
+/// represents `REFERENCE_POWER_DBM` at the point of measurement. All gains
+/// are applied relative to this reference so that `mean_power()` of a
 /// buffer can always be converted back to dBm with [`buffer_power_dbm`].
 pub const REFERENCE_POWER_DBM: f64 = 0.0;
 
@@ -32,166 +29,10 @@ pub fn dbm_to_buffer_power(power: Dbm) -> f64 {
     10f64.powf((power.value() - REFERENCE_POWER_DBM) / 10.0)
 }
 
-/// A waveform-level channel between one transmitter and one receiver.
-#[derive(Debug, Clone)]
-pub struct Channel {
-    /// Link budget describing the large-scale gain.
-    pub link: Link,
-    /// Receiver noise description.
-    pub noise: NoiseModel,
-    /// Extra gain or loss applied on top of the link budget (fading draw,
-    /// calibration margin, etc.).
-    pub extra_gain: Db,
-    /// Carrier-frequency offset between transmitter and receiver.
-    pub cfo: Hertz,
-    /// In-band interferers added at the receiver.
-    pub interferers: Vec<Interferer>,
-    /// Seed for the AWGN source.
-    pub noise_seed: u64,
-}
-
-impl Channel {
-    /// Creates a channel with no CFO, no interference and a default seed.
-    pub fn new(link: Link, noise: NoiseModel) -> Self {
-        Channel {
-            link,
-            noise,
-            extra_gain: Db(0.0),
-            cfo: Hertz(0.0),
-            interferers: Vec::new(),
-            noise_seed: 0x5A17A4_u64 ^ 0x1234,
-        }
-    }
-
-    /// Adds an interferer.
-    pub fn with_interferer(mut self, interferer: Interferer) -> Self {
-        self.interferers.push(interferer);
-        self
-    }
-
-    /// Sets the carrier-frequency offset.
-    pub fn with_cfo(mut self, cfo: Hertz) -> Self {
-        self.cfo = cfo;
-        self
-    }
-
-    /// Sets the extra gain term.
-    pub fn with_extra_gain(mut self, gain: Db) -> Self {
-        self.extra_gain = gain;
-        self
-    }
-
-    /// Sets the noise seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.noise_seed = seed;
-        self
-    }
-
-    /// The signal power delivered to the receiver input.
-    pub fn received_power(&self) -> Dbm {
-        self.link.received_power() + self.extra_gain
-    }
-
-    /// The receiver-input SNR implied by the link budget and noise model.
-    pub fn snr(&self) -> Db {
-        self.noise.snr(self.received_power())
-    }
-
-    /// Propagates a transmitted waveform (assumed unit mean power at the
-    /// transmit antenna reference) through the channel.
-    pub fn propagate(&self, tx_waveform: &SampleBuffer) -> SampleBuffer {
-        let rx_power = self.received_power();
-        let target_linear = dbm_to_buffer_power(rx_power);
-        let tx_power = tx_waveform.mean_power().max(1e-300);
-        let scale = (target_linear / tx_power).sqrt();
-
-        let mut out = tx_waveform.clone().scaled(scale);
-        if self.cfo.value() != 0.0 {
-            out = out.frequency_shifted(self.cfo.value());
-        }
-
-        // Interference.
-        for interferer in &self.interferers {
-            let wave = interferer.waveform(out.len(), out.sample_rate);
-            let scale_i = dbm_to_buffer_power(interferer.received_power).sqrt()
-                / wave.mean_power().max(1e-300).sqrt();
-            for (s, i) in out.samples.iter_mut().zip(&wave.samples) {
-                *s += i.scale(scale_i);
-            }
-        }
-
-        // Thermal noise at the receiver input.
-        let noise_power = dbm_to_buffer_power(self.noise.noise_power());
-        let mut awgn = AwgnSource::new(self.noise_seed);
-        awgn.add_to(&mut out, noise_power);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::paper_downlink;
-    use crate::pathloss::{Environment, PathLossModel};
-    use crate::units::Meters;
     use lora_phy::iq::Iq;
-
-    fn channel_at(distance_m: f64) -> Channel {
-        let pl = PathLossModel::for_environment(Environment::OutdoorLos, Hertz::from_mhz(434.0));
-        let link = paper_downlink(pl, Meters(distance_m));
-        let noise = NoiseModel::new(Db(6.0), Hertz::from_khz(500.0));
-        Channel::new(link, noise)
-    }
-
-    #[test]
-    fn propagated_power_matches_link_budget() {
-        let ch = channel_at(50.0);
-        let tx = SampleBuffer::new(vec![Iq::ONE; 20_000], 2e6);
-        let rx = ch.propagate(&tx);
-        let measured = buffer_power_dbm(&rx);
-        let expected = ch.received_power();
-        // Noise is ~-111 dBm, signal at 50 m is ~-40 dBm, so the measured power
-        // should match the link budget closely.
-        assert!(
-            (measured.value() - expected.value()).abs() < 0.5,
-            "measured {measured}, expected {expected}"
-        );
-    }
-
-    #[test]
-    fn snr_decreases_with_distance() {
-        assert!(channel_at(10.0).snr().value() > channel_at(100.0).snr().value());
-    }
-
-    #[test]
-    fn noise_floor_dominates_far_away() {
-        let ch = channel_at(100_000.0);
-        let tx = SampleBuffer::new(vec![Iq::ONE; 10_000], 2e6);
-        let rx = ch.propagate(&tx);
-        let measured = buffer_power_dbm(&rx);
-        let noise = ch.noise.noise_power();
-        assert!((measured.value() - noise.value()).abs() < 1.5);
-    }
-
-    #[test]
-    fn interferer_raises_received_power() {
-        let clean = channel_at(80.0);
-        let jammed = channel_at(80.0).with_interferer(Interferer::cw_jammer(Dbm(-35.0)));
-        let tx = SampleBuffer::new(vec![Iq::ONE; 10_000], 2e6);
-        let p_clean = buffer_power_dbm(&clean.propagate(&tx));
-        let p_jam = buffer_power_dbm(&jammed.propagate(&tx));
-        assert!(p_jam.value() > p_clean.value() + 5.0);
-    }
-
-    #[test]
-    fn cfo_shifts_instantaneous_frequency() {
-        let ch = channel_at(5.0).with_cfo(Hertz::from_khz(50.0));
-        let tx = SampleBuffer::new(vec![Iq::ONE; 8_192], 2e6);
-        let rx = ch.propagate(&tx);
-        let f = rx.instantaneous_frequency();
-        let mean = f.iter().sum::<f64>() / f.len() as f64;
-        assert!((mean - 50_000.0).abs() < 5_000.0, "mean {mean}");
-    }
 
     #[test]
     fn dbm_buffer_round_trip() {

@@ -8,23 +8,21 @@
 //! * [`pathloss`] — log-distance path loss with outdoor/indoor presets and
 //!   concrete-wall penetration losses;
 //! * [`link`] — one-way link budgets and the two-hop backscatter budget;
-//! * [`channel`] — waveform-level channel applying gain, CFO, interference
-//!   and noise to IQ buffers;
-//! * [`interference`] — CW / wideband / pulsed jammers;
+//! * [`channel`] — the dBm ↔ buffer-power scaling convention every IQ
+//!   capture is built with (a packet's RSS is its mean power, guards
+//!   excluded);
 //! * [`temperature`] — the diurnal temperature schedule of Fig. 24.
 
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod interference;
 pub mod link;
 pub mod noise;
 pub mod pathloss;
 pub mod temperature;
 pub mod units;
 
-pub use channel::{buffer_power_dbm, dbm_to_buffer_power, Channel, REFERENCE_POWER_DBM};
-pub use interference::{InterferenceKind, Interferer};
+pub use channel::{buffer_power_dbm, dbm_to_buffer_power, REFERENCE_POWER_DBM};
 pub use link::{paper_downlink, BackscatterLink, BackscatterTagModel, Link, Radio};
 pub use noise::{thermal_noise_floor, AwgnSource, NoiseModel, BOLTZMANN};
 pub use pathloss::{free_space_path_loss, Environment, PathLossModel};

@@ -149,11 +149,6 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock").closed
-    }
-
     /// Items currently queued — the queue-depth telemetry gauge.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("queue lock").items.len()

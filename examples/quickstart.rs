@@ -1,5 +1,6 @@
-//! Quickstart: modulate a downlink command at the access point, push it
-//! through the radio channel, and demodulate it on a Saiyan tag.
+//! Quickstart: synthesize a downlink command at the RSS a Saiyan tag 40 m
+//! from the access point receives, add the tag's thermal noise, and
+//! demodulate it on the tag.
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
@@ -7,9 +8,8 @@
 //! doctest on `saiyan::DemodResult`, so the API it shows cannot drift.
 
 use lora_phy::downlink::{bytes_to_symbols, symbols_for_bytes};
-use lora_phy::modulator::{Alphabet, Modulator};
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
-use rfsim::channel::Channel;
+use netsim::longtrace::{generate_long_trace, LongTraceConfig, TracePacket};
 use rfsim::link::paper_downlink;
 use rfsim::noise::NoiseModel;
 use rfsim::pathloss::{Environment, PathLossModel};
@@ -41,24 +41,27 @@ fn main() {
         symbols_for_bytes(payload.len(), lora.bits_per_chirp)
     );
 
-    // 3. Modulate and send over a 40 m outdoor link. (The waveform-level
-    //    receive chain demonstrates the mechanism at comfortable signal
-    //    levels; the calibrated link-abstraction model in `netsim` covers the
-    //    full 148.6 m evaluation range — see EXPERIMENTS.md.)
-    let modulator = Modulator::new(lora);
-    let (wave, _) = modulator
-        .packet_with_guard(&symbols, Alphabet::Downlink, 4)
-        .expect("valid symbols");
+    // 3. Send it over a 40 m outdoor link: the packet arrives at the link
+    //    budget's RSS (its mean power) between 4-symbol silent guards, over
+    //    the tag's thermal noise. (The waveform-level receive chain
+    //    demonstrates the mechanism at comfortable signal levels; the
+    //    calibrated link-abstraction model in `netsim` covers the full
+    //    148.6 m evaluation range — see the README's "Headline results".)
     let path_loss = PathLossModel::for_environment(Environment::OutdoorLos, Hertz(lora.carrier_hz));
-    let link = paper_downlink(path_loss, Meters(40.0));
-    let channel = Channel::new(link, NoiseModel::new(Db(6.0), Hertz(lora.bw.hz())));
+    let rss = paper_downlink(path_loss, Meters(40.0)).received_power();
+    let noise = NoiseModel::new(Db(6.0), Hertz(lora.bw.hz()));
     println!(
         "Link: 40 m outdoors, RSS {} (sensitivity {} dBm), SNR {}",
-        channel.received_power(),
+        rss,
         saiyan::SUPER_SAIYAN_SENSITIVITY_DBM,
-        channel.snr()
+        noise.snr(rss)
     );
-    let rx = channel.propagate(&wave);
+    let config = LongTraceConfig {
+        tail_gap_symbols: 4.0,
+        ..LongTraceConfig::new(lora).with_noise(noise.noise_power().value())
+    };
+    let packet = TracePacket::new(symbols.clone(), rss.value(), 4.0);
+    let (rx, _) = generate_long_trace(&config, &[packet]);
 
     // 4. The tag finds the packet's preamble and demodulates it with the
     //    full (Super Saiyan) receive chain.

@@ -5,8 +5,8 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`lora_phy`] | LoRa CSS PHY substrate (chirps, frames, FEC, FFT receiver) |
-//! | [`rfsim`] | link budgets, path loss, noise, interference, temperature |
+//! | [`lora_phy`] | LoRa CSS PHY substrate (chirps, the one packet synthesizer, frames, FEC, FFT receiver) |
+//! | [`rfsim`] | link budgets, path loss, noise, temperature, and the power rule (a packet's RSS is its mean power, guards excluded) |
 //! | [`analog`] | SAW filter, LNA, envelope detector, shifting chain, comparator, power |
 //! | [`saiyan`] | the Saiyan demodulator (vanilla / shifting / super) |
 //! | [`baselines`] | PLoRa, Aloba and conventional envelope-detector baselines |

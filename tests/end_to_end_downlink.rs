@@ -1,9 +1,9 @@
-//! Integration test: full access-point → channel → Saiyan-tag downlink.
+//! Integration test: full access-point → link → Saiyan-tag downlink.
 
 use lora_phy::downlink::bytes_to_symbols;
-use lora_phy::modulator::{Alphabet, Modulator};
+use lora_phy::modulator::Alphabet;
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
-use rfsim::channel::Channel;
+use netsim::longtrace::{generate_long_trace, LongTraceConfig, TracePacket};
 use rfsim::link::paper_downlink;
 use rfsim::noise::NoiseModel;
 use rfsim::pathloss::{Environment, PathLossModel};
@@ -20,12 +20,28 @@ fn lora(k: u8) -> LoraParams {
     .with_oversampling(8)
 }
 
-fn channel_at(distance_m: f64, lora: &LoraParams) -> Channel {
+/// The capture a tag `distance_m` away receives: the packet at the outdoor
+/// link's RSS between `guard_symbols` of silence on each side, over the
+/// receiver's thermal noise drawn from `seed`. Returns it with the sample
+/// index where the payload starts.
+fn capture_at(
+    distance_m: f64,
+    lora: LoraParams,
+    symbols: &[u32],
+    guard_symbols: f64,
+    seed: u64,
+) -> (lora_phy::SampleBuffer, usize) {
     let pl = PathLossModel::for_environment(Environment::OutdoorLos, Hertz(lora.carrier_hz));
-    Channel::new(
-        paper_downlink(pl, Meters(distance_m)),
-        NoiseModel::new(Db(6.0), Hertz(lora.bw.hz())),
-    )
+    let rss = paper_downlink(pl, Meters(distance_m)).received_power();
+    let noise = NoiseModel::new(Db(6.0), Hertz(lora.bw.hz())).noise_power();
+    let config = LongTraceConfig {
+        seed,
+        tail_gap_symbols: guard_symbols,
+        ..LongTraceConfig::new(lora).with_noise(noise.value())
+    };
+    let packet = TracePacket::new(symbols.to_vec(), rss.value(), guard_symbols);
+    let (rx, truth) = generate_long_trace(&config, &[packet]);
+    (rx, truth[0].payload_start_sample)
 }
 
 /// The tag's receiver run over one capture: the decode whose payload starts
@@ -44,8 +60,8 @@ fn receive(
         .find(|r| (r.payload_start_time - truth).abs() < lora.symbol_duration())
 }
 
-/// Modulates a MAC command, sends it through the channel, demodulates it on
-/// the tag, and returns the decoded command.
+/// Sends a MAC command over the link, demodulates it on the tag, and
+/// returns the decoded command.
 fn round_trip(
     command: DownlinkPacket,
     distance_m: f64,
@@ -56,12 +72,8 @@ fn round_trip(
     let lora = lora(k);
     let payload = command.to_bytes();
     let symbols = bytes_to_symbols(&payload, lora.bits_per_chirp);
-    let (wave, layout) = Modulator::new(lora)
-        .packet_with_guard(&symbols, Alphabet::Downlink, 3)
-        .unwrap();
-    let channel = channel_at(distance_m, &lora).with_seed(seed);
-    let rx = channel.propagate(&wave);
-    let result = receive(lora, variant, &rx, layout.payload_start, symbols.len())?;
+    let (rx, payload_start) = capture_at(distance_m, lora, &symbols, 3.0, seed);
+    let result = receive(lora, variant, &rx, payload_start, symbols.len())?;
     DownlinkPacket::from_bytes(&result.to_bytes(lora.bits_per_chirp, payload.len())).ok()
 }
 
@@ -100,15 +112,12 @@ fn blind_demodulation_recovers_timing_and_payload() {
     let lora = lora(2);
     let payload = vec![0xDE, 0xAD, 0xBE, 0xEF];
     let symbols = bytes_to_symbols(&payload, lora.bits_per_chirp);
-    let (wave, layout) = Modulator::new(lora)
-        .packet_with_guard(&symbols, Alphabet::Downlink, 5)
-        .unwrap();
-    let rx = channel_at(30.0, &lora).with_seed(3).propagate(&wave);
+    let (rx, payload_start) = capture_at(30.0, lora, &symbols, 5.0, 3);
     let result = receive(
         lora,
         Variant::WithShifting,
         &rx,
-        layout.payload_start,
+        payload_start,
         symbols.len(),
     )
     .expect("preamble found");
@@ -122,23 +131,14 @@ fn the_standard_receiver_and_saiyan_agree_on_clean_packets() {
     // chain must decode the same clean packet identically.
     let lora = lora(2);
     let symbols = vec![0u32, 1, 2, 3, 2, 1, 0, 3, 1, 2];
-    let (wave, layout) = Modulator::new(lora)
-        .packet_with_guard(&symbols, Alphabet::Downlink, 2)
-        .unwrap();
-    let rx = channel_at(10.0, &lora).with_seed(4).propagate(&wave);
+    let (rx, payload_start) = capture_at(10.0, lora, &symbols, 2.0, 4);
 
     let standard = lora_phy::StandardDemodulator::new(lora);
     let standard_result = standard
-        .demodulate_payload(&rx, layout.payload_start, symbols.len(), Alphabet::Downlink)
+        .demodulate_payload(&rx, payload_start, symbols.len(), Alphabet::Downlink)
         .unwrap();
-    let saiyan_result = receive(
-        lora,
-        Variant::Super,
-        &rx,
-        layout.payload_start,
-        symbols.len(),
-    )
-    .expect("Saiyan detects the packet");
+    let saiyan_result = receive(lora, Variant::Super, &rx, payload_start, symbols.len())
+        .expect("Saiyan detects the packet");
 
     assert_eq!(standard_result.symbols, symbols);
     assert_eq!(saiyan_result.symbols, symbols);
@@ -148,12 +148,9 @@ fn the_standard_receiver_and_saiyan_agree_on_clean_packets() {
 fn demodulation_fails_gracefully_far_beyond_range() {
     let lora = lora(2);
     let symbols = bytes_to_symbols(&[0x42], lora.bits_per_chirp);
-    let (wave, _) = Modulator::new(lora)
-        .packet_with_guard(&symbols, Alphabet::Downlink, 3)
-        .unwrap();
     // 2 km is far outside any configuration's range: the packet should either
     // fail preamble detection or decode incorrectly — but never panic.
-    let rx = channel_at(2000.0, &lora).with_seed(5).propagate(&wave);
+    let (rx, _) = capture_at(2000.0, lora, &symbols, 3.0, 5);
     let demod = StreamingDemodulator::new(
         SaiyanConfig::paper_default(lora, Variant::Super),
         symbols.len(),

@@ -1,11 +1,8 @@
 //! Integration tests of the waveform-level receive chain's qualitative
 //! properties: the correlator's low-SNR advantage.
 
-use lora_phy::modulator::{Alphabet, Modulator};
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
-use rfsim::channel::dbm_to_buffer_power;
-use rfsim::noise::AwgnSource;
-use rfsim::units::Dbm;
+use netsim::longtrace::{generate_long_trace, LongTraceConfig, TracePacket};
 use saiyan::metrics::ErrorCounts;
 use saiyan::{SaiyanConfig, StreamingDemodulator, Variant};
 
@@ -18,23 +15,23 @@ fn lora() -> LoraParams {
     .with_oversampling(8)
 }
 
-/// Builds a noisy received packet at the given signal and noise powers, and
-/// returns it with its payload start time.
+/// Builds a noisy received packet at the given signal and noise powers
+/// (between 2-symbol silent guards), and returns it with its payload start
+/// time.
 fn noisy_packet(
     symbols: &[u32],
     signal_dbm: f64,
     noise_dbm: f64,
     seed: u64,
 ) -> (lora_phy::SampleBuffer, f64) {
-    let (wave, layout) = Modulator::new(lora())
-        .packet_with_guard(symbols, Alphabet::Downlink, 2)
-        .unwrap();
-    let target = dbm_to_buffer_power(Dbm(signal_dbm));
-    let tx_power = wave.mean_power();
-    let mut rx = wave.scaled((target / tx_power).sqrt());
-    let mut awgn = AwgnSource::new(seed);
-    awgn.add_to(&mut rx, dbm_to_buffer_power(Dbm(noise_dbm)));
-    let payload_start = layout.payload_start as f64 / rx.sample_rate;
+    let config = LongTraceConfig {
+        seed,
+        tail_gap_symbols: 2.0,
+        ..LongTraceConfig::new(lora()).with_noise(noise_dbm)
+    };
+    let packet = TracePacket::new(symbols.to_vec(), signal_dbm, 2.0);
+    let (rx, truth) = generate_long_trace(&config, &[packet]);
+    let payload_start = truth[0].payload_start_sample as f64 / rx.sample_rate;
     (rx, payload_start)
 }
 

@@ -4,7 +4,8 @@
 //!
 //! Three layers, three contracts:
 //!
-//! * template packet assembly is **bit-identical** to modulate-then-scale;
+//! * template packet assembly is **bit-identical** to the chirp generator's
+//!   segments, concatenated and then scaled;
 //! * block AWGN is **bit-identical** to the per-sample draw loop, for any
 //!   partition of the stream into fill calls, and drawn ahead on the
 //!   noise helper thread it is bit-identical to the inline fill;
@@ -12,9 +13,10 @@
 //!   unrotated emissions, and within a tight absolute bound of the exact
 //!   per-sample phasor reference when CFO/channel rotation is in play.
 
+use lora_phy::chirp::ChirpGenerator;
 use lora_phy::iq::Iq;
-use lora_phy::modulator::{Alphabet, Modulator};
-use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+use lora_phy::modulator::Alphabet;
+use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor, PREAMBLE_UPCHIRPS};
 use lora_phy::templates::PacketTemplates;
 use netsim::synthesis::EmissionMixer;
 use proptest::prelude::*;
@@ -122,8 +124,9 @@ fn reference_stream(emissions: &[TestEmission], total: usize) -> Vec<Iq> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Template-cache packet assembly is bit-identical to the oscillator
-    /// modulator followed by a scale, for any payload and power draw.
+    /// Template-cache packet assembly is bit-identical to the reference
+    /// modulator — every segment straight from the chirp generator —
+    /// followed by a scale, for any payload and power draw.
     #[test]
     fn template_assembly_matches_modulator_bit_exactly(
         k in 1u8..=3,
@@ -139,18 +142,30 @@ proptest! {
             (0..n_symbols).map(|_| rng.gen_range(0..k.alphabet_size())).collect();
         let scale = 1e-4 * 10f64.powf(spread_db / 20.0);
 
-        let (wave, ref_layout) =
-            Modulator::new(params).packet(&symbols, Alphabet::Downlink).unwrap();
-        let reference = wave.scaled(scale);
+        let generator = ChirpGenerator::new(params);
+        let up = generator.base_upchirp().samples;
+        let down = generator.base_downchirp().samples;
+        let mut wave = Vec::new();
+        for _ in 0..PREAMBLE_UPCHIRPS {
+            wave.extend_from_slice(&up);
+        }
+        wave.extend_from_slice(&down);
+        wave.extend_from_slice(&down);
+        wave.extend_from_slice(&down[..down.len() / 4]);
+        let payload_start = wave.len();
+        for &sym in &symbols {
+            wave.extend(generator.downlink_chirp(sym).unwrap().samples);
+        }
+        let reference: Vec<Iq> = wave.iter().map(|s| s.scale(scale)).collect();
 
         let templates = PacketTemplates::new(params, Alphabet::Downlink);
         let mut fast = Vec::new();
         let layout = templates
             .assemble_scaled_extend(&symbols, scale, &mut fast)
             .unwrap();
-        prop_assert_eq!(layout.payload_start, ref_layout.payload_start);
-        prop_assert_eq!(fast.len(), reference.samples.len());
-        for (i, (a, b)) in fast.iter().zip(&reference.samples).enumerate() {
+        prop_assert_eq!(layout.payload_start, payload_start);
+        prop_assert_eq!(fast.len(), reference.len());
+        for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
             prop_assert!(
                 a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                 "sample {i} differs: {a:?} vs {b:?}"

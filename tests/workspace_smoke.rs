@@ -4,12 +4,12 @@
 //! 1. Every crate must stay reachable through the `saiyan_suite` umbrella
 //!    re-exports (so examples and downstream users never need per-crate
 //!    dependencies).
-//! 2. One end-to-end downlink round-trip must decode: modulate a short
+//! 2. One end-to-end downlink round-trip must decode: synthesize a short
 //!    packet, push it through the Saiyan receiver at a strong RSS, and get
 //!    the same symbols back.
 
-use saiyan_suite::lora_phy::modulator::{Alphabet, Modulator};
 use saiyan_suite::lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
+use saiyan_suite::netsim::longtrace::{generate_long_trace, LongTraceConfig, TracePacket};
 use saiyan_suite::saiyan::{SaiyanConfig, StreamingDemodulator, Variant};
 
 #[test]
@@ -41,9 +41,12 @@ fn end_to_end_downlink_round_trip_decodes() {
     .with_oversampling(8);
     let symbols = vec![0u32, 3, 1, 2, 2, 1, 3, 0];
 
-    let (wave, _) = Modulator::new(params)
-        .packet_with_guard(&symbols, Alphabet::Downlink, 2)
-        .expect("modulation succeeds");
+    // A 0 dBm packet between 2-symbol silent guards, no noise.
+    let config = LongTraceConfig {
+        tail_gap_symbols: 2.0,
+        ..LongTraceConfig::new(params)
+    };
+    let (wave, _) = generate_long_trace(&config, &[TracePacket::new(symbols.clone(), 0.0, 2.0)]);
 
     let config = SaiyanConfig::paper_default(params, Variant::Super);
     let packets = StreamingDemodulator::new(config, symbols.len()).run_to_end(&wave);
