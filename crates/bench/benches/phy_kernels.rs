@@ -1,10 +1,9 @@
-//! Criterion benchmarks of the LoRa PHY kernels: chirp generation, FFT
-//! demodulation, and the FEC coding chain.
+//! Criterion benchmarks of the LoRa PHY kernels: chirp generation and FFT
+//! demodulation.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lora_phy::fec::{decode_payload, encode_payload};
+use criterion::{criterion_group, criterion_main, Criterion};
 use lora_phy::modulator::Alphabet;
-use lora_phy::params::{Bandwidth, BitsPerChirp, CodeRate, LoraParams, SpreadingFactor};
+use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use lora_phy::templates::PacketTemplates;
 use lora_phy::SampleBuffer;
 use lora_phy::{ChirpGenerator, StandardDemodulator};
@@ -47,25 +46,5 @@ fn bench_standard_demodulation(c: &mut Criterion) {
     });
 }
 
-fn bench_fec_chain(c: &mut Criterion) {
-    let data: Vec<u8> = (0..64u8).collect();
-    c.bench_function("fec/encode_64B_sf7_cr48", |b| {
-        b.iter(|| encode_payload(&data, SpreadingFactor::Sf7, CodeRate::Cr48).unwrap())
-    });
-    let symbols = encode_payload(&data, SpreadingFactor::Sf7, CodeRate::Cr48).unwrap();
-    c.bench_function("fec/decode_64B_sf7_cr48", |b| {
-        b.iter_batched(
-            || symbols.clone(),
-            |s| decode_payload(&s, SpreadingFactor::Sf7, CodeRate::Cr48, data.len()).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_chirp_generation,
-    bench_standard_demodulation,
-    bench_fec_chain
-);
+criterion_group!(benches, bench_chirp_generation, bench_standard_demodulation);
 criterion_main!(benches);

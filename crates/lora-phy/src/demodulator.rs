@@ -3,9 +3,9 @@
 //! This is the power-hungry reference receiver the paper contrasts Saiyan
 //! against: down-convert, sample at (at least) the chirp bandwidth, dechirp by
 //! multiplying with a conjugate base chirp, FFT, and pick the strongest bin
-//! (§1, "the commercial LoRa receiver operates by ... FFT"). The access point
-//! in the network simulator uses this demodulator for the backscatter uplink;
-//! it also provides the ground-truth receiver used to validate packet synthesis.
+//! (§1, "the commercial LoRa receiver operates by ... FFT"). Tests use it as
+//! the reference receiver: `end_to_end_downlink` compares Saiyan's decodes
+//! against it, and it validates packet synthesis.
 
 use crate::chirp::ChirpGenerator;
 use crate::error::PhyError;
@@ -202,22 +202,6 @@ impl StandardDemodulator {
     }
 }
 
-/// Counts the number of differing symbols between two slices (for SER metrics).
-pub fn symbol_errors(sent: &[u32], received: &[u32]) -> usize {
-    sent.iter().zip(received).filter(|(a, b)| a != b).count() + sent.len().abs_diff(received.len())
-}
-
-/// Counts bit errors between two symbol streams given `bits_per_symbol`.
-pub fn bit_errors(sent: &[u32], received: &[u32], bits_per_symbol: u32) -> usize {
-    let common = sent.len().min(received.len());
-    let mut errs = 0usize;
-    for i in 0..common {
-        errs += (sent[i] ^ received[i]).count_ones() as usize;
-    }
-    errs += sent.len().abs_diff(received.len()) * bits_per_symbol as usize;
-    errs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,13 +290,5 @@ mod tests {
             d.demodulate_symbol(&buf.samples, Alphabet::Downlink),
             Err(PhyError::BufferTooShort { .. })
         ));
-    }
-
-    #[test]
-    fn error_counters() {
-        assert_eq!(symbol_errors(&[1, 2, 3], &[1, 0, 3]), 1);
-        assert_eq!(symbol_errors(&[1, 2, 3], &[1, 2]), 1);
-        assert_eq!(bit_errors(&[0b11], &[0b00], 2), 2);
-        assert_eq!(bit_errors(&[0b11, 0b01], &[0b11], 2), 2);
     }
 }

@@ -1,15 +1,36 @@
 //! Saiyan downlink symbol mapping.
 //!
 //! The access point sends feedback packets to backscatter tags using chirps
-//! drawn from a reduced alphabet of `2^K` initial frequency offsets (the
-//! paper's "coding rate" K = 1–5). This module converts between byte payloads,
-//! bit streams, and downlink symbol sequences, and carries the per-symbol
-//! ground truth (peak positions) used by tests and experiment harnesses.
+//! drawn from a reduced alphabet of `2^K` initial frequency offsets (K is the
+//! coding rate, see [`BitsPerChirp`]). This module converts between byte
+//! payloads, bit streams, and Gray-coded downlink symbol sequences, and
+//! carries the per-symbol ground truth (peak positions) used by tests and
+//! experiment harnesses.
 
 use crate::chirp::ChirpGenerator;
 use crate::error::PhyError;
-use crate::fec::gray::{gray_decode, gray_encode};
 use crate::params::{BitsPerChirp, LoraParams};
+
+/// Encodes a binary value into its Gray-coded representation.
+///
+/// Neighbouring values differ in one bit, so a peak detected one sampling
+/// slot early or late costs one bit instead of many.
+#[inline]
+pub fn gray_encode(value: u32) -> u32 {
+    value ^ (value >> 1)
+}
+
+/// Decodes a Gray-coded value back to binary, reversing [`gray_encode`].
+#[inline]
+pub fn gray_decode(gray: u32) -> u32 {
+    let mut value = gray;
+    let mut g = gray >> 1;
+    while g != 0 {
+        value ^= g;
+        g >>= 1;
+    }
+    value
+}
 
 /// Packs payload bits (MSB-first within each byte) into downlink symbols of
 /// `k` bits each, Gray-coded so neighbouring peak positions differ in one bit.
@@ -133,6 +154,34 @@ mod tests {
 
     fn k(bits: u8) -> BitsPerChirp {
         BitsPerChirp::new(bits).unwrap()
+    }
+
+    #[test]
+    fn gray_round_trip() {
+        for v in 0u32..4096 {
+            assert_eq!(gray_decode(gray_encode(v)), v);
+        }
+        // Full-width values, where a shift by the word size would overflow.
+        for v in [1 << 16, 0x8000_0000, 0xDEAD_BEEF, u32::MAX] {
+            assert_eq!(gray_decode(gray_encode(v)), v);
+        }
+    }
+
+    #[test]
+    fn adjacent_values_differ_in_one_bit() {
+        for v in 0u32..4095 {
+            let d = (gray_encode(v) ^ gray_encode(v + 1)).count_ones();
+            assert_eq!(d, 1, "gray codes of {v} and {} differ in {d} bits", v + 1);
+        }
+    }
+
+    #[test]
+    fn known_values() {
+        assert_eq!(gray_encode(0), 0);
+        assert_eq!(gray_encode(1), 1);
+        assert_eq!(gray_encode(2), 3);
+        assert_eq!(gray_encode(3), 2);
+        assert_eq!(gray_encode(7), 4);
     }
 
     #[test]

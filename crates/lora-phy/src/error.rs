@@ -25,26 +25,10 @@ pub enum PhyError {
         /// Samples available.
         got: usize,
     },
-    /// A frame failed its integrity check (CRC mismatch).
-    CrcMismatch {
-        /// CRC computed over the received payload.
-        computed: u16,
-        /// CRC carried in the frame.
-        expected: u16,
-    },
-    /// A frame header could not be parsed.
-    MalformedFrame(String),
     /// No preamble could be found in the provided samples.
     PreambleNotFound,
     /// FFT length was not a power of two.
     FftLengthNotPowerOfTwo(usize),
-    /// Mismatched sample rates between two buffers.
-    SampleRateMismatch {
-        /// Sample rate of the first buffer.
-        left: f64,
-        /// Sample rate of the second buffer.
-        right: f64,
-    },
 }
 
 impl fmt::Display for PhyError {
@@ -68,19 +52,9 @@ impl fmt::Display for PhyError {
             PhyError::BufferTooShort { needed, got } => {
                 write!(f, "buffer too short: needed {needed} samples, got {got}")
             }
-            PhyError::CrcMismatch { computed, expected } => {
-                write!(
-                    f,
-                    "CRC mismatch: computed {computed:#06x}, expected {expected:#06x}"
-                )
-            }
-            PhyError::MalformedFrame(msg) => write!(f, "malformed frame: {msg}"),
             PhyError::PreambleNotFound => write!(f, "no LoRa preamble found in samples"),
             PhyError::FftLengthNotPowerOfTwo(n) => {
                 write!(f, "FFT length {n} is not a power of two")
-            }
-            PhyError::SampleRateMismatch { left, right } => {
-                write!(f, "sample rate mismatch: {left} Hz vs {right} Hz")
             }
         }
     }

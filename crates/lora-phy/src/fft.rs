@@ -1,8 +1,8 @@
 //! A small self-contained radix-2 FFT.
 //!
 //! The standard LoRa receiver demodulates by dechirping and taking an FFT;
-//! the correlator in Super Saiyan and several experiment harnesses also need
-//! spectra. To keep the dependency set to the approved list we implement an
+//! the SAW filter and the channelizer design their taps with the inverse
+//! FFT. To keep the dependency set to the approved list we implement an
 //! iterative radix-2 decimation-in-time FFT here. It is not the fastest FFT
 //! in the world but it is allocation-free per call (aside from the output),
 //! exact enough for simulation, and covered by round-trip tests.
@@ -152,41 +152,6 @@ pub fn peak_to_mean_db(spectrum: &[f64]) -> f64 {
     10.0 * (peak / rest).log10()
 }
 
-/// Applies a Hann window to the samples in place (used before spectra for
-/// display-oriented experiments such as Fig. 10).
-pub fn hann_window(data: &mut [Iq]) {
-    let n = data.len();
-    if n < 2 {
-        return;
-    }
-    for (i, x) in data.iter_mut().enumerate() {
-        let w = 0.5 * (1.0 - (2.0 * PI * i as f64 / (n - 1) as f64).cos());
-        *x = x.scale(w);
-    }
-}
-
-/// Circular cross-correlation of two equal-length sequences via FFT:
-/// `corr[k] = sum_n a[n] * conj(b[n-k])`.
-pub fn circular_cross_correlation(a: &[Iq], b: &[Iq]) -> Result<Vec<Iq>, PhyError> {
-    if a.len() != b.len() {
-        return Err(PhyError::BufferTooShort {
-            needed: a.len(),
-            got: b.len(),
-        });
-    }
-    let n = next_power_of_two(a.len());
-    let mut fa = a.to_vec();
-    fa.resize(n, Iq::ZERO);
-    let mut fb = b.to_vec();
-    fb.resize(n, Iq::ZERO);
-    fft_in_place(&mut fa, false)?;
-    fft_in_place(&mut fb, false)?;
-    let mut prod: Vec<Iq> = fa.iter().zip(&fb).map(|(x, y)| *x * y.conj()).collect();
-    fft_in_place(&mut prod, true)?;
-    prod.truncate(a.len());
-    Ok(prod)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,24 +206,5 @@ mod tests {
             assert!((a.re - b.re).abs() < 1e-9);
             assert!((a.im - b.im).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn correlation_peaks_at_lag_zero_for_identical_inputs() {
-        let n = 128;
-        let sig: Vec<Iq> = (0..n).map(|i| Iq::phasor(0.05 * (i * i) as f64)).collect();
-        let corr = circular_cross_correlation(&sig, &sig).unwrap();
-        let mags: Vec<f64> = corr.iter().map(Iq::abs).collect();
-        assert_eq!(argmax_bin(&mags), 0);
-        assert!((mags[0] - n as f64).abs() < 1e-6);
-    }
-
-    #[test]
-    fn hann_window_zeroes_edges() {
-        let mut data = vec![Iq::ONE; 32];
-        hann_window(&mut data);
-        assert!(data[0].abs() < 1e-12);
-        assert!(data[31].abs() < 1e-12);
-        assert!(data[16].abs() > 0.9);
     }
 }

@@ -224,14 +224,6 @@ impl SampleBuffer {
         self.samples.iter().map(Iq::norm_sqr).sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Peak instantaneous power of the buffer (linear).
-    pub fn peak_power(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(Iq::norm_sqr)
-            .fold(0.0_f64, f64::max)
-    }
-
     /// Scales every sample by a real factor (in place) and returns `self`.
     pub fn scaled(mut self, k: f64) -> Self {
         for s in &mut self.samples {
@@ -342,7 +334,6 @@ mod tests {
         let buf = SampleBuffer::new(vec![Iq::new(1.0, 0.0); 1000], 1000.0);
         assert!(close(buf.duration(), 1.0, 1e-12));
         assert!(close(buf.mean_power(), 1.0, 1e-12));
-        assert!(close(buf.peak_power(), 1.0, 1e-12));
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!   quantities (symbol time, data rate, sampling-rate rules);
 //! * [`chirp`] — chirp waveform generation and peak-time geometry;
 //! * [`fft`] — a self-contained radix-2 FFT with spectrum helpers;
-//! * [`fec`] — Gray mapping, Hamming FEC, whitening and interleaving;
 //! * [`modulator`] — the payload alphabets and the packet layout;
 //! * [`demodulator`] — the standard (access-point grade) dechirp + FFT
 //!   receiver;
-//! * [`frame`] — frame header, CRC and the byte↔symbol coding chain;
 //! * [`downlink`] — the reduced `2^K`-symbol alphabet used by the Saiyan
-//!   downlink and its peak-position ground truth;
+//!   downlink: Gray-coded byte↔symbol packing and its peak-position ground
+//!   truth;
 //! * [`simd`] — runtime-dispatched SIMD kernels shared by every hot loop in
 //!   the workspace (backend selection, bit-identical wide tiles,
 //!   `SAIYAN_SIMD` override). It lives here, at the bottom of the crate
@@ -32,9 +31,7 @@ pub mod chirp;
 pub mod demodulator;
 pub mod downlink;
 pub mod error;
-pub mod fec;
 pub mod fft;
-pub mod frame;
 pub mod iq;
 pub mod modulator;
 pub mod params;
@@ -42,14 +39,11 @@ pub mod simd;
 pub mod templates;
 
 pub use chirp::{ChirpDirection, ChirpGenerator};
-pub use demodulator::{
-    bit_errors, symbol_errors, PacketDecision, StandardDemodulator, SymbolDecision,
-};
+pub use demodulator::{PacketDecision, StandardDemodulator, SymbolDecision};
 pub use error::PhyError;
-pub use frame::{crc16, Frame, FrameFlags};
 pub use iq::{db_to_lin, lin_to_db, Iq, SampleBuffer};
 pub use modulator::{Alphabet, PacketLayout};
 pub use params::{
-    Bandwidth, BitsPerChirp, CodeRate, LoraParams, SpreadingFactor, DEFAULT_CARRIER_HZ,
+    Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor, DEFAULT_CARRIER_HZ,
     DEFAULT_PAYLOAD_SYMBOLS, PREAMBLE_UPCHIRPS, SYNC_SYMBOLS,
 };

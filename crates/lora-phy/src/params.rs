@@ -1,11 +1,10 @@
 //! LoRa physical-layer parameters.
 //!
 //! The paper evaluates Saiyan across spreading factors 7–12, bandwidths of
-//! 125/250/500 kHz, and "coding rates" K = 1–5 where K is the number of bits
-//! the downlink encodes in each chirp (the tag distinguishes `2^K` start
-//! offsets). This module centralises those parameters and the derived
-//! quantities (symbol duration, chips per symbol, data rate, Nyquist and
-//! practical sampling rates) used throughout the workspace.
+//! 125/250/500 kHz, and coding rates K = 1–5 (see [`BitsPerChirp`]). This
+//! module centralises those parameters and the derived quantities (symbol
+//! duration, chips per symbol, data rate, Nyquist and practical sampling
+//! rates) used throughout the workspace.
 
 use crate::error::PhyError;
 
@@ -111,55 +110,13 @@ impl Bandwidth {
     }
 }
 
-/// Standard LoRa forward-error-correction code rate (4/5 … 4/8), used by the
-/// uplink frame coding chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CodeRate {
-    /// 4/5: one parity bit per 4 data bits.
-    Cr45,
-    /// 4/6: two parity bits per 4 data bits.
-    Cr46,
-    /// 4/7: three parity bits per 4 data bits.
-    Cr47,
-    /// 4/8: four parity bits per 4 data bits (full Hamming(8,4)).
-    Cr48,
-}
-
-impl CodeRate {
-    /// All code rates.
-    pub const ALL: [CodeRate; 4] = [
-        CodeRate::Cr45,
-        CodeRate::Cr46,
-        CodeRate::Cr47,
-        CodeRate::Cr48,
-    ];
-
-    /// The number of coded bits produced per 4 data bits (5–8).
-    pub fn coded_bits(&self) -> usize {
-        match self {
-            CodeRate::Cr45 => 5,
-            CodeRate::Cr46 => 6,
-            CodeRate::Cr47 => 7,
-            CodeRate::Cr48 => 8,
-        }
-    }
-
-    /// The code-rate denominator as used by `4/denominator`.
-    pub fn denominator(&self) -> usize {
-        self.coded_bits()
-    }
-
-    /// The rate as a fraction (data bits / coded bits).
-    pub fn rate(&self) -> f64 {
-        4.0 / self.coded_bits() as f64
-    }
-}
-
 /// Number of data bits the Saiyan downlink encodes in one chirp (K = 1–5).
 ///
-/// The paper's evaluation calls this the "coding rate (CR)"; a chirp carries
-/// K bits by choosing one of `2^K` evenly spaced initial frequency offsets,
-/// which the tag distinguishes by the position of the amplitude peak.
+/// This is the workspace's one definition of "coding rate": the paper's
+/// evaluation calls K the "coding rate (CR)". A chirp carries K bits by
+/// choosing one of `2^K` evenly spaced initial frequency offsets, which the
+/// tag distinguishes by the position of the amplitude peak. LoRa's uplink
+/// forward-error-correction code rate (4/5 … 4/8) is not modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BitsPerChirp(u8);
 
@@ -326,12 +283,6 @@ mod tests {
         assert_eq!(Bandwidth::Khz125.hz(), 125_000.0);
         assert_eq!(Bandwidth::from_khz(500).unwrap(), Bandwidth::Khz500);
         assert!(Bandwidth::from_khz(200).is_err());
-    }
-
-    #[test]
-    fn code_rate_fractions() {
-        assert_eq!(CodeRate::Cr45.coded_bits(), 5);
-        assert!((CodeRate::Cr48.rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property-based tests spanning the workspace's core invariants.
 
 use lora_phy::downlink::{bytes_to_symbols, symbols_to_bytes};
-use lora_phy::fec::{decode_payload, encode_payload};
-use lora_phy::frame::{crc16, Frame, FrameFlags};
-use lora_phy::params::{Bandwidth, BitsPerChirp, CodeRate, LoraParams, SpreadingFactor};
+use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use proptest::prelude::*;
 use rfsim::units::{Db, Dbm, Meters};
 
@@ -15,15 +13,6 @@ fn spreading_factor() -> impl Strategy<Value = SpreadingFactor> {
         Just(SpreadingFactor::Sf10),
         Just(SpreadingFactor::Sf11),
         Just(SpreadingFactor::Sf12),
-    ]
-}
-
-fn code_rate() -> impl Strategy<Value = CodeRate> {
-    prop_oneof![
-        Just(CodeRate::Cr45),
-        Just(CodeRate::Cr46),
-        Just(CodeRate::Cr47),
-        Just(CodeRate::Cr48),
     ]
 }
 
@@ -39,19 +28,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn fec_chain_round_trips(
-        data in proptest::collection::vec(any::<u8>(), 1..80),
-        sf in spreading_factor(),
-        cr in code_rate(),
-    ) {
-        let symbols = encode_payload(&data, sf, cr).unwrap();
-        prop_assert!(symbols.iter().all(|&s| s < sf.chips_per_symbol()));
-        let (decoded, stats) = decode_payload(&symbols, sf, cr, data.len()).unwrap();
-        prop_assert_eq!(decoded, data);
-        prop_assert_eq!(stats.detected, 0);
-    }
-
-    #[test]
     fn downlink_symbol_packing_round_trips(
         data in proptest::collection::vec(any::<u8>(), 0..64),
         k in 1u8..=8,
@@ -61,35 +37,6 @@ proptest! {
         prop_assert!(symbols.iter().all(|&s| s < k.alphabet_size()));
         let back = symbols_to_bytes(&symbols, k, data.len());
         prop_assert_eq!(back, data);
-    }
-
-    #[test]
-    fn frame_serialisation_round_trips(
-        payload in proptest::collection::vec(any::<u8>(), 0..200),
-        cr in code_rate(),
-        ack in any::<bool>(),
-        ack_request in any::<bool>(),
-    ) {
-        let frame = Frame::new(
-            payload,
-            cr,
-            FrameFlags { ack, ack_request, downlink: true },
-        ).unwrap();
-        let bytes = frame.to_bytes();
-        let back = Frame::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back, frame);
-    }
-
-    #[test]
-    fn crc_detects_single_byte_corruption(
-        payload in proptest::collection::vec(any::<u8>(), 1..64),
-        idx in any::<prop::sample::Index>(),
-        flip in 1u8..=255,
-    ) {
-        let mut corrupted = payload.clone();
-        let i = idx.index(corrupted.len());
-        corrupted[i] ^= flip;
-        prop_assert_ne!(crc16(&payload), crc16(&corrupted));
     }
 
     #[test]
@@ -218,23 +165,6 @@ proptest! {
     }
 
     #[test]
-    fn interleaver_round_trips_for_any_geometry(
-        rows in 1usize..=16,
-        cols in 1usize..=16,
-        seed in any::<u64>(),
-    ) {
-        use lora_phy::fec::interleaver::Interleaver;
-        let il = Interleaver::new(rows, cols).unwrap();
-        let mask = if cols == 16 { u16::MAX } else { (1u16 << cols) - 1 };
-        let words: Vec<u16> = (0..rows * 3)
-            .map(|i| ((seed >> (i % 48)) as u16 ^ (i as u16).wrapping_mul(2654)) & mask)
-            .collect();
-        let inter = il.interleave(&words);
-        let back = il.deinterleave(&inter, words.len());
-        prop_assert_eq!(back, words);
-    }
-
-    #[test]
     fn ideal_envelope_detector_is_scale_consistent(
         amp in 1e-6f64..1e-1,
         scale in 1.1f64..10.0,
@@ -272,8 +202,8 @@ proptest! {
         // one-slot peak error costs exactly one bit.
         let k = BitsPerChirp::new(k).unwrap();
         let a = base % (k.alphabet_size() - 1);
-        let ga = lora_phy::fec::gray_encode(a);
-        let gb = lora_phy::fec::gray_encode(a + 1);
+        let ga = lora_phy::downlink::gray_encode(a);
+        let gb = lora_phy::downlink::gray_encode(a + 1);
         prop_assert_eq!((ga ^ gb).count_ones(), 1);
     }
 }
@@ -344,19 +274,6 @@ fn mutate_manifest(text: &mut Vec<u8>, edit: u64) {
 // any outcome is fine except a panic or a runaway allocation.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn frame_decoders_never_panic_on_byte_soup(
-        soup in proptest::collection::vec(any::<u8>(), 0..300),
-        symbols in proptest::collection::vec(any::<u32>(), 0..96),
-        sf in spreading_factor(),
-        cr in code_rate(),
-        // The caller's expected wire length; a frame is at most 260 bytes.
-        wire_len in 0usize..512,
-    ) {
-        let _ = Frame::from_bytes(&soup);
-        let _ = Frame::from_symbols(&symbols, sf, cr, wire_len);
-    }
 
     #[test]
     fn mac_packet_decoders_never_panic_on_byte_soup(
