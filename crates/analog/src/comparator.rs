@@ -83,11 +83,13 @@ impl SingleThresholdComparator {
     }
 }
 
-/// The double-threshold (hysteresis) comparator of paper Eq. 3.
+/// The double-threshold (hysteresis) comparator of paper Eq. 3 with fixed
+/// thresholds: the model behind Fig. 7. The receiver itself runs the same
+/// kernel against thresholds it tracks per sample (`saiyan::streaming`).
 ///
 /// The thresholds are private so that every comparator comes from
 /// [`Self::new`], which enforces `U_L ≤ U_H` — the condition the comparator
-/// scan ([`crate::simd::hysteresis_scan`]) relies on. A struct literal
+/// kernel ([`crate::simd::hysteresis_words`]) relies on. A struct literal
 /// cannot skip that check:
 ///
 /// ```compile_fail
@@ -117,62 +119,23 @@ impl DoubleThresholdComparator {
         }
     }
 
-    /// Quantises the input with hysteresis, starting from a low output.
-    /// Delegates to the streaming state run over the whole buffer at once.
+    /// Quantises the input with hysteresis, starting from a low output,
+    /// through the receiver's comparator kernel
+    /// ([`crate::simd::hysteresis_words`]) over constant thresholds.
     pub fn compare(&self, input: &RealBuffer) -> BinaryStream {
-        let mut bits = Vec::new();
-        self.streaming()
-            .compare_chunk_into(&input.samples, &mut bits);
+        let n = input.len();
+        let mut words = Vec::new();
+        crate::simd::hysteresis_words(
+            &input.samples,
+            &vec![self.high_threshold; n],
+            &vec![self.low_threshold; n],
+            false,
+            &mut words,
+        );
         BinaryStream {
-            bits,
+            bits: (0..n).map(|i| words[i / 64] >> (i % 64) & 1 != 0).collect(),
             sample_rate: input.sample_rate,
         }
-    }
-
-    /// Creates the carried streaming state (output initially low). Chunked
-    /// comparison of a stream equals [`Self::compare`] on the concatenated
-    /// buffer exactly, wherever the chunk boundaries fall.
-    pub fn streaming(&self) -> ComparatorState {
-        ComparatorState {
-            high_threshold: self.high_threshold,
-            low_threshold: self.low_threshold,
-            state: false,
-        }
-    }
-}
-
-/// Carried state of a streaming [`DoubleThresholdComparator`]: the current
-/// output level survives across chunk boundaries, so the hysteresis decision
-/// at a chunk's first sample sees the previous chunk's last state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComparatorState {
-    high_threshold: f64,
-    low_threshold: f64,
-    state: bool,
-}
-
-impl ComparatorState {
-    /// Quantises one chunk into `out` (cleared first), advancing the carried
-    /// output level.
-    pub fn compare_chunk_into(&mut self, chunk: &[f64], out: &mut Vec<bool>) {
-        out.clear();
-        // The constructor guarantees U_L <= U_H, the regime where the
-        // branch-free mask identity holds.
-        self.state = crate::simd::hysteresis_scan(
-            chunk,
-            self.high_threshold,
-            self.low_threshold,
-            self.state,
-            out,
-        );
-    }
-}
-
-impl crate::stage::BlockStage for ComparatorState {
-    type In = f64;
-    type Out = bool;
-    fn process_into(&mut self, input: &[f64], out: &mut Vec<bool>) {
-        self.compare_chunk_into(input, out);
     }
 }
 

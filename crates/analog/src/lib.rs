@@ -45,9 +45,7 @@ pub mod stage;
 pub use lora_phy::simd;
 
 pub use channelizer::{ChannelizerSpec, ChannelizerState};
-pub use comparator::{
-    BinaryStream, ComparatorState, DoubleThresholdComparator, SingleThresholdComparator,
-};
+pub use comparator::{BinaryStream, DoubleThresholdComparator, SingleThresholdComparator};
 pub use envelope::{DetectorNoise, EnvelopeDetector};
 pub use filters::{IfAmplifier, LowPassFilter};
 pub use fir::{ComplexFirState, PhaseSplit, PolyphaseDecimator};

@@ -1,9 +1,9 @@
 //! The block-pipeline stage abstraction.
 //!
 //! Every streaming element of the analog chain — SAW/channelizer FIR, LNA,
-//! envelope detector, mixer/shifter chain, IF amplifier, low-pass filter,
-//! comparator — processes a caller-provided input slice into a caller-provided
-//! output buffer (or in place), carrying whatever state it needs across chunk
+//! envelope detector, mixer/shifter chain, IF amplifier, low-pass filter —
+//! processes a caller-provided input slice into a caller-provided output
+//! buffer (or in place), carrying whatever state it needs across chunk
 //! boundaries. Two contracts make the chain composable:
 //!
 //! * **chunk invariance** — the concatenated output over any partition of the

@@ -53,6 +53,10 @@ use crate::config::SaiyanConfig;
 use crate::streaming::DemodResult;
 use crate::streaming::StreamingDemodulator;
 
+/// Depth of each worker's bounded input queue, in chunks. A full queue
+/// back-pressures [`Gateway::push_chunk`].
+const QUEUE_DEPTH: usize = 4;
+
 /// One channel served by the gateway.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewayChannel {
@@ -93,9 +97,6 @@ pub struct GatewayConfig {
     /// Worker threads the channels are distributed over (round-robin).
     /// `0` means one worker per channel.
     pub worker_threads: usize,
-    /// Depth of each worker's bounded input queue, in chunks. A full queue
-    /// back-pressures [`Gateway::push_chunk`].
-    pub queue_depth: usize,
     /// FIR length of each non-passthrough channelizer.
     pub channelizer_taps: usize,
     /// Lockstep mode: [`Gateway::push_chunk`] waits for every channel to
@@ -109,14 +110,13 @@ pub struct GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// Creates a gateway configuration with one worker per channel, a
-    /// 4-chunk queue and the default channelizer FIR length.
+    /// Creates a gateway configuration with one worker per channel and the
+    /// default channelizer FIR length.
     pub fn new(wideband_rate: f64, channels: Vec<GatewayChannel>) -> Self {
         GatewayConfig {
             wideband_rate,
             channels,
             worker_threads: 0,
-            queue_depth: 4,
             channelizer_taps: ChannelizerSpec::DEFAULT_TAPS,
             lockstep: false,
         }
@@ -136,12 +136,6 @@ impl GatewayConfig {
     /// Returns a copy with a different worker-thread count.
     pub fn with_worker_threads(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
-        self
-    }
-
-    /// Returns a copy with a different input-queue depth.
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
         self
     }
 
@@ -471,7 +465,7 @@ impl Gateway {
             let mut inputs = Vec::with_capacity(n_workers);
             let mut handles = Vec::with_capacity(n_workers);
             for worker_pipelines in per_worker {
-                let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
+                let (job_tx, job_rx) = mpsc::sync_channel::<Job>(QUEUE_DEPTH);
                 let tx = report_tx.clone();
                 handles.push(std::thread::spawn(move || {
                     worker_loop(worker_pipelines, &job_rx, &tx);

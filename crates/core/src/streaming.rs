@@ -159,9 +159,10 @@ struct ThresholdTracker {
     /// Remaining samples of the seeding phase, during which the median is a
     /// fast EMA of `|v|` rather than a slow sign-stepper. Without it, a
     /// single unluckily small first sample under-seeds the median and the
-    /// onset ratio fires on plain noise for the next several symbols.
+    /// onset ratio fires on plain noise for the next several symbols. The
+    /// receiver's comparator reads low throughout.
     seed_remaining: u64,
-    /// Remaining samples of the onset dwell (see [`Self::update`]).
+    /// Remaining samples of the onset dwell (see [`Self::fill_arrays`]).
     dwell_remaining: u64,
     dwell_samples: u64,
     peak_decay: f64,
@@ -214,76 +215,33 @@ impl ThresholdTracker {
         }
     }
 
-    /// Updates the tracker with one envelope sample. `hold_active` is the
-    /// receiver's packet-in-flight signal: while a preamble has been detected
-    /// and the payload is still streaming in, the comparator is held in its
-    /// active regime regardless of the onset ratio — the streaming analogue
-    /// of an AGC freeze — because mid-packet the envelope median inevitably
-    /// catches up with the peak and the onset test alone would go quiet.
-    fn update(&mut self, v: f64, hold_active: bool) -> Thresholds {
-        self.peak = v.max(self.peak * self.peak_decay);
-        // Sign-driven median tracker over |v| (the shifting chain's output is
-        // zero-mean between packets; its magnitude is the right noise scale).
-        let magnitude = v.abs();
-        if self.seed_remaining > 0 {
-            self.seed_remaining -= 1;
-            self.median += self.seed_alpha * (magnitude - self.median);
-        } else {
-            let step = self.peak * self.median_alpha;
-            if magnitude > self.median {
-                self.median += step;
-            } else {
-                self.median = (self.median - step).max(0.0);
-            }
-        }
-        // A single onset crossing arms the comparator for a preamble's worth
-        // of symbols (the dwell): at narrow bandwidths the chirp's amplitude
-        // gap is small enough that the envelope median catches up with the
-        // peak within a couple of symbols, so the instantaneous ratio alone
-        // cannot stay up for the five peaks the live candidate search needs.
-        // A noise-triggered dwell is benign — the spike that armed it also
-        // set the peak hold, so `U_H` sits far above the noise it came from.
-        // While the median is still being seeded it is not a valid noise
-        // reference, so no onset can be declared.
-        // A packet onset is declared once the held peak exceeds the
-        // configured multiple of the median envelope magnitude. At onset the
-        // ratio jumps well clear of it (the median still sits at the
-        // pre-packet floor); for noise it stays within a few dB.
-        let onset = self.seed_remaining == 0 && self.peak > self.activity_ratio * self.median;
-        if onset {
-            self.dwell_remaining = self.dwell_samples;
-        } else {
-            self.dwell_remaining = self.dwell_remaining.saturating_sub(1);
-        }
-        let active = hold_active || onset || self.dwell_remaining > 0;
-        let high = if active {
-            self.peak / self.gap_amp
-        } else {
-            // Parked strictly above the running peak: silent by construction.
-            self.peak * self.quiet_gap_amp
-        };
-        let floor_param = (self.peak - self.median)
-            .min(self.peak * self.hysteresis)
-            .max(0.0);
-        let low = (high - floor_param).max(high * 0.1);
-        Thresholds { high, low }
-    }
-
-    /// Block form of the recurrence half of [`Self::update`]: advances the
-    /// tracker over a whole chunk, recording the post-update peak, median,
-    /// and base activity (`onset || dwell`) per sample. None of these depend
-    /// on the receiver's `hold_active` input — only the threshold mapping
-    /// does, and that is deferred to [`Self::fill_thresholds`] so the caller
-    /// can redo it cheaply when the packet-hold signal flips at a sampler
-    /// tick. Every expression matches `update` operation for operation, so
-    /// the arrays are bit-identical to per-sample calls.
-    fn fill_arrays(
-        &mut self,
-        env: &[f64],
-        peaks: &mut Vec<f64>,
-        medians: &mut Vec<f64>,
-        active: &mut Vec<bool>,
-    ) {
+    /// Advances the tracker over a chunk, recording the post-update peak,
+    /// median and base activity (`onset || dwell`) per sample in `scratch`.
+    ///
+    /// A packet onset is declared once the held peak exceeds the configured
+    /// multiple of the median envelope magnitude: at onset the ratio jumps
+    /// well clear of it (the median still sits at the pre-packet floor); for
+    /// noise it stays within a few dB. While the median is still being
+    /// seeded it is not a valid noise reference, so no onset can be declared.
+    /// A single onset crossing arms the comparator for a preamble's worth of
+    /// symbols (the dwell): at narrow bandwidths the chirp's amplitude gap is
+    /// small enough that the envelope median catches up with the peak within
+    /// a couple of symbols, so the instantaneous ratio alone cannot stay up
+    /// for the five peaks the live candidate search needs. A noise-triggered
+    /// dwell is benign — the spike that armed it also set the peak hold, so
+    /// `U_H` sits far above the noise it came from.
+    ///
+    /// None of these recurrences read the receiver's packet-hold signal; only
+    /// the threshold mapping does, and that is left to
+    /// [`Self::fill_thresholds`] so the caller can redo it cheaply when the
+    /// signal flips at a sampler tick.
+    fn fill_arrays(&mut self, env: &[f64], scratch: &mut BlockScratch) {
+        let BlockScratch {
+            peaks,
+            medians,
+            active,
+            ..
+        } = scratch;
         let n = env.len();
         peaks.clear();
         peaks.reserve(n);
@@ -293,7 +251,9 @@ impl ThresholdTracker {
         active.reserve(n);
         let mut i = 0;
         // Median seeding phase: the EMA branch, including the onset check
-        // firing on the very sample the seed count reaches zero.
+        // firing on the very sample the seed count reaches zero. The median
+        // tracks |v|: the shifting chain's output is zero-mean between
+        // packets, and its magnitude is the right noise scale.
         while i < n && self.seed_remaining > 0 {
             let v = env[i];
             self.peak = v.max(self.peak * self.peak_decay);
@@ -311,10 +271,9 @@ impl ThresholdTracker {
             active.push(onset || self.dwell_remaining > 0);
             i += 1;
         }
-        // Steady state: branch-reduced recurrences. Both median outcomes are
-        // computed and selected, which keeps the loop free of unpredictable
-        // branches while reproducing the original expressions bit for bit
-        // (the untaken arm has no side effects).
+        // Steady state: the sign-driven median stepper. Both median outcomes
+        // are computed and selected, which keeps the loop free of
+        // unpredictable branches (the untaken arm has no side effects).
         let mut peak = self.peak;
         let mut median = self.median;
         let mut dwell = self.dwell_remaining;
@@ -340,21 +299,26 @@ impl ThresholdTracker {
         self.dwell_remaining = dwell;
     }
 
-    /// Threshold half of [`Self::update`] over arrays filled by
-    /// [`Self::fill_arrays`], recomputing entries from index `from` on with
-    /// the packet-hold signal fixed at `hold` (entries before `from` keep
-    /// their values). Expressions match `update` exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_thresholds(
-        &self,
-        peaks: &[f64],
-        medians: &[f64],
-        active: &[bool],
-        hold: bool,
-        from: usize,
-        highs: &mut Vec<f64>,
-        lows: &mut Vec<f64>,
-    ) {
+    /// Maps the arrays [`Self::fill_arrays`] recorded to comparator
+    /// thresholds, recomputing entries from index `from` on with the
+    /// packet-hold signal fixed at `hold` (entries before `from` keep their
+    /// values).
+    ///
+    /// `hold` is the receiver's packet-in-flight signal: while a preamble has
+    /// been detected and the payload is still streaming in, the comparator
+    /// is held in its active regime regardless of the onset ratio — the
+    /// streaming analogue of an AGC freeze — because mid-packet the envelope
+    /// median inevitably catches up with the peak and the onset test alone
+    /// would go quiet.
+    fn fill_thresholds(&self, scratch: &mut BlockScratch, hold: bool, from: usize) {
+        let BlockScratch {
+            peaks,
+            medians,
+            active,
+            highs,
+            lows,
+            ..
+        } = scratch;
         let n = peaks.len();
         highs.resize(n, 0.0);
         lows.resize(n, 0.0);
@@ -372,9 +336,9 @@ impl ThresholdTracker {
     }
 }
 
-/// Reusable buffers of the block tracking path
-/// ([`StreamingDemodulator::track_and_sample_block`]); their capacity
-/// survives across chunks so steady-state demodulation allocates nothing.
+/// Reusable per-sample arrays of [`StreamingDemodulator::track_and_sample`];
+/// their capacity survives across chunks so steady-state demodulation
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct BlockScratch {
     peaks: Vec<f64>,
@@ -448,7 +412,6 @@ pub struct StreamingDemodulator {
     frontend: StreamingFrontend,
     tracker: ThresholdTracker,
     comparator_high: bool,
-    warmup_remaining: u64,
     current_thresholds: Thresholds,
     /// Global index of the next waveform sample to process.
     hi_index: u64,
@@ -476,7 +439,7 @@ pub struct StreamingDemodulator {
     /// capacity survives across chunks so steady-state demodulation performs
     /// no per-chunk allocation.
     env_scratch: Vec<f64>,
-    /// Reusable buffers of the block tracking path.
+    /// Reusable buffers of the tracking pass.
     scratch: BlockScratch,
 }
 
@@ -510,7 +473,6 @@ impl StreamingDemodulator {
         } else {
             None
         };
-        let warmup = config.lora.samples_per_symbol() as u64;
         StreamingDemodulator {
             config,
             payload_symbols,
@@ -519,7 +481,6 @@ impl StreamingDemodulator {
             frontend,
             tracker,
             comparator_high: false,
-            warmup_remaining: warmup,
             current_thresholds: Thresholds {
                 high: f64::MAX,
                 low: f64::MAX / 2.0,
@@ -597,48 +558,20 @@ impl StreamingDemodulator {
 
     /// Pushes raw samples (assumed to be at the stream's sample rate).
     pub fn push_samples(&mut self, samples: &[Iq]) -> Vec<DemodResult> {
-        // Temporarily take the scratch so the tracking loops below can
-        // borrow `self` mutably while reading the envelope.
+        // Temporarily take the scratch so the tracking pass can borrow
+        // `self` mutably while reading the envelope.
         let mut envelope = std::mem::take(&mut self.env_scratch);
         self.frontend.process_chunk_into(samples, &mut envelope);
         let mut out = Vec::new();
-        if analog::simd::active_backend() == analog::simd::Backend::Scalar {
-            self.track_and_sample(&envelope, &mut out);
-        } else {
-            self.track_and_sample_block(&envelope, &mut out);
-        }
+        self.track_and_sample(&envelope, &mut out);
         self.env_scratch = envelope;
         out
     }
 
-    /// Per-sample tracking, comparison, and sampling — the scalar reference
-    /// the block path below must match bit for bit.
-    fn track_and_sample(&mut self, envelope: &[f64], out: &mut Vec<DemodResult>) {
-        for &v in envelope {
-            let hold_active = matches!(self.state, RxState::Collecting { .. });
-            let thresholds = self.tracker.update(v, hold_active);
-            self.current_thresholds = thresholds;
-            let bit = if self.warmup_remaining > 0 {
-                self.warmup_remaining -= 1;
-                false
-            } else if self.comparator_high {
-                v >= thresholds.low
-            } else {
-                v >= thresholds.high
-            };
-            self.comparator_high = bit;
-            while self.next_tick_target == self.hi_index {
-                self.append_tick(bit, v, out);
-                self.next_tick += 1;
-                self.next_tick_target = self.tick_target(self.next_tick);
-            }
-            self.hi_index += 1;
-        }
-    }
-
-    /// Block tracking path: splits the per-sample loop into array passes so
-    /// the comparator can run through the branch-reduced word kernel and the
-    /// sampler only touches the ~1-in-40 samples where a tick latches.
+    /// Tracks thresholds, runs the comparator and latches the sampler over
+    /// one chunk of envelope, as array passes: the comparator runs through
+    /// the branch-reduced word kernel and the sampler only touches the
+    /// ~1-in-40 samples where a tick latches.
     ///
     /// The key observation is that the tracker's recurrences (peak hold,
     /// median stepper, dwell counter) never depend on the receiver state —
@@ -646,68 +579,49 @@ impl StreamingDemodulator {
     /// signal can only flip at a sampler tick. So: (A) advance the tracker
     /// over the whole chunk into per-sample arrays, (B) map them to
     /// thresholds under the current hold, (C) scan the comparator into packed
-    /// bit words, (D) walk the sparse ticks. When a tick flips the receiver
-    /// state (packet found / packet decoded), passes B–C are redone from the
-    /// next sample — flips happen at most a few times per packet, so the cost
-    /// is negligible. The original per-sample loop processes a tick *after*
-    /// updating tracker and comparator for that sample, so a flip only ever
-    /// affects later samples and the replay is exact: every output is
-    /// bit-identical to [`Self::track_and_sample`].
-    fn track_and_sample_block(&mut self, envelope: &[f64], out: &mut Vec<DemodResult>) {
-        // The comparator warm-up (during which bits are forced low) is a
-        // one-time startup region of a symbol — run it, and the tracker
-        // seeding that spans the same samples, through the per-sample loop.
-        let warmup = self.warmup_remaining.min(envelope.len() as u64) as usize;
-        if warmup > 0 {
-            self.track_and_sample(&envelope[..warmup], out);
-        }
-        let env = &envelope[warmup..];
-        let n = env.len();
+    /// bit words, (D) walk the sparse ticks. A tick reads the comparator
+    /// *after* its sample's threshold and comparison, so when it flips the
+    /// receiver state (packet found / packet decoded) only later samples are
+    /// affected, and passes B–C are redone from the next sample on. Flips
+    /// happen at most a few times per packet, so the replay costs nothing
+    /// measurable, and the output never depends on where chunks are cut.
+    fn track_and_sample(&mut self, envelope: &[f64], out: &mut Vec<DemodResult>) {
+        let n = envelope.len();
         if n == 0 {
             return;
         }
+        // The comparator reads low while the tracker's median is still being
+        // seeded (the first symbol of the stream): it is no noise reference
+        // yet, and neither are the thresholds derived from it.
+        let warmup = self.tracker.seed_remaining.min(n as u64) as usize;
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.tracker.fill_arrays(
-            env,
-            &mut scratch.peaks,
-            &mut scratch.medians,
-            &mut scratch.active,
-        );
+        self.tracker.fill_arrays(envelope, &mut scratch);
         let hold = matches!(self.state, RxState::Collecting { .. });
-        self.tracker.fill_thresholds(
-            &scratch.peaks,
-            &scratch.medians,
-            &scratch.active,
-            hold,
-            0,
-            &mut scratch.highs,
-            &mut scratch.lows,
-        );
+        self.tracker.fill_thresholds(&mut scratch, hold, 0);
+        // Sample index corresponding to bit 0 of `scratch.words[0]`; samples
+        // before it are warm-up (low) or already sampled.
+        let mut words_base = warmup;
         self.comparator_high = analog::simd::hysteresis_words(
-            env,
-            &scratch.highs,
-            &scratch.lows,
+            &envelope[words_base..],
+            &scratch.highs[words_base..],
+            &scratch.lows[words_base..],
             self.comparator_high,
             &mut scratch.words,
         );
-        // Sample index corresponding to bit 0 of `scratch.words[0]`; advanced
-        // when a state flip forces a partial rescan.
-        let mut words_base = 0usize;
-        let bit_at = |words: &[u64], words_base: usize, i: usize| {
-            let j = i - words_base;
-            (words[j >> 6] >> (j & 63)) & 1 != 0
-        };
         let base = self.hi_index;
         let end = base + n as u64;
         while self.next_tick_target < end {
             let idx = (self.next_tick_target - base) as usize;
-            let bit = bit_at(&scratch.words, words_base, idx);
+            let bit = idx >= words_base && {
+                let j = idx - words_base;
+                (scratch.words[j >> 6] >> (j & 63)) & 1 != 0
+            };
             self.current_thresholds = Thresholds {
                 high: scratch.highs[idx],
                 low: scratch.lows[idx],
             };
             let held_before = matches!(self.state, RxState::Collecting { .. });
-            self.append_tick(bit, env[idx], out);
+            self.append_tick(bit, envelope[idx], out);
             self.next_tick += 1;
             self.next_tick_target = self.tick_target(self.next_tick);
             let held_after = matches!(self.state, RxState::Collecting { .. });
@@ -716,18 +630,11 @@ impl StreamingDemodulator {
                 // and through them comparator bits — change from the next
                 // sample on; replay passes B–C for the remaining suffix,
                 // restarting the comparator from this sample's (final) bit.
-                self.tracker.fill_thresholds(
-                    &scratch.peaks,
-                    &scratch.medians,
-                    &scratch.active,
-                    held_after,
-                    idx + 1,
-                    &mut scratch.highs,
-                    &mut scratch.lows,
-                );
-                words_base = idx + 1;
+                self.tracker
+                    .fill_thresholds(&mut scratch, held_after, idx + 1);
+                words_base = (idx + 1).max(warmup);
                 self.comparator_high = analog::simd::hysteresis_words(
-                    &env[words_base..],
+                    &envelope[words_base..],
                     &scratch.highs[words_base..],
                     &scratch.lows[words_base..],
                     bit,

@@ -127,31 +127,6 @@ impl ChirpGenerator {
         self.chirp_from_offset(0.0, ChirpDirection::Down)
     }
 
-    /// The instantaneous frequency trajectory (Hz above carrier) of an
-    /// up-chirp starting at offset `f0`, sampled at the waveform rate.
-    ///
-    /// This is the analytic counterpart of
-    /// [`SampleBuffer::instantaneous_frequency`] and is used by analog models
-    /// (e.g. the SAW filter) that need the true frequency rather than a
-    /// phase-difference estimate.
-    pub fn frequency_trajectory(&self, f0: f64) -> Vec<f64> {
-        let n = self.params.samples_per_symbol();
-        let fs = self.params.sample_rate();
-        let bw = self.params.bw.hz();
-        let slope = self.params.chirp_slope();
-        (0..n)
-            .map(|i| {
-                let t = i as f64 / fs;
-                let raw = f0 + slope * t;
-                if raw >= bw {
-                    raw - bw
-                } else {
-                    raw
-                }
-            })
-            .collect()
-    }
-
     /// Time (seconds from symbol start) at which an up-chirp that starts at
     /// offset `f0` reaches the bandwidth edge — i.e. where the SAW-transformed
     /// amplitude peaks (paper Fig. 3(b)).
@@ -212,6 +187,7 @@ mod tests {
         assert!(gen.symbol_chirp(128, ChirpDirection::Up).is_err());
         assert!(gen.downlink_chirp(4).is_err());
         assert!(gen.downlink_chirp(3).is_ok());
+        assert!(gen.downlink_peak_time(4).is_err());
     }
 
     #[test]
@@ -221,19 +197,15 @@ mod tests {
         let t0 = gen.downlink_peak_time(0).unwrap();
         let t3 = gen.downlink_peak_time(3).unwrap();
         assert!(t3 < t0);
-        // Symbol 0 peaks exactly at the symbol duration.
-        assert!((t0 - params().symbol_duration()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn frequency_trajectory_wraps() {
-        let gen = ChirpGenerator::new(params());
-        let f0 = 400_000.0;
-        let traj = gen.frequency_trajectory(f0);
-        assert!((traj[0] - f0).abs() < 1.0);
-        // Must wrap below BW at some point and never exceed it.
-        assert!(traj.iter().all(|&f| (0.0..500_000.0 + 1.0).contains(&f)));
-        assert!(traj.iter().any(|&f| f < f0));
+        // Symbol 0 peaks exactly at the symbol duration, and at K = 2 each
+        // symbol step moves the peak a quarter symbol earlier.
+        let t_sym = params().symbol_duration();
+        assert!((t0 - t_sym).abs() < 1e-12);
+        for symbol in 0..3 {
+            let delta = gen.downlink_peak_time(symbol).unwrap()
+                - gen.downlink_peak_time(symbol + 1).unwrap();
+            assert!((delta - t_sym / 4.0).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -3,12 +3,9 @@
 //! The access point sends feedback packets to backscatter tags using chirps
 //! drawn from a reduced alphabet of `2^K` initial frequency offsets (K is the
 //! coding rate, see [`BitsPerChirp`]). This module converts between byte
-//! payloads, bit streams, and Gray-coded downlink symbol sequences, and
-//! carries the per-symbol ground truth (peak positions) used by tests and
-//! experiment harnesses.
+//! payloads, bit streams, and Gray-coded downlink symbol sequences, and maps
+//! a symbol's amplitude-peak time back to its value.
 
-use crate::chirp::ChirpGenerator;
-use crate::error::PhyError;
 use crate::params::{BitsPerChirp, LoraParams};
 
 /// Encodes a binary value into its Gray-coded representation.
@@ -95,49 +92,10 @@ pub fn symbols_for_bytes(payload_len: usize, k: BitsPerChirp) -> usize {
     (payload_len * 8).div_ceil(k.bits() as usize)
 }
 
-/// Ground-truth description of a downlink symbol: its value and where in the
-/// chirp the SAW-transformed amplitude peaks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DownlinkSymbol {
-    /// Symbol value in `0..2^K`.
-    pub value: u32,
-    /// Initial frequency offset above the carrier, Hz.
-    pub f0_hz: f64,
-    /// Time (seconds from symbol start) of the amplitude peak.
-    pub peak_time: f64,
-}
-
-/// Expands a symbol sequence into per-symbol ground truth using the chirp
-/// geometry of `params`.
-pub fn describe_symbols(
-    symbols: &[u32],
-    params: &LoraParams,
-) -> Result<Vec<DownlinkSymbol>, PhyError> {
-    let gen = ChirpGenerator::new(*params);
-    let alphabet = params.bits_per_chirp.alphabet_size();
-    symbols
-        .iter()
-        .map(|&value| {
-            if value >= alphabet {
-                return Err(PhyError::SymbolOutOfRange {
-                    symbol: value,
-                    alphabet,
-                });
-            }
-            let f0 = value as f64 / alphabet as f64 * params.bw.hz();
-            Ok(DownlinkSymbol {
-                value,
-                f0_hz: f0,
-                peak_time: gen.peak_time(f0),
-            })
-        })
-        .collect()
-}
-
 /// Maps a measured peak time back to the most plausible symbol value — the
-/// idealised inverse of [`describe_symbols`], used as a reference decoder in
-/// tests (the real Saiyan decoder works from comparator output, see the
-/// `saiyan` crate).
+/// inverse of [`crate::chirp::ChirpGenerator::downlink_peak_time`]. The
+/// Saiyan peak decoder applies it to peak times it reads off the comparator
+/// output (see the `saiyan` crate).
 pub fn symbol_from_peak_time(peak_time: f64, params: &LoraParams) -> u32 {
     let alphabet = params.bits_per_chirp.alphabet_size();
     let t_sym = params.symbol_duration();
@@ -150,6 +108,7 @@ pub fn symbol_from_peak_time(peak_time: f64, params: &LoraParams) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chirp::ChirpGenerator;
     use crate::params::{Bandwidth, SpreadingFactor};
 
     fn k(bits: u8) -> BitsPerChirp {
@@ -204,30 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn describe_symbols_produces_distinct_peaks() {
-        let params = LoraParams::new(SpreadingFactor::Sf7, Bandwidth::Khz500, k(2));
-        let desc = describe_symbols(&[0, 1, 2, 3], &params).unwrap();
-        // Peak times must be strictly decreasing with symbol value and spaced
-        // by a quarter symbol for K=2.
-        let t_sym = params.symbol_duration();
-        for w in desc.windows(2) {
-            let delta = w[0].peak_time - w[1].peak_time;
-            assert!((delta - t_sym / 4.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn peak_time_inversion_recovers_symbols() {
         let params = LoraParams::new(SpreadingFactor::Sf9, Bandwidth::Khz250, k(3));
-        let desc = describe_symbols(&[0, 1, 2, 3, 4, 5, 6, 7], &params).unwrap();
-        for d in desc {
-            assert_eq!(symbol_from_peak_time(d.peak_time, &params), d.value);
+        let gen = ChirpGenerator::new(params);
+        for value in 0..8 {
+            let peak_time = gen.downlink_peak_time(value).unwrap();
+            assert_eq!(symbol_from_peak_time(peak_time, &params), value);
         }
-    }
-
-    #[test]
-    fn out_of_range_symbol_rejected() {
-        let params = LoraParams::new(SpreadingFactor::Sf7, Bandwidth::Khz500, k(2));
-        assert!(describe_symbols(&[4], &params).is_err());
     }
 }

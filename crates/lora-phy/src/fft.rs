@@ -12,31 +12,13 @@ use std::f64::consts::PI;
 use crate::error::PhyError;
 use crate::iq::Iq;
 
-/// Returns `true` when `n` is a power of two (and non-zero).
-#[inline]
-pub fn is_power_of_two(n: usize) -> bool {
-    n != 0 && (n & (n - 1)) == 0
-}
-
-/// Next power of two greater than or equal to `n`.
-pub fn next_power_of_two(n: usize) -> usize {
-    if n <= 1 {
-        return 1;
-    }
-    let mut p = 1;
-    while p < n {
-        p <<= 1;
-    }
-    p
-}
-
 /// In-place iterative radix-2 FFT.
 ///
 /// `inverse` selects the inverse transform; the inverse is scaled by `1/N` so
 /// that `ifft(fft(x)) == x`.
 fn fft_in_place(data: &mut [Iq], inverse: bool) -> Result<(), PhyError> {
     let n = data.len();
-    if !is_power_of_two(n) {
+    if !n.is_power_of_two() {
         return Err(PhyError::FftLengthNotPowerOfTwo(n));
     }
     if n <= 1 {
@@ -101,7 +83,7 @@ pub fn ifft(input: &[Iq]) -> Result<Vec<Iq>, PhyError> {
 
 /// Computes the FFT after zero-padding the input to the next power of two.
 pub fn fft_padded(input: &[Iq]) -> Vec<Iq> {
-    let n = next_power_of_two(input.len());
+    let n = input.len().next_power_of_two();
     let mut data = Vec::with_capacity(n);
     data.extend_from_slice(input);
     data.resize(n, Iq::ZERO);
@@ -155,17 +137,6 @@ pub fn peak_to_mean_db(spectrum: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn power_of_two_helpers() {
-        assert!(is_power_of_two(1));
-        assert!(is_power_of_two(1024));
-        assert!(!is_power_of_two(0));
-        assert!(!is_power_of_two(12));
-        assert_eq!(next_power_of_two(5), 8);
-        assert_eq!(next_power_of_two(8), 8);
-        assert_eq!(next_power_of_two(1), 1);
-    }
 
     #[test]
     fn rejects_non_power_of_two() {

@@ -4,7 +4,7 @@
 //! split-complex FIR / polyphase inner product (`analog::fir`), the
 //! oscillator/mixer chain of the frequency shifter (`analog::oscillator`,
 //! `analog::mixer`) and the envelope + double-threshold comparator scan
-//! (`analog::envelope`, `analog::comparator`). This module is the one home
+//! (`analog::envelope`, `saiyan::streaming`). This module is the one home
 //! of each of those kernels: a stage calls its kernel with
 //! [`active_backend`], and the kernel's scalar path is the golden reference
 //! that every wide path must reproduce bit for bit. The module lives here —
@@ -949,18 +949,14 @@ fn resolve_word(a: u64, b: u64, carry: bool) -> u64 {
 }
 
 /// Builds one word of comparator masks: bit `i` of the first mask is
-/// `values[i] ≥ highs(i)`, of the second `values[i] ≥ lows(i)`.
+/// `values[i] ≥ highs[i]`, of the second `values[i] ≥ lows[i]`.
 #[inline]
-fn mask_word(
-    values: &[f64],
-    highs: impl Fn(usize) -> f64,
-    lows: impl Fn(usize) -> f64,
-) -> (u64, u64) {
+fn mask_word(values: &[f64], highs: &[f64], lows: &[f64]) -> (u64, u64) {
     let mut a = 0u64;
     let mut b = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        a |= ((v >= highs(i)) as u64) << i;
-        b |= ((v >= lows(i)) as u64) << i;
+    for (i, ((&v, &high), &low)) in values.iter().zip(highs).zip(lows).enumerate() {
+        a |= ((v >= high) as u64) << i;
+        b |= ((v >= low) as u64) << i;
     }
     (a, b)
 }
@@ -974,8 +970,8 @@ fn mask_word(
 /// `state = if state { v >= low } else { v >= high }`, which for `low ≤ high`
 /// equals `state = (v ≥ high) | ((v ≥ low) & state)` — the form the vector
 /// compare + mask-extraction path resolves per word. The caller must ensure
-/// `low[i] ≤ high[i]` (the streaming receiver's threshold tracker
-/// guarantees it).
+/// `low[i] ≤ high[i]` (the streaming receiver's threshold tracker and
+/// `analog::DoubleThresholdComparator::new` guarantee it).
 ///
 /// # Panics
 ///
@@ -995,54 +991,15 @@ pub fn hysteresis_words(
         let n = (values.len() - base).min(64);
         let (a, b) = mask_word(
             &values[base..base + n],
-            |i| highs[base + i],
-            |i| lows[base + i],
+            &highs[base..base + n],
+            &lows[base..base + n],
         );
         let resolved = resolve_word(a, b, state);
-        state = if n == 64 {
-            resolved >> 63 != 0
-        } else {
-            resolved >> (n - 1) & 1 != 0
-        };
-        words.push(if n == 64 {
-            resolved
-        } else {
-            resolved & ((1u64 << n) - 1)
-        });
+        state = resolved >> (n - 1) & 1 != 0;
+        words.push(resolved & (u64::MAX >> (64 - n)));
         base += n;
     }
     state
-}
-
-/// Fixed-threshold comparator scan producing the usual `Vec<bool>` output
-/// (the streaming `ComparatorState` block path). Returns the final state.
-///
-/// # Panics
-///
-/// If `low > high`: the mask identity only holds when `v ≥ high` implies
-/// `v ≥ low`.
-pub fn hysteresis_scan(
-    values: &[f64],
-    high: f64,
-    low: f64,
-    state: bool,
-    out: &mut Vec<bool>,
-) -> bool {
-    assert!(low <= high);
-    let mut base = 0usize;
-    let mut st = state;
-    out.reserve(values.len());
-    while base < values.len() {
-        let n = (values.len() - base).min(64);
-        let (a, b) = mask_word(&values[base..base + n], |_| high, |_| low);
-        let resolved = resolve_word(a, b, st);
-        st = resolved >> (n - 1) & 1 != 0;
-        for i in 0..n {
-            out.push(resolved >> i & 1 != 0);
-        }
-        base += n;
-    }
-    st
 }
 
 #[cfg(test)]
@@ -1195,11 +1152,6 @@ mod tests {
                 let got: Vec<bool> = (0..n).map(|i| words[i / 64] >> (i % 64) & 1 != 0).collect();
                 assert_eq!(got, expect, "n={n} init={init}");
                 assert_eq!(fin, *expect.last().unwrap_or(&init), "final");
-
-                let mut bools = Vec::new();
-                let fin2 = hysteresis_scan(&values, 0.4, -0.2, init, &mut bools);
-                assert_eq!(bools, expect, "scan n={n}");
-                assert_eq!(fin2, fin);
             }
         }
     }

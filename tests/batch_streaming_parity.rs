@@ -3,9 +3,10 @@
 //! Every analog stage has exactly one implementation: each batch entry point
 //! (`SawFilter::apply`, `Lna::amplify`, `EnvelopeDetector::detect`,
 //! `CyclicFrequencyShifter::process`, `IfAmplifier::amplify`,
-//! `LowPassFilter::filter`, `DoubleThresholdComparator::compare`, and the
-//! assembled `Frontend::process`) runs its streaming state over the whole
-//! buffer at once. The SAW FIR's group delay is the one difference: the two
+//! `LowPassFilter::filter`, and the assembled `Frontend::process`) runs its
+//! streaming state over the whole buffer at once, and
+//! `DoubleThresholdComparator::compare` runs the receiver's comparator
+//! kernel, `simd::hysteresis_words`, over the whole buffer. The SAW FIR's group delay is the one difference: the two
 //! entry points that contain the FIR feed it that many trailing zeros and
 //! drop as many leading outputs, so their output lines up with their input.
 //! These tests pin the consequence — batch output is bit-identical to
@@ -181,15 +182,19 @@ fn comparator_batch_equals_chunked_streaming_on_golden_envelope() {
     let (rf, _) = fixture_rf();
     let envelope = EnvelopeDetector::ideal().detect(&rf);
     let peak = envelope.max();
-    let cmp = analog::DoubleThresholdComparator::new(peak * 0.7, peak * 0.3);
-    let batch = cmp.compare(&envelope);
+    let (high, low) = (peak * 0.7, peak * 0.3);
+    let batch = analog::DoubleThresholdComparator::new(high, low).compare(&envelope);
+    // The receiver's comparator: the word kernel run chunk by chunk with the
+    // output level carried across chunk boundaries.
     for chunk_size in chunkings() {
-        let mut state = cmp.streaming();
+        let mut state = false;
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
+        let mut words = Vec::new();
         for chunk in envelope.samples.chunks(chunk_size.min(envelope.len())) {
-            state.compare_chunk_into(chunk, &mut scratch);
-            out.extend_from_slice(&scratch);
+            let highs = vec![high; chunk.len()];
+            let lows = vec![low; chunk.len()];
+            state = analog::simd::hysteresis_words(chunk, &highs, &lows, state, &mut words);
+            out.extend((0..chunk.len()).map(|i| words[i / 64] >> (i % 64) & 1 != 0));
         }
         assert_eq!(out, batch.bits, "chunk size {chunk_size}");
     }

@@ -222,49 +222,52 @@ proptest! {
     }
 
     /// Double-threshold comparator scan (one path on every backend): the
-    /// per-sample hysteresis recurrence's decisions and final state, for
-    /// whole buffers and across random chunk partitions with the state
-    /// threaded through, and the word-mask variant against per-sample
-    /// thresholds.
+    /// word kernel reproduces the per-sample hysteresis recurrence's
+    /// decisions and final state against per-sample thresholds, for whole
+    /// buffers and across random chunk partitions with the state threaded
+    /// through — the way the receiver runs it chunk by chunk.
     #[test]
     fn hysteresis_matches_scalar_and_chunking(
         values in collection::vec(-2.0f64..2.0, 0..200),
         high in 0.0f64..1.0,
         margin in 0.0f64..1.0,
+        ramp in -0.01f64..0.01,
         start in any::<bool>(),
         cuts in collection::vec(0usize..300, 0..4),
     ) {
-        let low = high - margin;
+        let highs: Vec<f64> = (0..values.len()).map(|i| high + ramp * i as f64).collect();
+        let lows: Vec<f64> = highs.iter().map(|h| h - margin).collect();
         let mut ref_state = start;
         let reference: Vec<bool> = values
             .iter()
-            .map(|&v| {
-                ref_state = if ref_state { v >= low } else { v >= high };
+            .enumerate()
+            .map(|(i, &v)| {
+                ref_state = if ref_state { v >= lows[i] } else { v >= highs[i] };
                 ref_state
             })
             .collect();
-        let mut out = Vec::new();
-        let state = simd::hysteresis_scan(&values, high, low, start, &mut out);
-        prop_assert_eq!(&out, &reference, "hysteresis");
+        let unpack = |words: &[u64], n: usize| -> Vec<bool> {
+            (0..n).map(|i| (words[i / 64] >> (i % 64)) & 1 == 1).collect()
+        };
+        let mut words = Vec::new();
+        let state = simd::hysteresis_words(&values, &highs, &lows, start, &mut words);
+        prop_assert_eq!(&unpack(&words, values.len()), &reference, "hysteresis");
         prop_assert_eq!(state, ref_state, "hysteresis state");
         // Random partition with carried state.
         let mut split = Vec::new();
         let mut st = start;
         for &(lo, hi) in &partition_from_cuts(values.len(), &cuts) {
-            st = simd::hysteresis_scan(&values[lo..hi], high, low, st, &mut split);
+            st = simd::hysteresis_words(
+                &values[lo..hi],
+                &highs[lo..hi],
+                &lows[lo..hi],
+                st,
+                &mut words,
+            );
+            split.extend(unpack(&words, hi - lo));
         }
         prop_assert_eq!(&split, &reference, "hysteresis split");
         prop_assert_eq!(st, ref_state, "hysteresis split state");
-        // Word-mask variant against per-sample thresholds.
-        let highs = vec![high; values.len()];
-        let lows = vec![low; values.len()];
-        let mut words = Vec::new();
-        let wstate = simd::hysteresis_words(&values, &highs, &lows, start, &mut words);
-        prop_assert_eq!(wstate, ref_state, "hysteresis_words state");
-        for (i, &decision) in reference.iter().enumerate() {
-            let bit = (words[i / 64] >> (i % 64)) & 1 == 1;
-            prop_assert_eq!(bit, decision, "hysteresis_words bit {}", i);
-        }
     }
 
     /// The full FIR state over random chunk partitions reproduces the

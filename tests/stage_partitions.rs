@@ -1,12 +1,12 @@
 //! Chunk-partition invariance for every block-pipeline stage.
 //!
 //! One shared harness feeds each stage of the analog chain (SAW FIR, raw
-//! complex FIR, channelizer, LNA, envelope detector, shifter chain,
-//! comparator, IF amplifier, low-pass cascade, full streaming front end)
-//! through deterministic chunk partitions — sizes {1, 7, 64, whole} with
-//! empty chunks interleaved — and through proptest-generated random
-//! partitions, asserting the concatenated output is *bit-identical* to
-//! whole-buffer processing. This is the contract [`analog::stage`] writes
+//! complex FIR, channelizer, LNA, envelope detector, shifter chain, IF
+//! amplifier, low-pass cascade, full streaming front end) through
+//! deterministic chunk partitions — sizes {1, 7, 64, whole} with empty
+//! chunks interleaved — and through proptest-generated random partitions,
+//! asserting the concatenated output is *bit-identical* to whole-buffer
+//! processing. This is the contract [`analog::stage`] writes
 //! down; the macro below is the single place it is enforced for all stages.
 //! A last proptest pins the shared phase split the gateway feeds its
 //! channelizers: decimators reading one [`PhaseSplit`] emit exactly what
@@ -256,13 +256,6 @@ block_stage_partition_tests!(
         .with_fast_clock(true)
     },
     iq_input(5_000)
-);
-
-block_stage_partition_tests!(
-    comparator_partitions,
-    comparator_random_partitions,
-    || analog::DoubleThresholdComparator::new(0.4, 0.1).streaming(),
-    real_input(5_000)
 );
 
 in_place_stage_partition_tests!(
