@@ -163,6 +163,20 @@ mod tests {
     }
 
     #[test]
+    fn describe_symbols_produces_distinct_peaks() {
+        let params = LoraParams::new(SpreadingFactor::Sf7, Bandwidth::Khz500, k(2));
+        let gen = ChirpGenerator::new(params);
+        // Peak times must be strictly decreasing with symbol value and spaced
+        // by a quarter symbol for K=2.
+        let t_sym = params.symbol_duration();
+        for value in 0..3 {
+            let delta =
+                gen.downlink_peak_time(value).unwrap() - gen.downlink_peak_time(value + 1).unwrap();
+            assert!((delta - t_sym / 4.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
     fn peak_time_inversion_recovers_symbols() {
         let params = LoraParams::new(SpreadingFactor::Sf9, Bandwidth::Khz250, k(3));
         let gen = ChirpGenerator::new(params);
@@ -170,5 +184,12 @@ mod tests {
             let peak_time = gen.downlink_peak_time(value).unwrap();
             assert_eq!(symbol_from_peak_time(peak_time, &params), value);
         }
+    }
+
+    #[test]
+    fn out_of_range_symbol_rejected() {
+        let params = LoraParams::new(SpreadingFactor::Sf7, Bandwidth::Khz500, k(2));
+        let gen = ChirpGenerator::new(params);
+        assert!(gen.downlink_peak_time(4).is_err());
     }
 }
