@@ -46,6 +46,11 @@ pub struct PeakDecoder {
     spacing_tolerance: f64,
     /// Minimum number of regularly spaced peaks required to declare a preamble.
     min_preamble_peaks: usize,
+    /// Reusable buffers of [`Self::preamble_anchor`], which the streaming
+    /// receiver calls on every falling edge while it searches: the winning
+    /// train's member indices, and a sort buffer for its medians.
+    members: Vec<usize>,
+    sorted: Vec<f64>,
 }
 
 impl PeakDecoder {
@@ -62,6 +67,8 @@ impl PeakDecoder {
             params,
             spacing_tolerance: 0.25,
             min_preamble_peaks: 5,
+            members: Vec::new(),
+            sorted: Vec::new(),
         }
     }
 
@@ -109,30 +116,6 @@ impl PeakDecoder {
         best
     }
 
-    /// The member indices of the longest regular train (see
-    /// [`Self::longest_regular_train`]); empty for an empty edge list. Walks
-    /// the winning train once, so the per-start search stays allocation-free.
-    pub fn regular_train_members(&self, edges: &[f64]) -> Vec<usize> {
-        let Some((start, count)) = self.longest_regular_train(edges) else {
-            return Vec::new();
-        };
-        let t_sym = self.params.symbol_duration();
-        let tol = self.spacing_tolerance * t_sym;
-        let mut members = Vec::with_capacity(count);
-        members.push(start);
-        let mut last = edges[start];
-        let mut idx = start + 1;
-        while idx < edges.len() && members.len() < count {
-            let dt = edges[idx] - last;
-            if (dt - t_sym).abs() <= tol {
-                members.push(idx);
-                last = edges[idx];
-            }
-            idx += 1;
-        }
-        members
-    }
-
     /// Robust preamble anchor: the first peak time and supporting count of
     /// the longest regular train in `edges`, trimmed in two steps.
     /// `peaks[i]` is the envelope maximum over the high run that ends at
@@ -153,29 +136,48 @@ impl PeakDecoder {
     ///    comparator fires on it because the threshold tracker has seen
     ///    nothing larger yet, and its spacing is within one sampler tick of
     ///    a true preamble spacing, so step 1 cannot tell it apart.
-    pub fn preamble_anchor(&self, edges: &[f64], peaks: &[f64]) -> Option<(f64, usize)> {
-        let members = self.regular_train_members(edges);
-        let times: Vec<f64> = members.iter().map(|&i| edges[i]).collect();
-        if times.len() < 3 {
-            return times.first().map(|&t| (t, times.len()));
+    ///
+    /// Works in the decoder's own buffers, so it allocates only while they
+    /// grow.
+    pub fn preamble_anchor(&mut self, edges: &[f64], peaks: &[f64]) -> Option<(f64, usize)> {
+        let (start, count) = self.longest_regular_train(edges)?;
+        // Walk the winning train once to collect its members.
+        let t_sym = self.params.symbol_duration();
+        let tol = self.spacing_tolerance * t_sym;
+        let members = &mut self.members;
+        members.clear();
+        members.push(start);
+        let mut last = edges[start];
+        let mut idx = start + 1;
+        while idx < edges.len() && members.len() < count {
+            let dt = edges[idx] - last;
+            if (dt - t_sym).abs() <= tol {
+                members.push(idx);
+                last = edges[idx];
+            }
+            idx += 1;
         }
-        let spacings: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
-        let median = median_of(&spacings);
-        let tol = 0.1 * self.params.symbol_duration();
+        let members = &self.members;
+        if members.len() < 3 {
+            return Some((edges[start], members.len()));
+        }
+        let spacing = |j: usize| edges[members[j + 1]] - edges[members[j]];
+        let median = median_of((0..members.len() - 1).map(spacing), &mut self.sorted);
+        let tol = 0.1 * t_sym;
         let mut lo = 0usize;
-        let mut hi = times.len() - 1; // inclusive index of the last member
-        while lo < hi && (spacings[lo] - median).abs() > tol {
+        let mut hi = members.len() - 1; // inclusive index of the last member
+        while lo < hi && (spacing(lo) - median).abs() > tol {
             lo += 1;
         }
-        while hi > lo && (spacings[hi - 1] - median).abs() > tol {
+        while hi > lo && (spacing(hi - 1) - median).abs() > tol {
             hi -= 1;
         }
-        let member_peaks: Vec<f64> = members[lo..=hi].iter().map(|&i| peaks[i]).collect();
-        let floor = Self::MIN_PEAK_FRACTION * median_of(&member_peaks);
+        let member_peaks = members[lo..=hi].iter().map(|&i| peaks[i]);
+        let floor = Self::MIN_PEAK_FRACTION * median_of(member_peaks, &mut self.sorted);
         while lo < hi && peaks[members[lo]] < floor {
             lo += 1;
         }
-        Some((times[lo], hi - lo + 1))
+        Some((edges[members[lo]], hi - lo + 1))
     }
 
     /// Builds the recovered timing from the first peak of a preamble train.
@@ -201,12 +203,21 @@ impl PeakDecoder {
     pub fn decode_symbol(&self, stream: &SampledStream, window_start: f64) -> SymbolPeak {
         let t_sym = self.params.symbol_duration();
         let window_end = window_start + t_sym;
-        // Find the last high sample within the window.
-        let mut last_high: Option<f64> = None;
-        for (t, b) in stream.iter_timed() {
-            if t < window_start {
-                continue;
+        // Find the last high sample within the window, starting from the
+        // window's first tick: `time_of` is monotone in the index, so the
+        // ticks before `window_start` are a prefix to binary-search past.
+        let (mut lo, mut hi) = (0, stream.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if stream.time_of(mid) < window_start {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
+        }
+        let mut last_high: Option<f64> = None;
+        for (i, &b) in stream.bits.iter().enumerate().skip(lo) {
+            let t = stream.time_of(i);
             if t >= window_end {
                 break;
             }
@@ -243,9 +254,10 @@ impl PeakDecoder {
     }
 }
 
-/// The upper median of a non-empty slice.
-fn median_of(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
+/// The upper median of non-empty `values`, sorted in the `sorted` buffer.
+fn median_of(values: impl Iterator<Item = f64>, sorted: &mut Vec<f64>) -> f64 {
+    sorted.clear();
+    sorted.extend(values);
     sorted.sort_by(f64::total_cmp);
     sorted[sorted.len() / 2]
 }
@@ -287,7 +299,7 @@ mod tests {
     }
 
     /// Anchors a train of equal-amplitude edges and builds its timing.
-    fn timing_of(d: &PeakDecoder, edges: &[f64]) -> Option<PreambleTiming> {
+    fn timing_of(d: &mut PeakDecoder, edges: &[f64]) -> Option<PreambleTiming> {
         d.preamble_anchor(edges, &vec![1.0; edges.len()])
             .filter(|(_, count)| *count >= d.min_preamble_peaks())
             .map(|(anchor, count)| d.timing_from_first_peak(anchor, count))
@@ -300,8 +312,8 @@ mod tests {
         let rate = 50_000.0;
         // Ten preamble peaks at the end of each preamble symbol.
         let peaks: Vec<f64> = (1..=10).map(|i| i as f64 * t_sym).collect();
-        let d = PeakDecoder::new(p);
-        let timing = timing_of(&d, &edges_at(&peaks, rate)).unwrap();
+        let mut d = PeakDecoder::new(p);
+        let timing = timing_of(&mut d, &edges_at(&peaks, rate)).unwrap();
         assert!(timing.supporting_peaks >= 9);
         assert!(timing.preamble_start.abs() < t_sym * 0.1);
         let expected_payload = (10.0 + 2.25) * t_sym;
@@ -322,8 +334,8 @@ mod tests {
         // A spurious noise peak in the middle of symbol 4.
         peaks.push(3.4 * t_sym);
         peaks.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let d = PeakDecoder::new(p);
-        let timing = timing_of(&d, &edges_at(&peaks, rate)).unwrap();
+        let mut d = PeakDecoder::new(p);
+        let timing = timing_of(&mut d, &edges_at(&peaks, rate)).unwrap();
         assert!(timing.preamble_start.abs() < t_sym * 0.1);
     }
 
@@ -333,8 +345,8 @@ mod tests {
         let rate = 50_000.0;
         // Irregularly spaced pulses.
         let peaks = [0.0011, 0.0023, 0.0041, 0.0087, 0.0113];
-        let d = PeakDecoder::new(p);
-        assert!(timing_of(&d, &edges_at(&peaks, rate)).is_none());
+        let mut d = PeakDecoder::new(p);
+        assert!(timing_of(&mut d, &edges_at(&peaks, rate)).is_none());
     }
 
     #[test]
@@ -349,7 +361,7 @@ mod tests {
         let edges = edges_at(&peaks, rate);
         let mut amplitudes = vec![1.0; edges.len()];
         amplitudes[0] = 0.01;
-        let d = PeakDecoder::new(p);
+        let mut d = PeakDecoder::new(p);
         assert_eq!(d.preamble_anchor(&edges, &amplitudes), Some((edges[1], 9)));
         // At the preamble's own amplitude the same edge would anchor the train.
         let equal = vec![1.0; edges.len()];

@@ -441,6 +441,10 @@ pub struct StreamingDemodulator {
     env_scratch: Vec<f64>,
     /// Reusable buffers of the tracking pass.
     scratch: BlockScratch,
+    /// Reusable copies of the retained edges' times and run peaks, the
+    /// slices [`PeakDecoder::preamble_anchor`] reads.
+    edge_times: Vec<f64>,
+    edge_peaks: Vec<f64>,
 }
 
 impl StreamingDemodulator {
@@ -500,6 +504,8 @@ impl StreamingDemodulator {
             state: RxState::Searching,
             env_scratch: Vec::new(),
             scratch: BlockScratch::default(),
+            edge_times: Vec::new(),
+            edge_peaks: Vec::new(),
         }
     }
 
@@ -734,8 +740,11 @@ impl StreamingDemodulator {
         if self.edges.len() < self.decoder.min_preamble_peaks() {
             return;
         }
-        let (edges, peaks): (Vec<f64>, Vec<f64>) = self.edges.iter().copied().unzip();
-        if let Some((anchor, count)) = self.decoder.preamble_anchor(&edges, &peaks) {
+        self.copy_edges(|_| true);
+        let anchor = self
+            .decoder
+            .preamble_anchor(&self.edge_times, &self.edge_peaks);
+        if let Some((anchor, count)) = anchor {
             if count >= self.decoder.min_preamble_peaks() {
                 let timing = self.decoder.timing_from_first_peak(anchor, count);
                 let t_sym = self.config.lora.symbol_duration();
@@ -748,6 +757,17 @@ impl StreamingDemodulator {
                     deadline,
                 };
             }
+        }
+    }
+
+    /// Copies the retained edges whose time passes `keep` into the
+    /// `edge_times`/`edge_peaks` scratch.
+    fn copy_edges(&mut self, keep: impl Fn(f64) -> bool) {
+        self.edge_times.clear();
+        self.edge_peaks.clear();
+        for &(e, peak) in self.edges.iter().filter(|&&(e, _)| keep(e)) {
+            self.edge_times.push(e);
+            self.edge_peaks.push(peak);
         }
     }
 
@@ -799,14 +819,9 @@ impl StreamingDemodulator {
             // The sync down-chirps start at full amplitude, so their falling
             // edges trail the last preamble peak; stop short of them.
             let hi = candidate.payload_start - 1.75 * t_sym;
-            let (preamble_edges, preamble_peaks): (Vec<f64>, Vec<f64>) = self
-                .edges
-                .iter()
-                .copied()
-                .filter(|&(e, _)| e >= lo && e <= hi)
-                .unzip();
+            self.copy_edges(|e| e >= lo && e <= hi);
             self.decoder
-                .preamble_anchor(&preamble_edges, &preamble_peaks)
+                .preamble_anchor(&self.edge_times, &self.edge_peaks)
                 .filter(|(_, count)| *count >= self.decoder.min_preamble_peaks())
                 .map(|(anchor, count)| self.decoder.timing_from_first_peak(anchor, count))
         };

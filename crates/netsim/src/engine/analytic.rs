@@ -18,17 +18,25 @@
 //! ranges — spatial cells, each an independent collision domain: one
 //! [`Cell`] (calendar queue, session table, access-point shard, salted RNG
 //! sub-streams; cell 0 reproduces the single-cell engine's streams exactly)
-//! with its own [`AnalyticAir`]. A worker pool advances cells in
-//! lockstep conservative lookahead windows — at least `feedback_delay_s`
-//! wide, so a cell never needs mid-window state from a peer; the only
-//! cross-cell signal is the global activity watermark exchanged at window
-//! barriers, which keeps idle cells' spectrum scans alive while the
-//! deployment is active anywhere. Because cells share no mutable state
-//! inside a window, the merged report is bit-identical whatever the worker
-//! count; per-cell reports merge in cell order and delivery latencies merge
-//! by delivery time, so the report is also independent of the cell
-//! partition wherever cells are physically independent (collision-free
-//! workloads).
+//! with its own [`AnalyticAir`]. Each worker of a pool owns a contiguous
+//! chunk of cells, builds them (arrival schedules included) and advances
+//! them. The only cross-cell signal is the global activity watermark,
+//! which keeps idle cells' spectrum scans alive while the deployment is
+//! active anywhere; lookahead windows exist only to refresh it at their
+//! barriers. Only scans read it, and cells scan only when the scenario has
+//! a jammer, so:
+//!
+//! * a jammer-free run is one unbounded window — each worker runs its
+//!   chunk to completion;
+//! * a jammed run advances all cells in lockstep conservative lookahead
+//!   windows, at least `feedback_delay_s` and `scan_interval_s` wide, so a
+//!   cell never needs mid-window state from a peer.
+//!
+//! Because cells share no mutable state inside a window, the merged report
+//! is bit-identical whatever the worker count; per-cell reports merge in
+//! cell order and delivery latencies merge by delivery time, so the report
+//! is also independent of the cell partition wherever cells are physically
+//! independent (collision-free workloads).
 //!
 //! The MAC is the [`cell`](super::cell) module the waveform backend runs
 //! too; its access-point shard steps the same
@@ -39,8 +47,8 @@
 //! [`RetransmissionBuffer`](saiyan_mac::RetransmissionBuffer) by the
 //! `saiyan_mac` unit suite.
 
-use std::thread;
 use std::time::Instant;
+use std::{panic, thread};
 
 use rand::Rng;
 
@@ -117,24 +125,59 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
     let start_wall = Instant::now();
     let p = RunParams::new(scenario);
     let link_p = scenario.link_success_p();
+    let n_cells = scenario.analytic_cells;
+    let workers = scenario.analytic_workers.min(n_cells).max(1);
+    let per = n_cells.div_ceil(workers);
 
-    let mut arrivals_buf = Vec::new();
-    let mut cells: Vec<Cell<AnalyticAir>> = (0..scenario.analytic_cells)
-        .map(|c| {
-            let air = AnalyticAir {
-                link_p,
-                occupancy: vec![ChannelOccupancy::new(); scenario.n_channels],
-                pending: Vec::new(),
-                newly_collided: Vec::new(),
-            };
-            Cell::new(&p, c, scenario.cell_range(c), &mut arrivals_buf, air)
+    // Windows exist only to refresh the global activity watermark at their
+    // barriers, and only spectrum scans read it; a cell schedules scans
+    // only when the scenario has a jammer. A jammer-free run is therefore
+    // one unbounded window, run before the first barrier: each worker
+    // builds its contiguous chunk of cells and runs it to completion.
+    let windowed = scenario.jammer.is_some();
+    let build_chunk = |first: usize| {
+        let mut arrivals_buf = Vec::new();
+        let mut chunk: Vec<Cell<AnalyticAir>> = (first..(first + per).min(n_cells))
+            .map(|c| {
+                let air = AnalyticAir {
+                    link_p,
+                    occupancy: vec![ChannelOccupancy::new(); scenario.n_channels],
+                    pending: Vec::new(),
+                    newly_collided: Vec::new(),
+                };
+                Cell::new(&p, c, scenario.cell_range(c), &mut arrivals_buf, air)
+            })
+            .collect();
+        if !windowed {
+            for cell in &mut chunk {
+                // Nothing reads the watermark; the lead-in is a valid
+                // (lagging) one.
+                cell.advance(&p, f64::INFINITY, scenario.lead_in_s);
+            }
+        }
+        chunk
+    };
+    let mut cells: Vec<Cell<AnalyticAir>> = if workers == 1 {
+        build_chunk(0)
+    } else {
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..n_cells)
+                .step_by(per)
+                .map(|first| scope.spawn(move || build_chunk(first)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| panic::resume_unwind(e)))
+                .collect()
         })
-        .collect();
+    };
 
-    // Conservative lookahead: wide enough that no event scheduled inside a
-    // window can precede the window (feedback, turnaround and scan chains
-    // all point forwards by at least these bounds), coarse enough that
-    // barrier overhead vanishes against per-window work.
+    // Conservative lookahead for windowed runs: wide enough that no event
+    // scheduled inside a window can precede the window (feedback,
+    // turnaround and scan chains all point forwards by at least these
+    // bounds), coarse enough that barrier overhead vanishes against
+    // per-window work. A jammer-free run arrives here with every queue
+    // drained, so the loop ends at once.
     let mut floor = cells
         .iter()
         .map(|c| c.end_time)
@@ -145,7 +188,6 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
         .max(4.0 * p.packet_dur)
         .max((floor - scenario.lead_in_s) / 1024.0)
         .max(1e-6);
-    let workers = scenario.analytic_workers.min(cells.len()).max(1);
 
     loop {
         let next = cells
@@ -161,7 +203,6 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
                 cell.advance(&p, window_end, floor);
             }
         } else {
-            let per = cells.len().div_ceil(workers);
             thread::scope(|scope| {
                 for chunk in cells.chunks_mut(per) {
                     scope.spawn(|| {

@@ -140,8 +140,12 @@ pub struct EngineScenario {
     /// event queue, access-point shard and RNG streams. `1` reproduces the
     /// single-cell engine exactly.
     pub analytic_cells: usize,
-    /// Worker threads advancing analytic cells in lockstep lookahead
-    /// windows. The report is bit-identical whatever the worker count.
+    /// Worker threads building and advancing analytic cells, each a
+    /// contiguous chunk of them. A jammer-free run is one window, in which
+    /// each worker runs its chunk to completion; with a jammer, all cells
+    /// advance in lockstep lookahead windows so their spectrum scans see
+    /// the global activity watermark. The report is bit-identical whatever
+    /// the worker count.
     pub analytic_workers: usize,
     /// Master seed; traffic, MAC and PHY draws use salted sub-streams.
     pub seed: u64,

@@ -1,10 +1,13 @@
 //! The sharded analytic engine at scale: collision accounting against a
 //! brute-force oracle, calendar-queue vs. binary-heap equivalence, traffic
-//! monotonicity, and partition/worker invariance of the merged report.
+//! monotonicity, and partition/worker invariance of the merged report —
+//! on the jammer-free single window and on the jammed lockstep windows.
 
 use netsim::engine::occupancy::ChannelOccupancy;
 use netsim::engine::scheduler::{CalendarQueue, EventQueue};
-use netsim::engine::{EngineScenario, MacPolicy, NetworkEngine, TrafficModel};
+use netsim::engine::{
+    EngineReport, EngineScenario, JammerSpec, MacPolicy, NetworkEngine, TrafficModel,
+};
 use proptest::prelude::*;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -49,24 +52,76 @@ fn a_sharded_run_matches_the_single_cell_report() {
     }
 }
 
+/// Runs `base` at each worker count and requires the single-worker report.
+fn assert_worker_invariant(base: &EngineScenario, workers: &[usize]) -> EngineReport {
+    let reference = NetworkEngine::new(base.clone().with_workers(1))
+        .run_analytic()
+        .report;
+    for &w in workers {
+        let out = NetworkEngine::new(base.clone().with_workers(w)).run_analytic();
+        assert_eq!(
+            out.report, reference,
+            "{w} workers diverged from the single-worker run"
+        );
+    }
+    reference
+}
+
 /// The merged report must be bit-identical whatever the worker count —
-/// cells share no mutable state inside a lookahead window, so threading is
-/// purely a wall-clock lever. ALOHA keeps per-cell RNG streams hot.
+/// cells share no mutable state, so threading is purely a wall-clock
+/// lever. ALOHA keeps per-cell RNG streams hot. A jammer-free run is one
+/// lookahead window in which each worker builds and runs its contiguous
+/// chunk of cells; three workers over 16 cells make the chunks uneven
+/// (6, 6, 4).
 #[test]
 fn worker_counts_do_not_change_the_report() {
     let base = EngineScenario::grid(2048, 4, 2)
         .with_mac(MacPolicy::Aloha)
         .with_cells(16);
-    let reference = NetworkEngine::new(base.clone().with_workers(1)).run_analytic();
-    assert!(reference.report.collisions > 0, "ALOHA should collide");
-    assert!(reference.report.readings_delivered > 0);
-    for workers in [2usize, 4] {
-        let out = NetworkEngine::new(base.clone().with_workers(workers)).run_analytic();
-        assert_eq!(
-            out.report, reference.report,
-            "{workers} workers diverged from the single-worker run"
-        );
-    }
+    let reference = assert_worker_invariant(&base, &[2, 3, 4]);
+    assert!(reference.collisions > 0, "ALOHA should collide");
+    assert!(reference.readings_delivered > 0);
+}
+
+/// With a jammer the access-point shards scan, scans read the global
+/// activity watermark, and the run advances in lookahead windows with a
+/// barrier after each. Arrivals are staggered in tag-id order, so the
+/// early cells' own tags have finished when the jammer switches on at
+/// mid-run: only the watermark keeps their scans alive to see it, and
+/// every cell's shard must hop. The report must not depend on the worker
+/// count.
+#[test]
+fn worker_counts_do_not_change_a_jammed_report() {
+    let mut base = EngineScenario::grid(2048, 4, 1)
+        .with_mac(MacPolicy::Aloha)
+        .with_cells(16);
+    let clean = NetworkEngine::new(base.clone()).run_analytic().report;
+    base.jammer = Some(JammerSpec {
+        at_s: base.lead_in_s + 0.5 * clean.duration_s,
+        channel: 0,
+        penalty_db: -60.0,
+    });
+    base.scan_interval_s = 0.05 * clean.duration_s;
+    let reference = assert_worker_invariant(&base, &[2, 3, 4]);
+    assert_eq!(
+        reference.channel_hops, 16,
+        "every cell's shard should hop off the jammer: {reference:?}"
+    );
+    assert!(reference.collisions > 0, "ALOHA should collide");
+}
+
+/// The auto-sized partition (`with_cells(0)`, about 8 Ki tags per cell)
+/// used at city scale: a jammer-free run over several cells reports the
+/// same whatever the worker count.
+#[test]
+fn auto_sized_cells_are_worker_invariant() {
+    let base = EngineScenario::grid(20_000, 4, 1)
+        .with_mac(MacPolicy::Aloha)
+        .with_cells(0);
+    assert!(base.analytic_cells >= 2, "{} cells", base.analytic_cells);
+    let reference = assert_worker_invariant(&base, &[2, 4]);
+    assert_eq!(reference.readings_generated, 20_000);
+    assert!(reference.readings_delivered > 0);
 }
 
 proptest! {

@@ -4,6 +4,7 @@ use lora_phy::downlink::{bytes_to_symbols, symbols_to_bytes};
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
 use proptest::prelude::*;
 use rfsim::units::{Db, Dbm, Meters};
+use saiyan::{PeakDecoder, SampledStream, SymbolPeak};
 
 fn spreading_factor() -> impl Strategy<Value = SpreadingFactor> {
     prop_oneof![
@@ -205,6 +206,84 @@ proptest! {
         let ga = lora_phy::downlink::gray_encode(a);
         let gb = lora_phy::downlink::gray_encode(a + 1);
         prop_assert_eq!((ga ^ gb).count_ones(), 1);
+    }
+}
+
+/// The peak decoder's symbol-window scan as a linear walk over every tick
+/// (the reference for the binary-searched window start).
+fn decode_symbol_linear(d: &PeakDecoder, stream: &SampledStream, window_start: f64) -> SymbolPeak {
+    let t_sym = d.params().symbol_duration();
+    let window_end = window_start + t_sym;
+    let mut last_high = None;
+    for (t, b) in stream.iter_timed() {
+        if t < window_start {
+            continue;
+        }
+        if t >= window_end {
+            break;
+        }
+        if b {
+            last_high = Some(t);
+        }
+    }
+    match last_high {
+        Some(t) => {
+            let peak_time = (t - window_start).clamp(0.0, t_sym);
+            SymbolPeak {
+                symbol: lora_phy::downlink::symbol_from_peak_time(peak_time, d.params()),
+                peak_time: Some(peak_time),
+            }
+        }
+        None => SymbolPeak {
+            symbol: 0,
+            peak_time: None,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `decode_symbol` binary-searches for its window's first tick; it must
+    /// decide exactly as the linear walk does, for windows starting on a
+    /// tick (where the `time_of(i) < window_start` boundary is exact),
+    /// between ticks, and before or after the stream.
+    #[test]
+    fn symbol_window_search_matches_the_linear_scan(
+        raw in proptest::collection::vec(0u8..32, 0..400),
+        density in 0u8..12,
+        start_time in 0.0f64..0.05,
+        rate in 4_000.0f64..80_000.0,
+        pick in any::<usize>(),
+        between in 0.0f64..1.0,
+        on_tick in any::<bool>(),
+        k in 1u8..=5,
+    ) {
+        let params = LoraParams::new(
+            SpreadingFactor::Sf7,
+            Bandwidth::Khz500,
+            BitsPerChirp::new(k).unwrap(),
+        );
+        let d = PeakDecoder::new(params);
+        // Sparse streams too, so a window's last high tick is often its
+        // first one.
+        let stream = SampledStream {
+            bits: raw.iter().map(|&r| r < density).collect(),
+            sample_rate: rate,
+            start_time,
+        };
+        // On a tick: a high one where there is one, the tick whose
+        // inclusion the boundary comparison decides.
+        let highs: Vec<usize> = (0..stream.len()).filter(|&i| stream.bits[i]).collect();
+        let window_start = if on_tick {
+            stream.time_of(highs.get(pick % highs.len().max(1)).copied().unwrap_or(pick % 400))
+        } else {
+            start_time + ((pick % (stream.len() + 40)) as f64 + between - 20.0) / rate
+        };
+        prop_assert_eq!(
+            d.decode_symbol(&stream, window_start),
+            decode_symbol_linear(&d, &stream, window_start)
+        );
     }
 }
 
