@@ -19,18 +19,22 @@
 //! [`Cell`] (calendar queue, session table, access-point shard, salted RNG
 //! sub-streams; cell 0 reproduces the single-cell engine's streams exactly)
 //! with its own [`AnalyticAir`]. Each worker of a pool owns a contiguous
-//! chunk of cells, builds them (arrival schedules included) and advances
-//! them. The only cross-cell signal is the global activity watermark,
-//! which keeps idle cells' spectrum scans alive while the deployment is
-//! active anywhere; lookahead windows exist only to refresh it at their
-//! barriers. Only scans read it, and cells scan only when the scenario has
-//! a jammer, so:
+//! chunk of cells. The only cross-cell signal is the global activity
+//! watermark, which keeps idle cells' spectrum scans alive while the
+//! deployment is active anywhere; lookahead windows exist only to refresh
+//! it at their barriers. Only scans read it, and cells scan only when the
+//! scenario has a jammer, so:
 //!
-//! * a jammer-free run is one unbounded window — each worker runs its
-//!   chunk to completion;
-//! * a jammed run advances all cells in lockstep conservative lookahead
-//!   windows, at least `feedback_delay_s` and `scan_interval_s` wide, so a
-//!   cell never needs mid-window state from a peer.
+//! * a jammer-free run is one unbounded window. Each worker takes its
+//!   cells one at a time: build (arrival schedule included), run to
+//!   completion, reduce to a [`CellOutcome`] (counters, deliveries,
+//!   watermark), drop. A worker holds one live cell, so the working set is
+//!   O(workers × cell) rather than O(tags); only one 16-byte delivery
+//!   record per delivered reading outlives its cell;
+//! * a jammed run builds every cell, advances them all in lockstep
+//!   conservative lookahead windows, at least `feedback_delay_s` and
+//!   `scan_interval_s` wide, so a cell never needs mid-window state from a
+//!   peer, and reduces them to outcomes after the last window.
 //!
 //! Because cells share no mutable state inside a window, the merged report
 //! is bit-identical whatever the worker count; per-cell reports merge in
@@ -47,12 +51,13 @@
 //! [`RetransmissionBuffer`](saiyan_mac::RetransmissionBuffer) by the
 //! `saiyan_mac` unit suite.
 
+use std::ops::Range;
 use std::time::Instant;
 use std::{panic, thread};
 
 use rand::Rng;
 
-use super::cell::{merge_report, Air, Cell, CellEv, RunParams};
+use super::cell::{merge_report, Air, Cell, CellEv, CellOutcome, RunParams};
 use super::occupancy::ChannelOccupancy;
 use super::report::{EngineOutcome, EngineReport};
 use super::scenario::EngineScenario;
@@ -127,57 +132,100 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
     let link_p = scenario.link_success_p();
     let n_cells = scenario.analytic_cells;
     let workers = scenario.analytic_workers.min(n_cells).max(1);
-    let per = n_cells.div_ceil(workers);
 
     // Windows exist only to refresh the global activity watermark at their
     // barriers, and only spectrum scans read it; a cell schedules scans
     // only when the scenario has a jammer. A jammer-free run is therefore
-    // one unbounded window, run before the first barrier: each worker
-    // builds its contiguous chunk of cells and runs it to completion.
+    // one unbounded window, in which a worker needs a cell only until it
+    // has run: it reduces each cell to its outcome before building the
+    // next.
     let windowed = scenario.jammer.is_some();
-    let build_chunk = |first: usize| {
-        let mut arrivals_buf = Vec::new();
-        let mut chunk: Vec<Cell<AnalyticAir>> = (first..(first + per).min(n_cells))
-            .map(|c| {
-                let air = AnalyticAir {
-                    link_p,
-                    occupancy: vec![ChannelOccupancy::new(); scenario.n_channels],
-                    pending: Vec::new(),
-                    newly_collided: Vec::new(),
-                };
-                Cell::new(&p, c, scenario.cell_range(c), &mut arrivals_buf, air)
-            })
-            .collect();
-        if !windowed {
-            for cell in &mut chunk {
-                // Nothing reads the watermark; the lead-in is a valid
-                // (lagging) one.
-                cell.advance(&p, f64::INFINITY, scenario.lead_in_s);
-            }
-        }
-        chunk
+    let build = |c: usize, arrivals_buf: &mut Vec<f64>| {
+        let air = AnalyticAir {
+            link_p,
+            occupancy: vec![ChannelOccupancy::new(); scenario.n_channels],
+            pending: Vec::new(),
+            newly_collided: Vec::new(),
+        };
+        Cell::new(&p, c, scenario.cell_range(c), arrivals_buf, air)
     };
-    let mut cells: Vec<Cell<AnalyticAir>> = if workers == 1 {
-        build_chunk(0)
+    let outcomes: Vec<CellOutcome> = if windowed {
+        let cells = on_workers(n_cells, workers, |range| {
+            let mut arrivals_buf = Vec::new();
+            range.map(|c| build(c, &mut arrivals_buf)).collect()
+        });
+        run_windows(scenario, &p, workers, cells)
     } else {
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_cells)
-                .step_by(per)
-                .map(|first| scope.spawn(move || build_chunk(first)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| panic::resume_unwind(e)))
+        on_workers(n_cells, workers, |range| {
+            let mut arrivals_buf = Vec::new();
+            range
+                .map(|c| {
+                    let mut cell = build(c, &mut arrivals_buf);
+                    // Nothing reads the watermark; the lead-in is a valid
+                    // (lagging) one.
+                    cell.advance(&p, f64::INFINITY, scenario.lead_in_s);
+                    cell.into_outcome()
+                })
                 .collect()
         })
     };
 
-    // Conservative lookahead for windowed runs: wide enough that no event
-    // scheduled inside a window can precede the window (feedback,
-    // turnaround and scan chains all point forwards by at least these
-    // bounds), coarse enough that barrier overhead vanishes against
-    // per-window work. A jammer-free run arrives here with every queue
-    // drained, so the loop ends at once.
+    // Deterministic merge: counters in cell order, latencies by delivery
+    // time (cells record deliveries in time order, so a stable sort makes
+    // the merged vector independent of the cell partition).
+    let end_time = outcomes
+        .iter()
+        .map(|o| o.end_time)
+        .fold(scenario.lead_in_s, f64::max);
+    let (mut report, mut deliveries) = merge_report(&p, "analytic", end_time, outcomes);
+    deliveries.sort_by(|a, b| a.0.total_cmp(&b.0));
+    report.latencies_s = deliveries.into_iter().map(|(_, lat)| lat).collect();
+    EngineOutcome {
+        report,
+        wall_s: start_wall.elapsed().as_secs_f64(),
+    }
+}
+
+/// Runs `work` over the contiguous chunks of `0..n_cells` (`n_cells /
+/// workers` rounded up, one per worker) and concatenates the results in
+/// cell order.
+fn on_workers<T: Send>(
+    n_cells: usize,
+    workers: usize,
+    work: impl Fn(Range<usize>) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let per = n_cells.div_ceil(workers);
+    if workers == 1 {
+        return work(0..n_cells);
+    }
+    let work = &work;
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_cells)
+            .step_by(per)
+            .map(|first| scope.spawn(move || work(first..(first + per).min(n_cells))))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
+/// Advances a jammed run's cells in lockstep conservative lookahead
+/// windows, refreshing the global activity watermark at each barrier, and
+/// reduces every cell to its outcome after the last window. Every cell is
+/// alive until then.
+fn run_windows(
+    scenario: &EngineScenario,
+    p: &RunParams,
+    workers: usize,
+    mut cells: Vec<Cell<AnalyticAir>>,
+) -> Vec<CellOutcome> {
+    let per = cells.len().div_ceil(workers);
+    // Wide enough that no event scheduled inside a window can precede the
+    // window (feedback, turnaround and scan chains all point forwards by
+    // at least these bounds), coarse enough that barrier overhead vanishes
+    // against per-window work.
     let mut floor = cells
         .iter()
         .map(|c| c.end_time)
@@ -188,7 +236,6 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
         .max(4.0 * p.packet_dur)
         .max((floor - scenario.lead_in_s) / 1024.0)
         .max(1e-6);
-
     loop {
         let next = cells
             .iter_mut()
@@ -200,14 +247,14 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
         let window_end = next + lookahead;
         if workers == 1 {
             for cell in &mut cells {
-                cell.advance(&p, window_end, floor);
+                cell.advance(p, window_end, floor);
             }
         } else {
             thread::scope(|scope| {
                 for chunk in cells.chunks_mut(per) {
                     scope.spawn(|| {
                         for cell in chunk {
-                            cell.advance(&p, window_end, floor);
+                            cell.advance(p, window_end, floor);
                         }
                     });
                 }
@@ -216,15 +263,5 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
         // Window barrier: exchange the global activity watermark.
         floor = cells.iter().fold(floor, |f, c| f.max(c.end_time));
     }
-
-    // Deterministic merge: counters in cell order, latencies by delivery
-    // time (cells record deliveries in time order, so a stable sort makes
-    // the merged vector independent of the cell partition).
-    let (mut report, mut deliveries) = merge_report(&p, "analytic", floor, &mut cells);
-    deliveries.sort_by(|a, b| a.0.total_cmp(&b.0));
-    report.latencies_s = deliveries.into_iter().map(|(_, lat)| lat).collect();
-    EngineOutcome {
-        report,
-        wall_s: start_wall.elapsed().as_secs_f64(),
-    }
+    cells.into_iter().map(Cell::into_outcome).collect()
 }

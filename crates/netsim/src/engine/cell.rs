@@ -24,6 +24,7 @@
 //! property test below pins how each composes it with ARQ and delivery.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -43,6 +44,43 @@ use super::scheduler::CalendarQueue;
 const TRAFFIC_SALT: u64 = 0x7123_4AB1;
 const MAC_SALT: u64 = 0x00C4_71F3;
 const PHY_SALT: u64 = 0x9E37_79B9;
+
+/// A multiply-rotate hasher in the style of rustc-hash's `FxHasher`, for
+/// the cell's per-reading maps: their keys are small integers the
+/// simulation itself assigns, so SipHash's flood resistance buys nothing.
+/// The final rotate brings the product's well-mixed high bits down to the
+/// low bits the table indexes by. Nothing iterates these maps, so no report
+/// depends on their order.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b as u64));
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Compact per-cell event: payloads are regenerated from the tag id, never
 /// stored, so an event is a couple of words however large the population.
@@ -116,12 +154,12 @@ pub(crate) struct Cell<A> {
     /// AP shard: sources outside the population that decoded frames
     /// claimed. A corrupt decode still reads as a frame from its source, so
     /// the shard tracks it as `AccessPoint` registers any source it hears.
-    strangers: HashMap<u32, SequenceWindow>,
+    strangers: FxHashMap<u32, SequenceWindow>,
     /// AP shard: ARQ trackers by source, materialised lazily for lossy
     /// sources only.
-    arq: HashMap<u32, ArqTracker>,
+    arq: FxHashMap<u32, ArqTracker>,
     /// Outstanding readings: `(local tag, sequence)` → generation time.
-    outstanding: HashMap<(u32, u8), f64>,
+    outstanding: FxHashMap<(u32, u8), f64>,
     hopping: HoppingController,
     /// `(delivery time, latency)` pairs, recorded in ingest order.
     deliveries: Vec<(f64, f64)>,
@@ -211,9 +249,9 @@ impl<A: Air> Cell<A> {
             queue,
             sessions,
             ap: vec![SequenceWindow::default(); len as usize],
-            strangers: HashMap::new(),
-            arq: HashMap::new(),
-            outstanding: HashMap::new(),
+            strangers: FxHashMap::default(),
+            arq: FxHashMap::default(),
+            outstanding: FxHashMap::default(),
             hopping: HoppingController::new(table, initial, -70.0).expect("initial channel exists"),
             deliveries: Vec::new(),
             mac_rng: cell_stream(s.seed ^ MAC_SALT, cell_idx),
@@ -425,14 +463,35 @@ impl<A: Air> Cell<A> {
     }
 }
 
+/// What a finished cell leaves behind: its counters, its `(delivery time,
+/// latency)` pairs in ingest order and its activity watermark. The queue,
+/// session table and AP shard are gone, so an outcome is a few words plus
+/// one pair per delivery.
+pub(crate) struct CellOutcome {
+    pub report: EngineReport,
+    pub deliveries: Vec<(f64, f64)>,
+    pub end_time: f64,
+}
+
+impl<A> Cell<A> {
+    /// Reduces a finished cell to its outcome, dropping everything else.
+    pub fn into_outcome(self) -> CellOutcome {
+        CellOutcome {
+            report: self.report,
+            deliveries: self.deliveries,
+            end_time: self.end_time,
+        }
+    }
+}
+
 /// A run's report: labels, population and duration, plus every cell's
 /// counters added in cell order. Also returns the cells' `(delivery time,
 /// latency)` pairs, concatenated in cell order.
-pub(crate) fn merge_report<'c, A: 'c>(
+pub(crate) fn merge_report(
     p: &RunParams,
     backend: &str,
     duration_s: f64,
-    cells: impl IntoIterator<Item = &'c mut Cell<A>>,
+    outcomes: Vec<CellOutcome>,
 ) -> (EngineReport, Vec<(f64, f64)>) {
     let s = p.scenario;
     let mut report = EngineReport {
@@ -444,9 +503,9 @@ pub(crate) fn merge_report<'c, A: 'c>(
         duration_s,
         ..EngineReport::default()
     };
-    let mut deliveries = Vec::new();
-    for cell in cells {
-        let r = &cell.report;
+    let mut deliveries = Vec::with_capacity(outcomes.iter().map(|o| o.deliveries.len()).sum());
+    for outcome in outcomes {
+        let r = &outcome.report;
         report.readings_generated += r.readings_generated;
         report.readings_delivered += r.readings_delivered;
         report.duplicates += r.duplicates;
@@ -459,7 +518,7 @@ pub(crate) fn merge_report<'c, A: 'c>(
         report.channel_hops += r.channel_hops;
         report.delivered_payload_bits += r.delivered_payload_bits;
         report.tag_demodulation_energy_j += r.tag_demodulation_energy_j;
-        deliveries.append(&mut cell.deliveries);
+        deliveries.extend_from_slice(&outcome.deliveries);
     }
     (report, deliveries)
 }

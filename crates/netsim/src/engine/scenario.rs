@@ -141,11 +141,12 @@ pub struct EngineScenario {
     /// single-cell engine exactly.
     pub analytic_cells: usize,
     /// Worker threads building and advancing analytic cells, each a
-    /// contiguous chunk of them. A jammer-free run is one window, in which
-    /// each worker runs its chunk to completion; with a jammer, all cells
-    /// advance in lockstep lookahead windows so their spectrum scans see
-    /// the global activity watermark. The report is bit-identical whatever
-    /// the worker count.
+    /// contiguous chunk of them. Without a jammer, each worker builds,
+    /// runs, reduces and drops its cells one at a time, so it holds one
+    /// live cell; with a jammer, all cells are built first and advance in
+    /// lockstep lookahead windows so their spectrum scans see the global
+    /// activity watermark. The report is bit-identical whatever the worker
+    /// count.
     pub analytic_workers: usize,
     /// Master seed; traffic, MAC and PHY draws use salted sub-streams.
     pub seed: u64,
@@ -366,15 +367,27 @@ impl EngineScenario {
             "base_power_dbm must be finite, got {}",
             self.base_power_dbm
         );
+        // A NaN timing field poisons the event calendar, and a negative one
+        // schedules feedback into the past.
         for (field, value) in [
             ("power_spread_db", self.power_spread_db),
             ("max_cfo_hz", self.max_cfo_hz),
+            ("feedback_delay_s", self.feedback_delay_s),
+            ("turnaround_s", self.turnaround_s),
+            ("lead_in_s", self.lead_in_s),
         ] {
             assert!(
                 value.is_finite() && value >= 0.0,
                 "{field} must be finite and non-negative, got {value}"
             );
         }
+        // A zero period re-arms a scan at the same instant forever; a NaN
+        // one silently stops scanning.
+        assert!(
+            self.scan_interval_s.is_finite() && self.scan_interval_s > 0.0,
+            "scan_interval_s must be finite and positive, got {}",
+            self.scan_interval_s
+        );
         assert!(self.analytic_cells >= 1, "need at least one analytic cell");
         assert!(
             self.analytic_cells <= self.n_tags,
@@ -499,6 +512,38 @@ mod tests {
     fn an_infinite_cfo_is_rejected() {
         let mut s = EngineScenario::grid(4, 4, 1);
         s.max_cfo_hz = f64::INFINITY;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "scan_interval_s must be finite and positive")]
+    fn a_zero_scan_interval_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.scan_interval_s = 0.0;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "feedback_delay_s must be finite and non-negative")]
+    fn a_negative_feedback_delay_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.feedback_delay_s = -1e-3;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "turnaround_s must be finite and non-negative")]
+    fn an_infinite_turnaround_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.turnaround_s = f64::INFINITY;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "lead_in_s must be finite and non-negative")]
+    fn a_nan_lead_in_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.lead_in_s = f64::NAN;
         s.validate();
     }
 

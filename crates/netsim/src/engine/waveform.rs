@@ -237,8 +237,12 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
     ingest_packets(&mut cell, &p, packets);
 
     // Latencies stay in ingest order.
-    let (mut report, deliveries) =
-        merge_report(&p, receiver.backend_name(), pos as f64 / fs, [&mut cell]);
+    let (mut report, deliveries) = merge_report(
+        &p,
+        receiver.backend_name(),
+        pos as f64 / fs,
+        vec![cell.into_outcome()],
+    );
     report.latencies_s = deliveries.into_iter().map(|(_, lat)| lat).collect();
     EngineOutcome {
         report,
