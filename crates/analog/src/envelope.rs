@@ -9,9 +9,7 @@
 //! around.
 
 use lora_phy::iq::{Iq, SampleBuffer};
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rfsim::noise::AwgnSource;
 
 use crate::signal::RealBuffer;
 
@@ -107,8 +105,8 @@ impl EnvelopeDetector {
         RealBuffer::new(out, input.sample_rate)
     }
 
-    /// Creates a streaming detector state at the given sample rate. The RNG
-    /// and the flicker integrator are seeded once and then carried across
+    /// Creates a streaming detector state at the given sample rate. The noise
+    /// source and the flicker integrator are seeded once and then carried across
     /// chunks, so chunked detection of a stream equals [`Self::detect`] on the
     /// concatenated buffer bit-exactly, wherever the chunk boundaries fall.
     pub fn streaming(&self, sample_rate: f64) -> EnvelopeDetectorState {
@@ -121,7 +119,8 @@ impl EnvelopeDetector {
         EnvelopeDetectorState {
             conversion_gain: self.conversion_gain,
             noise: self.noise,
-            rng: ChaCha8Rng::seed_from_u64(self.seed),
+            noise_src: AwgnSource::new(self.seed),
+            draws: Vec::new(),
             flicker_state: 0.0,
             alpha,
             sqrt_alpha: alpha.sqrt(),
@@ -130,13 +129,15 @@ impl EnvelopeDetector {
     }
 }
 
-/// Carried state of a streaming [`EnvelopeDetector`]: the noise RNG and the
-/// flicker (AR(1)) integrator survive across chunk boundaries.
+/// Carried state of a streaming [`EnvelopeDetector`]: the noise source and
+/// the flicker (AR(1)) integrator survive across chunk boundaries.
 #[derive(Debug, Clone)]
 pub struct EnvelopeDetectorState {
     conversion_gain: f64,
     noise: DetectorNoise,
-    rng: ChaCha8Rng,
+    noise_src: AwgnSource,
+    /// Reusable scratch for a chunk's unit Gaussians, two per sample.
+    draws: Vec<f64>,
     flicker_state: f64,
     alpha: f64,
     /// `alpha.sqrt()`, hoisted out of the per-sample AR(1) update.
@@ -170,13 +171,16 @@ impl EnvelopeDetectorState {
             );
             return;
         }
+        // Two unit Gaussians per sample, white then flicker drive, drawn
+        // for the whole chunk by the block fill in stream order.
+        self.draws.resize(2 * chunk.len(), 0.0);
+        self.noise_src.fill_gaussians(&mut self.draws, 1.0);
         out.clear();
         out.reserve(chunk.len());
-        for s in chunk {
+        for (s, g) in chunk.iter().zip(self.draws.chunks_exact(2)) {
             let envelope = self.conversion_gain * s.norm_sqr();
-            let white = self.noise.white_sigma * gaussian(&mut self.rng);
-            self.flicker_state =
-                (1.0 - self.alpha) * self.flicker_state + self.sqrt_alpha * gaussian(&mut self.rng);
+            let white = self.noise.white_sigma * g[0];
+            self.flicker_state = (1.0 - self.alpha) * self.flicker_state + self.sqrt_alpha * g[1];
             let flicker = self.noise.flicker_sigma * self.flicker_state / self.ar_std;
             out.push(envelope + self.noise.dc_offset + white + flicker);
         }
@@ -189,13 +193,6 @@ impl crate::stage::BlockStage for EnvelopeDetectorState {
     fn process_into(&mut self, input: &[Iq], out: &mut Vec<f64>) {
         self.detect_chunk_into(input, out);
     }
-}
-
-#[inline]
-fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ pub struct Lna {
     pub seed: u64,
     /// Whether the amplifier's own noise is modelled. Disabled by the
     /// gateway's high-throughput profile, where the capture already carries
-    /// channel noise and the per-sample noise draws dominate the run time.
+    /// channel noise and the noise draws dominate the run time.
     pub noise_enabled: bool,
 }
 
@@ -78,9 +78,6 @@ impl Lna {
         LnaState {
             gain_amp: 10f64.powf(self.gain.value() / 20.0),
             noise_power_out,
-            // The per-component standard deviation `AwgnSource::sample` would
-            // derive on every call, hoisted out of the hot loop.
-            noise_std: (noise_power_out / 2.0).sqrt(),
             comp_amp: dbm_to_buffer_power(self.output_compression).sqrt(),
             awgn: AwgnSource::new(self.seed),
         }
@@ -93,7 +90,6 @@ impl Lna {
 pub struct LnaState {
     gain_amp: f64,
     noise_power_out: f64,
-    noise_std: f64,
     comp_amp: f64,
     awgn: AwgnSource,
 }
@@ -112,8 +108,7 @@ impl LnaState {
     /// limiter around the compression point.
     pub fn amplify_chunk_into(&mut self, chunk: &[Iq], out: &mut Vec<Iq>) {
         // A quiet LNA (no noise draws) is a pure elementwise map and runs
-        // the quiet kernel. The noisy path stays a per-sample loop: its RNG
-        // stream is consumed per sample in order.
+        // the quiet kernel.
         if self.noise_power_out <= 0.0 {
             crate::simd::lna_quiet_into(
                 crate::simd::active_backend(),
@@ -124,22 +119,18 @@ impl LnaState {
             );
             return;
         }
+        // The noisy path: gain into `out`, the chunk's noise added there by
+        // the block fill (the same `v + n` per lane, in stream order), then
+        // the limiter.
         out.clear();
-        out.reserve(chunk.len());
-        for s in chunk {
-            let mut v = s.scale(self.gain_amp);
-            // Skipping the draw at zero power leaves the output untouched
-            // (the sample would be scaled by zero) while saving the two
-            // Gaussian draws per sample that dominate a quiet chain's cost.
-            if self.noise_power_out > 0.0 {
-                v += self.awgn.sample_with_std(self.noise_std);
-            }
+        out.extend(chunk.iter().map(|s| s.scale(self.gain_amp)));
+        self.awgn.add_noise_in_place(out, self.noise_power_out);
+        for v in out.iter_mut() {
             let a = v.abs();
             if a > self.comp_amp {
                 let limited = self.comp_amp * (1.0 + (a / self.comp_amp - 1.0).tanh());
-                v = v.scale(limited / a);
+                *v = v.scale(limited / a);
             }
-            out.push(v);
         }
     }
 }

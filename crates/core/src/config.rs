@@ -71,8 +71,8 @@ pub struct SaiyanConfig {
     /// Whether the receive chain models its own analog noise (LNA noise and
     /// the envelope detector's white/flicker/DC noise). The gateway's
     /// high-throughput profile disables it: the capture already carries
-    /// channel noise, and the per-sample Gaussian draws dominate a multi-
-    /// channel gateway's CPU budget.
+    /// channel noise, and the four Gaussian draws per sample dominate a
+    /// multi-channel gateway's CPU budget.
     pub analog_noise: bool,
     /// FIR length of the streaming SAW approximation (`None` = the default
     /// [`crate::frontend::Frontend::STREAMING_SAW_TAPS`]). The design grid's

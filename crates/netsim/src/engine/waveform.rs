@@ -17,10 +17,10 @@
 //! emissions (CFO and channel offset fused into one rotation anchored on
 //! the absolute index) → plus the chunk's block AWGN, which a
 //! [`NoiseAhead`] helper thread drew while the receiver decoded the
-//! previous chunk. Memory is `O(concurrent packets + chunk)` however many
+//! chunks before it. Memory is `O(concurrent packets + chunk)` however many
 //! tags or readings the scenario carries, and steady-state synthesis
 //! allocates nothing: the mixer recycles retired emission buffers and the
-//! noise helper recycles its two blocks.
+//! noise helper recycles its ring of four blocks.
 //!
 //! ## Bit-reproducibility
 //!
@@ -179,7 +179,7 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
     let mut cell = Cell::new(&p, 0, population, &mut Vec::new(), air);
     let tail_s = scenario.horizon_s() + 6.0 * scenario.lora.symbol_duration();
     // The noise depends on the seed and the sample index alone, so it is
-    // drawn one chunk ahead, off the critical path.
+    // drawn ahead on a helper thread, off the critical path.
     let mut noise = scenario.noise_power_dbm.map(|dbm| {
         NoiseAhead::spawn(
             AwgnSource::new(scenario.seed),

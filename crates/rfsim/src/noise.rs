@@ -4,12 +4,11 @@
 //! ratio at the tag's antenna and the losses added by the analog front end.
 //! This module provides the thermal-noise floor, receiver noise figure, a
 //! seeded complex additive white Gaussian noise source, and [`NoiseAhead`],
-//! which draws that source's stream one block ahead on a helper thread.
+//! which draws that source's stream ahead on a helper thread.
 
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::{self, JoinHandle};
 
-use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -59,10 +58,18 @@ impl NoiseModel {
     }
 }
 
-/// Complex samples per pass of the staged block noise fill. Large enough to
-/// amortise loop overhead, small enough that the stage scratch (two 4 KiB
-/// stack arrays) stays cache-resident.
-const NOISE_BLOCK: usize = 256;
+/// Complex samples per pass of the staged block noise fill: the kernel
+/// works on `2 * NOISE_BLOCK` Gaussian lanes at a time. Large enough to
+/// amortise the per-block angle sort, small enough that the stage scratch
+/// (about 17 KiB of stack) stays cache-resident.
+pub const NOISE_BLOCK: usize = 256;
+
+/// Gaussian lanes per block: one per real value, two per complex sample.
+const LANES: usize = 2 * NOISE_BLOCK;
+
+/// Buckets of the stage-2 `cos` order: the top 8 bits of a `u2` draw,
+/// which are its angle's 1/256 turn.
+const ANGLE_BUCKETS: usize = 256;
 
 /// The vendored `Standard` distribution for `f64`: 53 high bits of one
 /// `next_u64` draw mapped onto `[0, 1)`.
@@ -85,7 +92,8 @@ fn uniform_eps_one(x: u64) -> f64 {
     }
 }
 
-/// A seeded complex AWGN source.
+/// A seeded AWGN source: one ChaCha8 stream turned into Gaussians by the
+/// block Box–Muller kernel behind every fill.
 #[derive(Debug, Clone)]
 pub struct AwgnSource {
     rng: ChaCha8Rng,
@@ -100,28 +108,12 @@ impl AwgnSource {
     }
 
     /// Draws one complex Gaussian sample with total variance `variance`
-    /// (split evenly between I and Q).
+    /// (split evenly between I and Q): a one-sample [`Self::fill_noise_into`].
     #[inline]
     pub fn sample(&mut self, variance: f64) -> Iq {
-        self.sample_with_std((variance / 2.0).sqrt())
-    }
-
-    /// [`Self::sample`] with the per-component standard deviation already
-    /// computed — the hot-loop form for callers whose noise power is fixed
-    /// per stream (e.g. the streaming LNA), hoisting the square root out of
-    /// the per-sample path. `sample(v)` ≡ `sample_with_std((v / 2).sqrt())`
-    /// bit-exactly, drawing the same RNG sequence.
-    #[inline]
-    pub fn sample_with_std(&mut self, std: f64) -> Iq {
-        Iq::new(std * self.gaussian(), std * self.gaussian())
-    }
-
-    /// Draws one real zero-mean unit-variance Gaussian via Box–Muller.
-    #[inline]
-    pub fn gaussian(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        let mut one = [Iq::ZERO];
+        self.fill_noise_into(&mut one, variance);
+        one[0]
     }
 
     /// Adds complex AWGN of the given per-sample variance to a buffer in place.
@@ -136,60 +128,93 @@ impl AwgnSource {
     /// the per-sample `*s += self.sample(variance)` loop, bit-identical to
     /// it and consuming the same RNG draw sequence.
     pub fn add_noise_in_place(&mut self, out: &mut [Iq], variance: f64) {
-        self.fill_blocks::<true>(out, (variance / 2.0).sqrt());
+        let lanes = lora_phy::simd::iq_lanes_mut(out);
+        self.fill_blocks::<true>(lanes, (variance / 2.0).sqrt());
     }
 
     /// Fills a slice with complex AWGN of the given per-sample variance —
     /// the block-pipelined form of `for s in out { *s = self.sample(v) }`,
     /// bit-identical to it and consuming the same RNG draw sequence.
     pub fn fill_noise_into(&mut self, out: &mut [Iq], variance: f64) {
-        self.fill_blocks::<false>(out, (variance / 2.0).sqrt());
+        let lanes = lora_phy::simd::iq_lanes_mut(out);
+        self.fill_blocks::<false>(lanes, (variance / 2.0).sqrt());
     }
 
-    /// The staged block pipeline behind [`Self::fill_noise_into`] /
-    /// [`Self::add_noise_in_place`].
+    /// Fills a slice with real zero-mean Gaussians of standard deviation
+    /// `std`, continuing the same stream: `2k` values consume exactly the
+    /// draws of `k` complex samples, and a complex sample of variance `v`
+    /// is two of these values at `std = (v / 2).sqrt()`, I before Q.
+    pub fn fill_gaussians(&mut self, out: &mut [f64], std: f64) {
+        self.fill_blocks::<false>(out, std);
+    }
+
+    /// The staged block Box–Muller kernel behind every fill: `out` is a
+    /// run of Gaussian lanes (the interleaved I/Q of a complex fill, or a
+    /// real fill), each set — or, with `ACCUM`, incremented — by
+    /// `std * (r·c)` for one Gaussian `r·c`.
     ///
-    /// Bit-identity argument, stage by stage (per block of at most
-    /// [`NOISE_BLOCK`] complex samples):
+    /// Bit-identity with the per-value Box–Muller
+    /// `(-2·ln u1).sqrt() * cos(2π·u2)`, stage by stage (per block of at
+    /// most `2 * NOISE_BLOCK` lanes):
     ///
     /// 1. **Draws.** The vendored `gen_range(f64::EPSILON..1.0)` and
     ///    `gen::<f64>()` each consume exactly one `next_u64` (the float
     ///    half-open range has no rejection loop), so one Gaussian is exactly
-    ///    two draws and one complex sample exactly four. Stage 1 replays
-    ///    that order — `u1` then `u2` per Gaussian, I before Q — through
-    ///    [`uniform_eps_one`] / [`uniform_open01`], which replicate the
-    ///    vendored arithmetic verbatim.
-    /// 2. **Transcendentals.** `(-2·ln u1).sqrt()` and `cos(2π·u2)` use the
-    ///    same scalar `libm` calls as [`Self::gaussian`]; splitting them
-    ///    into their own passes reorders no arithmetic. They stay scalar —
-    ///    vectorised `ln`/`cos` would round differently.
-    /// 3. **Scale + interleave.** `std * (r·c)` per `f64` lane of the
-    ///    interleaved I/Q output, the association order of
-    ///    [`Self::sample_with_std`]. A scalar loop: an AVX2 copy did not beat
-    ///    it in end-to-end runs.
-    fn fill_blocks<const ACCUM: bool>(&mut self, out: &mut [Iq], std: f64) {
-        let mut draws = [0u64; 4 * NOISE_BLOCK];
-        let mut radius = [0.0f64; 2 * NOISE_BLOCK];
-        let mut cosine = [0.0f64; 2 * NOISE_BLOCK];
-        for chunk in out.chunks_mut(NOISE_BLOCK) {
-            let n_g = 2 * chunk.len();
-            // Stage 1: bulk RNG draws (block keystream generation), then
-            // the uniform mappings in the exact per-sample order.
-            self.rng.fill_u64s(&mut draws[..2 * n_g]);
-            for i in 0..n_g {
+    ///    two draws. Stage 1 replays that order — `u1` then `u2` per lane —
+    ///    through [`uniform_eps_one`] / [`uniform_open01`], which replicate
+    ///    the vendored arithmetic verbatim.
+    /// 2. **Transcendentals.** The same scalar `libm` calls on the same
+    ///    arguments; only the order of the calls changes, and every result
+    ///    lands in its own lane. `ln` runs as one pass and
+    ///    `(-2·x).sqrt()` as another: IEEE `sqrt` is correctly rounded, so
+    ///    that pass may vectorise. `cos` is called in the order of a
+    ///    counting sort of the lanes by the top 8 bits of their `u2` draw
+    ///    (the angle's 1/256 turn), so libm's range-reduction branches see
+    ///    runs of like arguments instead of a random branch per call.
+    /// 3. **Scale.** `std * (r·c)` per lane, the association order of the
+    ///    per-value form. A scalar loop: an AVX2 copy did not beat it in
+    ///    end-to-end runs.
+    fn fill_blocks<const ACCUM: bool>(&mut self, out: &mut [f64], std: f64) {
+        let mut draws = [0u64; 2 * LANES];
+        let mut radius = [0.0f64; LANES];
+        let mut cosine = [0.0f64; LANES];
+        let mut order = [0u16; LANES];
+        for chunk in out.chunks_mut(LANES) {
+            let n = chunk.len();
+            // Stage 1: bulk RNG draws (block keystream generation), the
+            // uniform mappings in the exact per-value order, and a count
+            // of the lanes per angle bucket (shifted by one slot, so the
+            // prefix sum below yields each bucket's first slot).
+            self.rng.fill_u64s(&mut draws[..2 * n]);
+            let mut slot = [0u16; ANGLE_BUCKETS + 1];
+            for i in 0..n {
                 radius[i] = uniform_eps_one(draws[2 * i]);
                 cosine[i] = uniform_open01(draws[2 * i + 1]);
+                slot[(draws[2 * i + 1] >> 56) as usize + 1] += 1;
             }
-            // Stage 2: scalar transcendentals.
-            for r in &mut radius[..n_g] {
-                *r = (-2.0 * r.ln()).sqrt();
+            // Stage 2: scalar `ln`, then the correctly rounded `sqrt`.
+            for r in &mut radius[..n] {
+                *r = r.ln();
             }
-            for c in &mut cosine[..n_g] {
+            for r in &mut radius[..n] {
+                *r = (-2.0 * *r).sqrt();
+            }
+            // Scalar `cos` in angle-bucket order, each result written back
+            // to its own lane.
+            for b in 1..=ANGLE_BUCKETS {
+                slot[b] += slot[b - 1];
+            }
+            for i in 0..n {
+                let bucket = (draws[2 * i + 1] >> 56) as usize;
+                order[slot[bucket] as usize] = i as u16;
+                slot[bucket] += 1;
+            }
+            for &i in &order[..n] {
+                let c = &mut cosine[i as usize];
                 *c = (2.0 * std::f64::consts::PI * *c).cos();
             }
-            // Stage 3: scale and write the flat I/Q lanes.
-            let lanes = lora_phy::simd::iq_lanes_mut(chunk);
-            for ((o, &r), &c) in lanes.iter_mut().zip(&radius[..n_g]).zip(&cosine[..n_g]) {
+            // Stage 3: scale and write the lanes.
+            for ((o, &r), &c) in chunk.iter_mut().zip(&radius[..n]).zip(&cosine[..n]) {
                 let v = std * (r * c);
                 if ACCUM {
                     *o += v;
@@ -215,26 +240,33 @@ impl AwgnSource {
     }
 }
 
+/// Buffers in [`NoiseAhead`]'s ring.
+const AHEAD_RING: usize = 4;
+
 /// Smallest block [`NoiseAhead`] draws per hand-off, so tiny consumer
 /// slices do not turn into one channel round trip each.
-const MIN_AHEAD_BLOCK: usize = 4096;
+const MIN_AHEAD_BLOCK: usize = 2048;
 
-/// An [`AwgnSource`] stream drawn one block ahead on a helper thread.
+/// An [`AwgnSource`] stream drawn ahead on a helper thread.
 ///
 /// The helper continues the one sequential stream with
-/// [`AwgnSource::fill_noise_into`] into a ring of two recycled buffers;
+/// [`AwgnSource::fill_noise_into`] into a ring of four recycled buffers;
 /// [`Self::add_next`] adds the next samples of that stream onto a slice.
 /// The noise is a pure function of the seed and the sample index, so a
-/// consumer can have chunk *k+1*'s noise drawn while it works on chunk *k*.
+/// consumer can have the next chunks' noise drawn while it works on the
+/// current one. Four half-size blocks rather than two full ones take the
+/// same memory but let the helper run up to one and a half requested
+/// blocks ahead, and hand each over once half as many samples are drawn.
 ///
 /// Bit-identity with the inline [`AwgnSource::add_noise_in_place`] holds
 /// for any partition of the stream into `add_next` calls: the draws are the
 /// same sequential stream, the fill yields `std·(r·c)`, and `s + n` is the
 /// same IEEE add the accumulating fill does.
 ///
-/// Memory is two blocks of `max(block, 4096)` samples whatever the
-/// consumer's slice sizes. Dropping the handle — at the end of a stream or
-/// while unwinding — disconnects the helper and joins it.
+/// Memory is four blocks of `max(block / 2, 2048)` samples — two of the
+/// requested blocks — whatever the consumer's slice sizes. Dropping the
+/// handle — at the end of a stream or while unwinding — disconnects the
+/// helper and joins it.
 #[derive(Debug)]
 pub struct NoiseAhead {
     link: Option<AheadLink>,
@@ -252,8 +284,8 @@ struct AheadLink {
 
 impl NoiseAhead {
     /// Moves `source` onto a helper thread that draws its stream, at the
-    /// given per-sample variance, in blocks of `block` samples (at least
-    /// 4096) ahead of the consumer.
+    /// given per-sample variance, ahead of the consumer into a ring of four
+    /// blocks of `block / 2` samples (at least 2048) each.
     pub fn spawn(source: AwgnSource, variance: f64, block: usize) -> Self {
         Self::spawn_holding(source, variance, block, ())
     }
@@ -266,13 +298,13 @@ impl NoiseAhead {
         block: usize,
         held: H,
     ) -> Self {
-        let block = block.max(MIN_AHEAD_BLOCK);
-        let (filled_tx, filled) = mpsc::sync_channel::<Vec<Iq>>(2);
-        let (spent, spent_rx) = mpsc::sync_channel::<Vec<Iq>>(2);
-        for _ in 0..2 {
+        let block = (block / 2).max(MIN_AHEAD_BLOCK);
+        let (filled_tx, filled) = mpsc::sync_channel::<Vec<Iq>>(AHEAD_RING);
+        let (spent, spent_rx) = mpsc::sync_channel::<Vec<Iq>>(AHEAD_RING);
+        for _ in 0..AHEAD_RING {
             spent
                 .send(vec![Iq::ZERO; block])
-                .expect("the ring holds two buffers");
+                .expect("the channel holds the whole ring");
         }
         let helper = thread::Builder::new()
             .name("awgn-ahead".into())
@@ -347,7 +379,7 @@ impl Drop for NoiseAhead {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
+    use rand::{Rng, RngCore};
 
     #[test]
     fn thermal_floor_known_values() {
@@ -400,7 +432,8 @@ mod tests {
             let reference: Vec<Iq> = (0..n).map(|_| reference_src.sample(variance)).collect();
             let mut block_src = AwgnSource::new(0x5A1A);
             let mut got = vec![Iq::ONE; n];
-            block_src.fill_blocks::<false>(&mut got, (variance / 2.0).sqrt());
+            let lanes = lora_phy::simd::iq_lanes_mut(&mut got);
+            block_src.fill_blocks::<false>(lanes, (variance / 2.0).sqrt());
             assert_eq!(got, reference, "n={n}");
             // The RNG advanced by exactly the same number of draws.
             assert_eq!(
@@ -423,7 +456,8 @@ mod tests {
             }
             let mut block_src = AwgnSource::new(99);
             let mut got = base.clone();
-            block_src.fill_blocks::<true>(&mut got, (variance / 2.0).sqrt());
+            let lanes = lora_phy::simd::iq_lanes_mut(&mut got);
+            block_src.fill_blocks::<true>(lanes, (variance / 2.0).sqrt());
             assert_eq!(got, reference, "n={n}");
         }
     }

@@ -631,3 +631,226 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Noise: `AwgnSource`'s block Box–Muller kernel is the workspace's only
+// Gaussian generator. It reorders its libm calls, never their arguments, so
+// every consumer must match the per-value form it replaced bit-for-bit.
+// ---------------------------------------------------------------------------
+
+/// The per-value Box–Muller over the vendored draws (`u1` then `u2`), as the
+/// block kernel's stages compute it one value at a time.
+fn reference_gaussian(rng: &mut rand_chacha::ChaCha8Rng) -> f64 {
+    use rand::Rng;
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+fn reference_rng(seed: u64) -> rand_chacha::ChaCha8Rng {
+    use rand_chacha::rand_core::SeedableRng;
+    rand_chacha::ChaCha8Rng::seed_from_u64(seed)
+}
+
+/// Bit equality of two complex sequences, naming the first differing sample.
+fn assert_same_iq(got: &[lora_phy::iq::Iq], want: &[lora_phy::iq::Iq]) {
+    prop_assert_eq!(got.len(), want.len());
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        prop_assert!(
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+            "sample {} differs: {:?} vs {:?}",
+            i,
+            a,
+            b
+        );
+    }
+}
+
+/// Cuts `0..total` into consecutive ranges whose lengths cycle through
+/// `sizes` (each at least one), the last one clipped at `total`.
+fn partition(total: usize, sizes: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for &size in sizes.iter().cycle() {
+        if start >= total {
+            break;
+        }
+        let end = (start + size.max(1)).min(total);
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `fill_noise_into` and `add_noise_in_place` equal the per-sample
+    /// `AwgnSource::sample` loop, and that loop equals the per-value
+    /// Box–Muller, over lengths that cover the empty, partial, whole and
+    /// ragged multi-block paths of the kernel.
+    #[test]
+    fn block_awgn_equals_the_per_sample_loop(
+        seed in any::<u64>(),
+        log_variance in -30.0f64..3.0,
+        len in 0usize..=3 * rfsim::noise::NOISE_BLOCK + 33,
+    ) {
+        use lora_phy::iq::Iq;
+        use rfsim::noise::AwgnSource;
+        let variance = log_variance.exp();
+        let std = (variance / 2.0).sqrt();
+
+        let mut per_value = reference_rng(seed);
+        let mut per_sample = AwgnSource::new(seed);
+        let mut expected = Vec::with_capacity(len);
+        for _ in 0..len {
+            let s = per_sample.sample(variance);
+            let i = std * reference_gaussian(&mut per_value);
+            let q = std * reference_gaussian(&mut per_value);
+            assert_same_iq(&[s], &[Iq::new(i, q)]);
+            expected.push(s);
+        }
+
+        let mut filler = AwgnSource::new(seed);
+        let mut filled = vec![Iq::new(f64::NAN, 7.0); len];
+        filler.fill_noise_into(&mut filled, variance);
+        assert_same_iq(&filled, &expected);
+        // Both sources consumed the same number of draws.
+        assert_same_iq(&[filler.sample(variance)], &[per_sample.sample(variance)]);
+
+        let base: Vec<Iq> = (0..len).map(|i| Iq::new(i as f64 * 1e-3, -0.5)).collect();
+        let mut added = base.clone();
+        AwgnSource::new(seed).add_noise_in_place(&mut added, variance);
+        let want: Vec<Iq> = base.iter().zip(&expected).map(|(&b, &n)| b + n).collect();
+        assert_same_iq(&added, &want);
+    }
+
+    /// `NoiseAhead` hands out its ring of half-size blocks in stream order:
+    /// any consumer partition, across block and ring wrap-around
+    /// boundaries, equals one inline `add_noise_in_place`.
+    #[test]
+    fn noise_ahead_equals_the_inline_fill_over_its_ring(
+        seed in any::<u64>(),
+        total in 0usize..24_000,
+        sizes in proptest::collection::vec(prop_oneof![1usize..64, 64usize..5_000], 1..8),
+        block in 0usize..10_000,
+        log_variance in -30.0f64..-6.0,
+    ) {
+        use lora_phy::iq::Iq;
+        use rfsim::noise::{AwgnSource, NoiseAhead};
+        let variance = log_variance.exp();
+        let base: Vec<Iq> = (0..total).map(|i| Iq::new(i as f64 * 1e-6, -1e-6)).collect();
+        let mut expected = base.clone();
+        AwgnSource::new(seed).add_noise_in_place(&mut expected, variance);
+
+        let mut ahead = NoiseAhead::spawn(AwgnSource::new(seed), variance, block);
+        let mut got = base;
+        for range in partition(total, &sizes) {
+            ahead.add_next(&mut got[range]);
+        }
+        assert_same_iq(&got, &expected);
+    }
+}
+
+/// A test input for the analog stages: a slowly modulated tone whose peak
+/// power is `peak_dbm`, so high draws drive the LNA into compression.
+fn analog_input(len: usize, peak_dbm: f64) -> Vec<lora_phy::iq::Iq> {
+    let amp = rfsim::channel::dbm_to_buffer_power(Dbm(peak_dbm)).sqrt();
+    (0..len)
+        .map(|i| {
+            lora_phy::iq::Iq::from_polar(amp * (0.5 + (i % 97) as f64 / 194.0), 0.01 * i as f64)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The noisy LNA, fed in random chunks, equals its per-sample loop:
+    /// gain, one complex Gaussian drawn per sample from the seeded stream,
+    /// then the soft limiter.
+    #[test]
+    fn noisy_lna_equals_its_per_sample_loop(
+        seed in any::<u64>(),
+        len in 0usize..6_000,
+        sizes in proptest::collection::vec(1usize..2_500, 1..6),
+        peak_dbm in -110.0f64..5.0,
+    ) {
+        use rfsim::channel::dbm_to_buffer_power;
+        let lna = analog::lna::Lna {
+            seed,
+            ..analog::lna::Lna::paper_cglna(rfsim::units::Hertz::from_khz(500.0))
+        };
+        let input = analog_input(len, peak_dbm);
+
+        let gain_amp = 10f64.powf(lna.gain.value() / 20.0);
+        let noise_std = (dbm_to_buffer_power(lna.added_noise_power() + lna.gain) / 2.0).sqrt();
+        let comp_amp = dbm_to_buffer_power(lna.output_compression).sqrt();
+        let mut rng = reference_rng(seed);
+        let mut expected = Vec::with_capacity(len);
+        for s in &input {
+            let mut v = s.scale(gain_amp);
+            let i = noise_std * reference_gaussian(&mut rng);
+            let q = noise_std * reference_gaussian(&mut rng);
+            v += lora_phy::iq::Iq::new(i, q);
+            let a = v.abs();
+            if a > comp_amp {
+                let limited = comp_amp * (1.0 + (a / comp_amp - 1.0).tanh());
+                v = v.scale(limited / a);
+            }
+            expected.push(v);
+        }
+
+        let mut state = lna.streaming();
+        let mut got = Vec::new();
+        let mut out = Vec::new();
+        for range in partition(len, &sizes) {
+            state.amplify_chunk_into(&input[range], &mut out);
+            got.extend_from_slice(&out);
+        }
+        assert_same_iq(&got, &expected);
+    }
+
+    /// The noisy envelope detector, fed in random chunks, equals its
+    /// per-sample loop: a white then a flicker-drive Gaussian per sample
+    /// from the seeded stream, the flicker through its AR(1) integrator.
+    #[test]
+    fn noisy_envelope_detector_equals_its_per_sample_loop(
+        seed in any::<u64>(),
+        len in 0usize..6_000,
+        sizes in proptest::collection::vec(1usize..2_500, 1..6),
+        peak_dbm in -110.0f64..-20.0,
+        fs in prop_oneof![Just(1e6), Just(2e6), Just(4e6)],
+    ) {
+        let detector = analog::envelope::EnvelopeDetector::default().with_seed(seed);
+        let input = analog_input(len, peak_dbm);
+
+        let noise = detector.noise;
+        let alpha = (noise.flicker_corner_hz / fs).clamp(1e-6, 1.0);
+        let sqrt_alpha = alpha.sqrt();
+        let ar_std = (1.0 / (2.0 - alpha)).sqrt().max(1e-12);
+        let mut rng = reference_rng(seed);
+        let mut flicker_state = 0.0;
+        let mut expected = Vec::with_capacity(len);
+        for s in &input {
+            let envelope = detector.conversion_gain * s.norm_sqr();
+            let white = noise.white_sigma * reference_gaussian(&mut rng);
+            flicker_state =
+                (1.0 - alpha) * flicker_state + sqrt_alpha * reference_gaussian(&mut rng);
+            let flicker = noise.flicker_sigma * flicker_state / ar_std;
+            expected.push(envelope + noise.dc_offset + white + flicker);
+        }
+
+        let mut state = detector.streaming(fs);
+        let mut got = Vec::new();
+        let mut out = Vec::new();
+        for range in partition(len, &sizes) {
+            state.detect_chunk_into(&input[range], &mut out);
+            got.extend_from_slice(&out);
+        }
+        prop_assert_eq!(got.len(), expected.len());
+        for (i, (a, b)) in got.iter().zip(&expected).enumerate() {
+            prop_assert!(a.to_bits() == b.to_bits(), "sample {} differs: {} vs {}", i, a, b);
+        }
+    }
+}

@@ -3,6 +3,8 @@
 //! performs no heap allocation for a chunk that decodes no packet — the
 //! preamble search on every falling edge included. A chunk that completes
 //! a packet allocates that packet's `DemodResult` and its window copy.
+//! The receivers run `paper_default`, analog noise on, so the LNA's and
+//! the envelope detector's block noise draws are held to it too.
 //!
 //! The test binary counts allocations per thread through its own global
 //! allocator, so tests running in parallel do not see each other's.
@@ -77,8 +79,12 @@ fn a_warmed_up_receiver_allocates_only_for_decoded_packets() {
     let rx = generate_long_trace(&config, &packets).0;
 
     for variant in [Variant::Vanilla, Variant::WithShifting, Variant::Super] {
-        let mut demod =
-            StreamingDemodulator::new(SaiyanConfig::paper_default(lora, variant), PAYLOAD_SYMBOLS);
+        let config = SaiyanConfig::paper_default(lora, variant);
+        assert!(
+            config.analog_noise,
+            "the analog noise draws must be covered"
+        );
+        let mut demod = StreamingDemodulator::new(config, PAYLOAD_SYMBOLS);
         let mut decoded = 0usize;
         let mut searching_chunks = 0usize;
         for (i, chunk) in rx.samples.chunks(CHUNK).enumerate() {
