@@ -13,12 +13,10 @@
 //! collision-free and must deliver (nearly) everything.
 //!
 //! The analytic backend shards tags into spatial cells
-//! (`--cells`, `0` = auto ≈ 8 Ki tags/cell) built and advanced by a worker
-//! pool (`--workers`), each worker over a contiguous chunk of cells. These
-//! scenarios have no jammer, so nothing reads the global activity
-//! watermark and each run is one window: every worker runs its chunk to
-//! completion. The scaling axis runs 10² … 10⁶ tags; its rows report a
-//! `x realtime` speed factor.
+//! (`--cells`, `0` = auto ≈ 8 Ki tags/cell) run by a worker pool
+//! (`--workers`), each worker building, running and dropping its contiguous
+//! chunk of cells one at a time. The scaling axis runs 10² … 10⁶ tags; its
+//! rows report a `x realtime` speed factor.
 //! Waveform rows only run up to `--waveform-cap` tags (default 100) — the
 //! IQ chain at a million tags is neither feasible nor the point.
 //!
@@ -241,10 +239,10 @@ fn main() {
          seeded trial(s) per row."
     ));
     runner.footer(
-        "Analytic rows shard the population into spatial cells, each worker building and \
-         running its contiguous chunk to completion (jammer-free, so one window; \
-         bit-reproducible for a fixed seed across worker counts); `x realtime` is simulated \
-         seconds per wall second."
+        "Analytic rows shard the population into spatial cells, each worker building, \
+         running and dropping its contiguous chunk one cell at a time (bit-reproducible \
+         for a fixed seed across worker counts); `x realtime` is simulated seconds per wall \
+         second."
             .to_string(),
     );
     runner.footer(

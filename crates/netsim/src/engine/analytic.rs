@@ -19,28 +19,20 @@
 //! [`Cell`] (calendar queue, session table, access-point shard, salted RNG
 //! sub-streams; cell 0 reproduces the single-cell engine's streams exactly)
 //! with its own [`AnalyticAir`]. Each worker of a pool owns a contiguous
-//! chunk of cells. The only cross-cell signal is the global activity
-//! watermark, which keeps idle cells' spectrum scans alive while the
-//! deployment is active anywhere; lookahead windows exist only to refresh
-//! it at their barriers. Only scans read it, and cells scan only when the
-//! scenario has a jammer, so:
+//! chunk of cells and takes them one at a time: build (arrival schedule
+//! included), run to completion, reduce to a [`CellOutcome`] (counters,
+//! deliveries, watermark), drop. A worker holds one live cell, so the
+//! working set is O(workers × cell) rather than O(tags); only one 16-byte
+//! delivery record per delivered reading outlives its cell.
 //!
-//! * a jammer-free run is one unbounded window. Each worker takes its
-//!   cells one at a time: build (arrival schedule included), run to
-//!   completion, reduce to a [`CellOutcome`] (counters, deliveries,
-//!   watermark), drop. A worker holds one live cell, so the working set is
-//!   O(workers × cell) rather than O(tags); only one 16-byte delivery
-//!   record per delivered reading outlives its cell;
-//! * a jammed run builds every cell, advances them all in lockstep
-//!   conservative lookahead windows, at least `feedback_delay_s` and
-//!   `scan_interval_s` wide, so a cell never needs mid-window state from a
-//!   peer, and reduces them to outcomes after the last window.
-//!
-//! Because cells share no mutable state inside a window, the merged report
-//! is bit-identical whatever the worker count; per-cell reports merge in
-//! cell order and delivery latencies merge by delivery time, so the report
-//! is also independent of the cell partition wherever cells are physically
-//! independent (collision-free workloads).
+//! Cells share no mutable state. The one deployment-wide input, the scan
+//! horizon up to which a jammed run's idle shards keep scanning, is a
+//! function of the scenario alone, fixed in [`RunParams::new`] before any
+//! cell is built. So the merged report is bit-identical whatever the worker
+//! count; per-cell reports merge in cell order and delivery latencies merge
+//! by delivery time, so the report is also independent of the cell
+//! partition wherever cells are physically independent (collision-free
+//! workloads).
 //!
 //! The MAC is the [`cell`](super::cell) module the waveform backend runs
 //! too; its access-point shard steps the same
@@ -133,42 +125,23 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
     let n_cells = scenario.analytic_cells;
     let workers = scenario.analytic_workers.min(n_cells).max(1);
 
-    // Windows exist only to refresh the global activity watermark at their
-    // barriers, and only spectrum scans read it; a cell schedules scans
-    // only when the scenario has a jammer. A jammer-free run is therefore
-    // one unbounded window, in which a worker needs a cell only until it
-    // has run: it reduces each cell to its outcome before building the
-    // next.
-    let windowed = scenario.jammer.is_some();
-    let build = |c: usize, arrivals_buf: &mut Vec<f64>| {
-        let air = AnalyticAir {
-            link_p,
-            occupancy: vec![ChannelOccupancy::new(); scenario.n_channels],
-            pending: Vec::new(),
-            newly_collided: Vec::new(),
-        };
-        Cell::new(&p, c, scenario.cell_range(c), arrivals_buf, air)
-    };
-    let outcomes: Vec<CellOutcome> = if windowed {
-        let cells = on_workers(n_cells, workers, |range| {
-            let mut arrivals_buf = Vec::new();
-            range.map(|c| build(c, &mut arrivals_buf)).collect()
-        });
-        run_windows(scenario, &p, workers, cells)
-    } else {
-        on_workers(n_cells, workers, |range| {
-            let mut arrivals_buf = Vec::new();
-            range
-                .map(|c| {
-                    let mut cell = build(c, &mut arrivals_buf);
-                    // Nothing reads the watermark; the lead-in is a valid
-                    // (lagging) one.
-                    cell.advance(&p, f64::INFINITY, scenario.lead_in_s);
-                    cell.into_outcome()
-                })
-                .collect()
-        })
-    };
+    // Each worker builds, runs, reduces and drops its cells one at a time.
+    let outcomes: Vec<CellOutcome> = on_workers(n_cells, workers, |range| {
+        let mut arrivals_buf = Vec::new();
+        range
+            .map(|c| {
+                let air = AnalyticAir {
+                    link_p,
+                    occupancy: vec![ChannelOccupancy::new(); scenario.n_channels],
+                    pending: Vec::new(),
+                    newly_collided: Vec::new(),
+                };
+                let mut cell = Cell::new(&p, c, scenario.cell_range(c), &mut arrivals_buf, air);
+                cell.advance(&p, f64::INFINITY);
+                cell.into_outcome()
+            })
+            .collect()
+    });
 
     // Deterministic merge: counters in cell order, latencies by delivery
     // time (cells record deliveries in time order, so a stable sort makes
@@ -209,59 +182,4 @@ fn on_workers<T: Send>(
             .flat_map(|h| h.join().unwrap_or_else(|e| panic::resume_unwind(e)))
             .collect()
     })
-}
-
-/// Advances a jammed run's cells in lockstep conservative lookahead
-/// windows, refreshing the global activity watermark at each barrier, and
-/// reduces every cell to its outcome after the last window. Every cell is
-/// alive until then.
-fn run_windows(
-    scenario: &EngineScenario,
-    p: &RunParams,
-    workers: usize,
-    mut cells: Vec<Cell<AnalyticAir>>,
-) -> Vec<CellOutcome> {
-    let per = cells.len().div_ceil(workers);
-    // Wide enough that no event scheduled inside a window can precede the
-    // window (feedback, turnaround and scan chains all point forwards by
-    // at least these bounds), coarse enough that barrier overhead vanishes
-    // against per-window work.
-    let mut floor = cells
-        .iter()
-        .map(|c| c.end_time)
-        .fold(scenario.lead_in_s, f64::max);
-    let lookahead = scenario
-        .feedback_delay_s
-        .max(scenario.scan_interval_s)
-        .max(4.0 * p.packet_dur)
-        .max((floor - scenario.lead_in_s) / 1024.0)
-        .max(1e-6);
-    loop {
-        let next = cells
-            .iter_mut()
-            .filter_map(|c| c.queue.peek_time())
-            .fold(f64::INFINITY, f64::min);
-        if !next.is_finite() {
-            break;
-        }
-        let window_end = next + lookahead;
-        if workers == 1 {
-            for cell in &mut cells {
-                cell.advance(p, window_end, floor);
-            }
-        } else {
-            thread::scope(|scope| {
-                for chunk in cells.chunks_mut(per) {
-                    scope.spawn(|| {
-                        for cell in chunk {
-                            cell.advance(p, window_end, floor);
-                        }
-                    });
-                }
-            });
-        }
-        // Window barrier: exchange the global activity watermark.
-        floor = cells.iter().fold(floor, |f, c| f.max(c.end_time));
-    }
-    cells.into_iter().map(Cell::into_outcome).collect()
 }

@@ -105,17 +105,33 @@ pub(crate) struct RunParams<'a> {
     /// Inter-packet guard a tag's half-duplex radio needs (4 symbols).
     guard_s: f64,
     energy_per_command_j: f64,
+    /// How long every access-point shard keeps scanning, at least: the end
+    /// of the latest scheduled arrival's airtime over the whole population
+    /// (the lead-in, absent arrivals). Only scans read it, and cells scan
+    /// only when the scenario has a jammer, so it is computed only then.
+    scan_horizon: f64,
 }
 
 impl<'a> RunParams<'a> {
     /// Validates the scenario and derives the shared constants.
     pub fn new(scenario: &'a EngineScenario) -> Self {
         scenario.validate();
+        let packet_dur = scenario.packet_duration_s();
+        // Each tag's arrivals are keyed by its id, so the horizon is a
+        // function of the scenario alone, whatever the cell partition.
+        let mut scan_horizon = scenario.lead_in_s;
+        if scenario.jammer.is_some() {
+            let population = (0, scenario.n_tags as u32);
+            for_each_arrival(scenario, population, &mut Vec::new(), |_, t| {
+                scan_horizon = scan_horizon.max(t + packet_dur);
+            });
+        }
         RunParams {
             scenario,
-            packet_dur: scenario.packet_duration_s(),
+            packet_dur,
             guard_s: 4.0 * scenario.lora.symbol_duration(),
             energy_per_command_j: TagPowerModel::asic().packet_energy_joules(&scenario.lora, 8),
+            scan_horizon,
         }
     }
 
@@ -167,10 +183,41 @@ pub(crate) struct Cell<A> {
     pub phy_rng: ChaCha8Rng,
     /// Activity watermark: every *activity* event extends it past its own
     /// airtime (scans and the jammer do not — they are not tag activity).
+    /// It ends the run (and the waveform stream), and scans continue up to
+    /// it or to the run's scan horizon, whichever is later.
     pub end_time: f64,
     pub report: EngineReport,
     missing_scratch: Vec<u8>,
     pub air: A,
+}
+
+/// Calls `each(tag, t)` for every reading the tags `[base, end)` generate,
+/// in tag order. Each tag draws from its own salted stream, so its
+/// arrivals depend on the seed and its id alone. Jitter-free periodic
+/// traffic draws nothing, so the per-tag ChaCha key setup is skipped
+/// wholesale — a million key schedules saved. `arrivals_buf` is scratch.
+fn for_each_arrival(
+    s: &EngineScenario,
+    (base, end): (u32, u32),
+    arrivals_buf: &mut Vec<f64>,
+    mut each: impl FnMut(u32, f64),
+) {
+    let randomized = s.traffic.is_randomized();
+    let mut shared_rng = ChaCha8Rng::seed_from_u64(s.seed ^ TRAFFIC_SALT);
+    for tag in base..end {
+        let mut own_rng;
+        let rng = if randomized {
+            own_rng = ChaCha8Rng::seed_from_u64(s.seed ^ TRAFFIC_SALT ^ ((tag as u64) << 32));
+            &mut own_rng
+        } else {
+            &mut shared_rng
+        };
+        s.traffic
+            .arrivals_into(s.readings_per_tag, s.phase_s(tag), rng, arrivals_buf);
+        for &t in arrivals_buf.iter() {
+            each(tag, t);
+        }
+    }
 }
 
 /// Per-cell RNG sub-stream: cell 0 reproduces the single-cell engine's
@@ -196,29 +243,13 @@ impl<A: Air> Cell<A> {
         let sessions =
             SessionTable::new(len as usize, |local| ((base as usize + local) % n_ch) as u8);
 
-        // Build every tag's arrival schedule up front (deterministic: one
-        // salted stream per tag, consumed in tag order). Jitter-free
-        // periodic traffic draws nothing, so the per-tag ChaCha key setup
-        // is skipped wholesale — a million key schedules saved.
-        let randomized = s.traffic.is_randomized();
-        let mut shared_rng = ChaCha8Rng::seed_from_u64(s.seed ^ TRAFFIC_SALT);
+        // Build every tag's arrival schedule up front.
         let mut schedule: Vec<(f64, u32)> = Vec::new();
         let mut end_time = s.lead_in_s;
-        for tag in base..end {
-            let mut own_rng;
-            let rng = if randomized {
-                own_rng = ChaCha8Rng::seed_from_u64(s.seed ^ TRAFFIC_SALT ^ ((tag as u64) << 32));
-                &mut own_rng
-            } else {
-                &mut shared_rng
-            };
-            s.traffic
-                .arrivals_into(s.readings_per_tag, s.phase_s(tag), rng, arrivals_buf);
-            for &t in arrivals_buf.iter() {
-                end_time = end_time.max(t + p.packet_dur);
-                schedule.push((t, tag));
-            }
-        }
+        for_each_arrival(s, (base, end), arrivals_buf, |tag, t| {
+            end_time = end_time.max(t + p.packet_dur);
+            schedule.push((t, tag));
+        });
         let span = (end_time - s.lead_in_s).max(p.packet_dur) * 1.25
             + s.feedback_delay_s
             + 16.0 * p.packet_dur;
@@ -270,11 +301,9 @@ impl<A: Air> Cell<A> {
         self.queue.push(t, ev);
     }
 
-    /// Handles every event strictly before `window_end`. `global_floor` is
-    /// the deployment-wide activity watermark as of the last window
-    /// barrier (conservative: it only ever lags the true maximum).
-    pub fn advance(&mut self, p: &RunParams, window_end: f64, global_floor: f64) {
-        while let Some((t, ev)) = self.queue.pop_before(window_end) {
+    /// Handles every event strictly before `until`.
+    pub fn advance(&mut self, p: &RunParams, until: f64) {
+        while let Some((t, ev)) = self.queue.pop_before(until) {
             match ev {
                 CellEv::Arrival { tag } => self.on_arrival(p, t, tag),
                 CellEv::Transmit {
@@ -284,7 +313,7 @@ impl<A: Air> Cell<A> {
                 } => self.on_transmit(p, t, tag, sequence, attempt),
                 CellEv::Reception { index } => A::reception(self, p, t, index),
                 CellEv::Downlink { packet } => self.on_downlink(p, t, &packet),
-                CellEv::SpectrumScan => self.on_scan(p, t, global_floor),
+                CellEv::SpectrumScan => self.on_scan(p, t),
             }
         }
     }
@@ -436,7 +465,7 @@ impl<A: Air> Cell<A> {
         }
     }
 
-    fn on_scan(&mut self, p: &RunParams, t: f64, global_floor: f64) {
+    fn on_scan(&mut self, p: &RunParams, t: f64) {
         let current = self.hopping.current;
         let level = if p.jammer_on(t, current as usize).is_some() {
             -40.0
@@ -453,9 +482,10 @@ impl<A: Air> Cell<A> {
             }
         }
         // Keep scanning while the deployment is still active — anywhere:
-        // the conservative global watermark keeps idle cells' scan chains
-        // alive. A raw push so scans never extend the watermark.
-        let horizon = self.end_time.max(global_floor);
+        // the scan horizon keeps an idle cell's scan chain alive while
+        // other cells' tags still transmit. A raw push so scans never
+        // extend the watermark.
+        let horizon = self.end_time.max(p.scan_horizon);
         if t + p.scenario.scan_interval_s < horizon {
             self.queue
                 .push(t + p.scenario.scan_interval_s, CellEv::SpectrumScan);
@@ -596,7 +626,7 @@ mod tests {
         }
         assert_eq!(cell.report.duplicates, 4);
         // Delivering those requests addresses no tag of the cell.
-        cell.advance(&p, f64::INFINITY, f64::NEG_INFINITY);
+        cell.advance(&p, f64::INFINITY);
         assert_eq!(cell.report.retransmission_requests, 8);
         assert!(cell.queue.is_empty(), "a stranger's request replayed");
         assert!(cell.ap.iter().all(|a| *a == SequenceWindow::default()));

@@ -8,10 +8,10 @@
 //!
 //! * [`NetworkEngine::run_analytic`] — link-abstraction coin flips with
 //!   real airtime collision tracking ([`occupancy::ChannelOccupancy`]),
-//!   sharded into spatial cells over a worker pool (one window per run
-//!   without a jammer, conservative lookahead windows with one); a
-//!   million-tag city completes faster than realtime and stays
-//!   bit-reproducible for a fixed seed across worker counts;
+//!   sharded into spatial cells over a worker pool that builds, runs and
+//!   drops one cell at a time per worker; a million-tag city completes
+//!   faster than realtime and stays bit-reproducible for a fixed seed
+//!   across worker counts;
 //! * [`NetworkEngine::run_waveform`] — IQ synthesized in bounded chunks
 //!   through the same [`EmissionMixer`](crate::synthesis::EmissionMixer)
 //!   the `longtrace` / `multichannel` trace presets use, and streamed

@@ -140,13 +140,10 @@ pub struct EngineScenario {
     /// event queue, access-point shard and RNG streams. `1` reproduces the
     /// single-cell engine exactly.
     pub analytic_cells: usize,
-    /// Worker threads building and advancing analytic cells, each a
-    /// contiguous chunk of them. Without a jammer, each worker builds,
-    /// runs, reduces and drops its cells one at a time, so it holds one
-    /// live cell; with a jammer, all cells are built first and advance in
-    /// lockstep lookahead windows so their spectrum scans see the global
-    /// activity watermark. The report is bit-identical whatever the worker
-    /// count.
+    /// Worker threads running analytic cells, each a contiguous chunk of
+    /// them. Each worker builds, runs, reduces and drops its cells one at a
+    /// time, so it holds one live cell. The report is bit-identical
+    /// whatever the worker count.
     pub analytic_workers: usize,
     /// Master seed; traffic, MAC and PHY draws use salted sub-streams.
     pub seed: u64,

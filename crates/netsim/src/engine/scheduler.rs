@@ -17,9 +17,7 @@
 //!   function of the push order, never of container internals;
 //! * **bounded popping** — `pop_before` only surfaces events strictly
 //!   before a horizon, which is how the waveform engine interleaves event
-//!   processing with chunked signal synthesis and how the sharded analytic
-//!   backend bounds each cell to its conservative lookahead window when a
-//!   jammer makes it run in windows.
+//!   processing with chunked signal synthesis.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

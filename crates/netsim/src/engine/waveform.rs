@@ -206,11 +206,10 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
         let n = (scenario.chunk_samples as u64).min(total - pos) as usize;
         let chunk_end_t = (pos + n as u64) as f64 / fs;
 
-        // 1. Handle every event inside this chunk's window. Waveform-path
-        // feedback lives in the receiver pipeline between chunks, so the
-        // queue can be momentarily empty mid-run: scans key off the cell's
-        // own watermark alone.
-        cell.advance(&p, chunk_end_t, f64::NEG_INFINITY);
+        // 1. Handle every event inside this chunk's window. The one cell
+        // holds every tag, so its own watermark is never below the scan
+        // horizon, and its scans key off that watermark.
+        cell.advance(&p, chunk_end_t);
 
         // 2. Synthesize the chunk: emissions, then the next `n` samples of
         // the sequential AWGN stream (bit-identical to the per-sample draw

@@ -1,9 +1,9 @@
 //! Pins the sharded analytic engine's memory bound (docs/ARCHITECTURE.md
-//! §6): without a jammer, a worker builds a cell, runs it, reduces it to
-//! its outcome and drops it before building the next, so the peak heap
-//! grows with the cell size and the worker count, not with the number of
-//! cells. Only the per-delivery latency pairs the report needs scale with
-//! the population.
+//! §6): with a jammer or without, a worker builds a cell, runs it, reduces
+//! it to its outcome and drops it before building the next, so the peak
+//! heap grows with the cell size and the worker count, not with the number
+//! of cells. Only the per-delivery latency pairs the report needs scale
+//! with the population.
 //!
 //! The test binary tracks live heap bytes through its own global
 //! allocator. It holds a single test, so no other test's allocations land
@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use netsim::engine::{EngineScenario, MacPolicy, NetworkEngine};
+use netsim::engine::{EngineScenario, JammerSpec, MacPolicy, NetworkEngine, TrafficModel};
 
 struct PeakAlloc;
 
@@ -67,13 +67,25 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 
 const TAGS_PER_CELL: usize = 4096;
 
-/// Peak live heap bytes above the starting level over one jammer-free,
-/// one-worker analytic run of `cells` cells of [`TAGS_PER_CELL`] tags.
-fn run_peak_bytes(cells: usize) -> usize {
-    let scenario = EngineScenario::grid(cells * TAGS_PER_CELL, 4, 1)
+/// Peak live heap bytes above the starting level over one one-worker
+/// analytic run of `cells` cells of [`TAGS_PER_CELL`] tags, with a jammer
+/// on channel 0 from mid-run if `jammed`.
+fn run_peak_bytes(cells: usize, jammed: bool) -> usize {
+    let mut scenario = EngineScenario::grid(cells * TAGS_PER_CELL, 4, 1)
         .with_mac(MacPolicy::Aloha)
         .with_cells(cells)
         .with_workers(1);
+    if jammed {
+        // The grid's periodic tags are phased over one interval.
+        let TrafficModel::Periodic { interval_s, .. } = scenario.traffic else {
+            unreachable!("the grid's traffic is periodic");
+        };
+        scenario.jammer = Some(JammerSpec {
+            at_s: scenario.lead_in_s + 0.5 * interval_s,
+            channel: 0,
+            penalty_db: -60.0,
+        });
+    }
     let engine = NetworkEngine::new(scenario);
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
@@ -81,16 +93,21 @@ fn run_peak_bytes(cells: usize) -> usize {
     let peak = PEAK.load(Ordering::Relaxed) - base;
     assert_eq!(report.readings_generated, cells * TAGS_PER_CELL);
     assert!(report.readings_delivered > 0);
+    if jammed {
+        assert_eq!(report.channel_hops, cells, "every shard should hop");
+    }
     peak
 }
 
 #[test]
-fn a_jammer_free_run_holds_one_cell_per_worker() {
-    let four = run_peak_bytes(4);
-    let sixteen = run_peak_bytes(16);
-    assert!(
-        sixteen < 2 * four,
-        "16 cells peaked at {sixteen} heap bytes, 4 cells at {four}: \
-         finished cells are being kept alive"
-    );
+fn every_run_holds_one_cell_per_worker() {
+    for jammed in [false, true] {
+        let four = run_peak_bytes(4, jammed);
+        let sixteen = run_peak_bytes(16, jammed);
+        assert!(
+            sixteen < 2 * four,
+            "jammed: {jammed}; 16 cells peaked at {sixteen} heap bytes, 4 cells \
+             at {four}: finished cells are being kept alive"
+        );
+    }
 }

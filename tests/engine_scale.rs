@@ -1,7 +1,7 @@
 //! The sharded analytic engine at scale: collision accounting against a
 //! brute-force oracle, calendar-queue vs. binary-heap equivalence, traffic
 //! monotonicity, and partition/worker invariance of the merged report —
-//! on the jammer-free single window and on the jammed lockstep windows.
+//! without a jammer and with one, whose scans run up to the scan horizon.
 
 use netsim::engine::occupancy::ChannelOccupancy;
 use netsim::engine::scheduler::{CalendarQueue, EventQueue};
@@ -69,10 +69,9 @@ fn assert_worker_invariant(base: &EngineScenario, workers: &[usize]) -> EngineRe
 
 /// The merged report must be bit-identical whatever the worker count —
 /// cells share no mutable state, so threading is purely a wall-clock
-/// lever. ALOHA keeps per-cell RNG streams hot. A jammer-free run is one
-/// lookahead window in which each worker builds and runs its contiguous
-/// chunk of cells; three workers over 16 cells make the chunks uneven
-/// (6, 6, 4).
+/// lever. ALOHA keeps per-cell RNG streams hot. Each worker builds and
+/// runs its contiguous chunk of cells; three workers over 16 cells make
+/// the chunks uneven (6, 6, 4).
 #[test]
 fn worker_counts_do_not_change_the_report() {
     let base = EngineScenario::grid(2048, 4, 2)
@@ -83,31 +82,47 @@ fn worker_counts_do_not_change_the_report() {
     assert!(reference.readings_delivered > 0);
 }
 
-/// With a jammer the access-point shards scan, scans read the global
-/// activity watermark, and the run advances in lookahead windows with a
-/// barrier after each. Arrivals are staggered in tag-id order, so the
-/// early cells' own tags have finished when the jammer switches on at
-/// mid-run: only the watermark keeps their scans alive to see it, and
-/// every cell's shard must hop. The report must not depend on the worker
-/// count.
-#[test]
-fn worker_counts_do_not_change_a_jammed_report() {
-    let mut base = EngineScenario::grid(2048, 4, 1)
-        .with_mac(MacPolicy::Aloha)
-        .with_cells(16);
+/// The clean-run duration of `base` and a copy of it with a jammer on
+/// channel 0 from `onset` × that duration past the lead-in, scanned every
+/// `scan` × that duration.
+fn jammed(base: &EngineScenario, onset: f64, scan: f64) -> EngineScenario {
     let clean = NetworkEngine::new(base.clone()).run_analytic().report;
-    base.jammer = Some(JammerSpec {
-        at_s: base.lead_in_s + 0.5 * clean.duration_s,
+    let mut s = base.clone();
+    s.jammer = Some(JammerSpec {
+        at_s: s.lead_in_s + onset * clean.duration_s,
         channel: 0,
         penalty_db: -60.0,
     });
-    base.scan_interval_s = 0.05 * clean.duration_s;
-    let reference = assert_worker_invariant(&base, &[2, 3, 4]);
+    s.scan_interval_s = scan * clean.duration_s;
+    s
+}
+
+/// With a jammer the access-point shards scan until their own activity
+/// watermark or the run's scan horizon (the end of the latest scheduled
+/// arrival's airtime over all tags), whichever is later. Arrivals are
+/// staggered in tag-id order, so the early cells' own tags have finished
+/// when the jammer switches on at mid-run: only the horizon keeps their
+/// scans alive to see it, and every cell's shard must hop. The report must
+/// not depend on the worker count.
+#[test]
+fn worker_counts_do_not_change_a_jammed_report() {
+    let base = EngineScenario::grid(2048, 4, 1)
+        .with_mac(MacPolicy::Aloha)
+        .with_cells(16);
+    let reference = assert_worker_invariant(&jammed(&base, 0.5, 0.05), &[2, 3, 4]);
     assert_eq!(
         reference.channel_hops, 16,
         "every cell's shard should hop off the jammer: {reference:?}"
     );
     assert!(reference.collisions > 0, "ALOHA should collide");
+
+    // The horizon's upper end: the last scan before the horizon precedes
+    // a jammer at 0.99 of the clean duration, so no shard sees it. The
+    // horizon ends with the latest scheduled arrival's airtime; stretching
+    // it by an ARQ tail would add a scan that does, and 16 hops.
+    let late = assert_worker_invariant(&jammed(&base, 0.99, 0.05), &[2, 3, 4]);
+    assert_eq!(late.channel_hops, 0, "a shard scanned past the horizon");
+    assert!(late.collisions > 0, "ALOHA should collide");
 }
 
 /// The auto-sized partition (`with_cells(0)`, about 8 Ki tags per cell)
@@ -122,6 +137,37 @@ fn auto_sized_cells_are_worker_invariant() {
     let reference = assert_worker_invariant(&base, &[2, 4]);
     assert_eq!(reference.readings_generated, 20_000);
     assert!(reference.readings_delivered > 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Jammed runs are worker-invariant over random jammer onsets (up to
+    /// half a clean run past its end), scan intervals, MAC policies,
+    /// traffic models and partitions.
+    #[test]
+    fn jammed_reports_are_worker_invariant(
+        onset in 0.0f64..1.5,
+        scan in 0.01f64..0.3,
+        mac in prop_oneof![
+            Just(MacPolicy::Aloha),
+            Just(MacPolicy::Fixed),
+            Just(MacPolicy::Hopping),
+        ],
+        poisson in any::<bool>(),
+        cells in prop_oneof![Just(1usize), Just(5), Just(16)],
+        seed in any::<u64>(),
+    ) {
+        let mut base = EngineScenario::grid(256, 4, 2)
+            .with_mac(mac)
+            .with_cells(cells)
+            .with_seed(seed);
+        if poisson {
+            let mean_interval_s = base.safe_periodic_interval_s();
+            base = base.with_traffic(TrafficModel::Poisson { mean_interval_s });
+        }
+        assert_worker_invariant(&jammed(&base, onset, scan), &[2, 3]);
+    }
 }
 
 proptest! {
