@@ -16,14 +16,15 @@
 //!
 //! Tags are partitioned into [`EngineScenario::analytic_cells`] contiguous
 //! ranges — spatial cells, each an independent collision domain: one
-//! [`Cell`] (calendar queue, session table, access-point shard, salted RNG
-//! sub-streams; cell 0 reproduces the single-cell engine's streams exactly)
-//! with its own [`AnalyticAir`]. Each worker of a pool owns a contiguous
-//! chunk of cells and takes them one at a time: build (arrival schedule
-//! included), run to completion, reduce to a [`CellOutcome`] (counters,
-//! deliveries, watermark), drop. A worker holds one live cell, so the
-//! working set is O(workers × cell) rather than O(tags); only one 16-byte
-//! delivery record per delivered reading outlives its cell.
+//! [`Cell`] (event queue over its pre-sorted arrival schedule, session
+//! table, access-point shard, salted RNG sub-streams; cell 0 reproduces the
+//! single-cell engine's streams exactly) with its own [`AnalyticAir`]. Each
+//! worker of a pool owns a contiguous chunk of cells and takes them one at
+//! a time: build (arrival schedule included), run to completion, reduce to
+//! a [`CellOutcome`] (counters, deliveries, watermark), drop. A worker
+//! holds one live cell, so the working set is O(workers × cell) rather than
+//! O(tags); only one 16-byte delivery record per delivered reading outlives
+//! its cell.
 //!
 //! Cells share no mutable state. The one deployment-wide input, the scan
 //! horizon up to which a jammed run's idle shards keep scanning, is a

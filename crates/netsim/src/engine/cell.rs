@@ -1,14 +1,15 @@
 //! The one MAC state model both engine backends run on.
 //!
-//! A [`Cell`] is a contiguous tag range with its own calendar event queue
-//! ([`CalendarQueue`]), flat struct-of-arrays session state
-//! ([`SessionTable`]), access-point shard (forward-only sequence
-//! expectations, reception bitmaps, lazy ARQ trackers, a hopping
-//! controller) and salted RNG sub-streams. It owns everything on the MAC
-//! side of the air interface: the arrival schedule and activity watermark,
-//! sequence allocation, the transmit prelude (radio-busy deferral, airtime
-//! reservation, hopping round, policy channel, injected-loss suppression),
-//! access-point ingest, downlink delivery and spectrum scans.
+//! A [`Cell`] is a contiguous tag range with its own [`EventQueue`] (the
+//! pre-sorted arrival schedule plus a heap of the few events in flight),
+//! flat struct-of-arrays session state ([`SessionTable`]), access-point
+//! shard (forward-only sequence expectations, reception bitmaps, lazy ARQ
+//! trackers, a hopping controller) and salted RNG sub-streams. It owns
+//! everything on the MAC side of the air interface: the arrival schedule
+//! and activity watermark, sequence allocation, the transmit prelude
+//! (radio-busy deferral, airtime reservation, hopping round, policy
+//! channel, injected-loss suppression), access-point ingest, downlink
+//! delivery and spectrum scans.
 //!
 //! What a transmission does on the air is the business of the cell's
 //! [`Air`], a statically dispatched seam. The analytic backend's air flips
@@ -38,7 +39,7 @@ use saiyan_mac::SequenceWindow;
 
 use super::report::EngineReport;
 use super::scenario::{EngineScenario, JammerSpec, MacPolicy};
-use super::scheduler::CalendarQueue;
+use super::scheduler::EventQueue;
 
 /// Seed salts so the traffic / MAC / PHY sub-streams never alias.
 const TRAFFIC_SALT: u64 = 0x7123_4AB1;
@@ -105,10 +106,11 @@ pub(crate) struct RunParams<'a> {
     /// Inter-packet guard a tag's half-duplex radio needs (4 symbols).
     guard_s: f64,
     energy_per_command_j: f64,
-    /// How long every access-point shard keeps scanning, at least: the end
-    /// of the latest scheduled arrival's airtime over the whole population
-    /// (the lead-in, absent arrivals). Only scans read it, and cells scan
-    /// only when the scenario has a jammer, so it is computed only then.
+    /// How long an access-point shard on the jammer's channel keeps
+    /// scanning, at least: the end of the latest scheduled arrival's
+    /// airtime over the whole population (the lead-in, absent arrivals).
+    /// Only scans read it, and cells scan only when the scenario has a
+    /// jammer, so it is computed only then.
     scan_horizon: f64,
 }
 
@@ -163,7 +165,7 @@ pub(crate) trait Air: Sized {
 pub(crate) struct Cell<A> {
     pub base: u32,
     len: u32,
-    pub queue: CalendarQueue<CellEv>,
+    pub queue: EventQueue<CellEv>,
     sessions: SessionTable,
     /// AP shard: per-tag sequence windows, indexed by local id.
     ap: Vec<SequenceWindow>,
@@ -183,8 +185,9 @@ pub(crate) struct Cell<A> {
     pub phy_rng: ChaCha8Rng,
     /// Activity watermark: every *activity* event extends it past its own
     /// airtime (scans and the jammer do not — they are not tag activity).
-    /// It ends the run (and the waveform stream), and scans continue up to
-    /// it or to the run's scan horizon, whichever is later.
+    /// It ends the run (and the waveform stream), and scans on the
+    /// jammer's channel continue up to it or to the run's scan horizon,
+    /// whichever is later.
     pub end_time: f64,
     pub report: EngineReport,
     missing_scratch: Vec<u8>,
@@ -244,19 +247,13 @@ impl<A: Air> Cell<A> {
             SessionTable::new(len as usize, |local| ((base as usize + local) % n_ch) as u8);
 
         // Build every tag's arrival schedule up front.
-        let mut schedule: Vec<(f64, u32)> = Vec::new();
+        let mut schedule = Vec::with_capacity(len as usize * s.readings_per_tag);
         let mut end_time = s.lead_in_s;
         for_each_arrival(s, (base, end), arrivals_buf, |tag, t| {
             end_time = end_time.max(t + p.packet_dur);
-            schedule.push((t, tag));
+            schedule.push((t, CellEv::Arrival { tag }));
         });
-        let span = (end_time - s.lead_in_s).max(p.packet_dur) * 1.25
-            + s.feedback_delay_s
-            + 16.0 * p.packet_dur;
-        let mut queue = CalendarQueue::for_span(s.lead_in_s, span, schedule.len() * 3 + 16);
-        for &(t, tag) in &schedule {
-            queue.push(t, CellEv::Arrival { tag });
-        }
+        let mut queue = EventQueue::with_schedule(schedule);
         if s.jammer.is_some() {
             let first_scan = s.lead_in_s + s.scan_interval_s;
             if first_scan < end_time {
@@ -481,12 +478,19 @@ impl<A: Air> Cell<A> {
                 );
             }
         }
-        // Keep scanning while the deployment is still active — anywhere:
-        // the scan horizon keeps an idle cell's scan chain alive while
-        // other cells' tags still transmit. A raw push so scans never
+        // Keep scanning while the shard sits on the jammer's channel and
+        // the deployment is still active — anywhere: the scan horizon
+        // keeps an idle cell's scan chain alive while other cells' tags
+        // still transmit. The jammer holds one channel and a hop fires only
+        // on a jammed reading, so once the shard is off that channel no
+        // later scan could change anything. A raw push so scans never
         // extend the watermark.
+        let on_jammer = p
+            .scenario
+            .jammer
+            .is_some_and(|j| j.channel == self.hopping.current as usize);
         let horizon = self.end_time.max(p.scan_horizon);
-        if t + p.scenario.scan_interval_s < horizon {
+        if on_jammer && t + p.scenario.scan_interval_s < horizon {
             self.queue
                 .push(t + p.scenario.scan_interval_s, CellEv::SpectrumScan);
         }
@@ -639,6 +643,28 @@ mod tests {
         assert_eq!(cell.report.readings_delivered, 0);
         assert_eq!(cell.report.uplink_transmissions, 0);
         assert_eq!(cell.outstanding.len(), 1);
+    }
+
+    #[test]
+    fn a_shard_stops_scanning_once_it_hops_off_the_jammer() {
+        let mut s = scenario(64, 0);
+        s.jammer = Some(JammerSpec {
+            at_s: s.lead_in_s,
+            channel: 0,
+            penalty_db: -60.0,
+        });
+        let p = RunParams::new(&s);
+        let population = (0, s.n_tags as u32);
+        let mut cell = Cell::new(&p, 0, population, &mut Vec::new(), NoAir);
+        while cell.report.channel_hops == 0 {
+            let t = cell.queue.peek_time().expect("the shard hops");
+            cell.advance(&p, t + 1e-9);
+        }
+        assert_ne!(cell.hopping.current, 0, "the shard stayed on the jammer");
+        let scans = std::iter::from_fn(|| cell.queue.pop())
+            .filter(|(_, ev)| matches!(ev, CellEv::SpectrumScan))
+            .count();
+        assert_eq!(scans, 0, "scans outlived the hop");
     }
 
     proptest! {

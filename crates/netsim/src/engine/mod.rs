@@ -24,9 +24,9 @@
 //!   chunk sizes and worker counts.
 //!
 //! Both paths run one MAC state model: a cell (a tag range with its
-//! session table, access-point shard, salted RNG streams and O(1)
-//! [`scheduler::CalendarQueue`]; the [`scheduler::EventQueue`] heap is kept
-//! only as its test oracle) driven through a statically dispatched air
+//! session table, access-point shard, salted RNG streams and
+//! [`scheduler::EventQueue`] — the pre-sorted arrival schedule plus a heap
+//! of the few events in flight) driven through a statically dispatched air
 //! seam — the link abstraction or the synthesis mixer. They fill the same
 //! [`EngineReport`] (PRR, goodput, delivery latency), so "how much does
 //! real demodulation change the answer?" is a one-argument diff. Receiver

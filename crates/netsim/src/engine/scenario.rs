@@ -364,8 +364,8 @@ impl EngineScenario {
             "base_power_dbm must be finite, got {}",
             self.base_power_dbm
         );
-        // A NaN timing field poisons the event calendar, and a negative one
-        // schedules feedback into the past.
+        // A NaN timing field trips the event queue's finite-time check, and a
+        // negative one schedules feedback into the past.
         for (field, value) in [
             ("power_spread_db", self.power_spread_db),
             ("max_cfo_hz", self.max_cfo_hz),

@@ -28,7 +28,7 @@
 //! whatever the chunk size or the receiver's worker count:
 //!
 //! * events are handled in deterministic `(time, push-order)` order (the
-//!   cell's [`CalendarQueue`](super::scheduler::CalendarQueue)), and
+//!   cell's [`EventQueue`](super::scheduler::EventQueue)), and
 //!   all events inside a chunk's window are handled before the chunk is
 //!   synthesized — so emission placement is keyed to absolute sample
 //!   indices only;

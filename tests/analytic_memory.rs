@@ -3,7 +3,7 @@
 //! it to its outcome and drops it before building the next, so the peak
 //! heap grows with the cell size and the worker count, not with the number
 //! of cells. Only the per-delivery latency pairs the report needs scale
-//! with the population.
+//! with the population. One cell's own peak is pinned per reading too.
 //!
 //! The test binary tracks live heap bytes through its own global
 //! allocator. It holds a single test, so no other test's allocations land
@@ -99,9 +99,21 @@ fn run_peak_bytes(cells: usize, jammed: bool) -> usize {
     peak
 }
 
+/// Peak heap bytes per reading of a one-cell run, at most: the cell's
+/// queue holds its arrival schedule as one flat run, so a one-reading cell
+/// peaks at ~103 B per reading (a bucketed calendar sized for three events
+/// per reading peaked at ~209 B).
+const MAX_BYTES_PER_READING: usize = 150;
+
 #[test]
 fn every_run_holds_one_cell_per_worker() {
     for jammed in [false, true] {
+        let per_reading = run_peak_bytes(1, jammed) / TAGS_PER_CELL;
+        assert!(
+            per_reading <= MAX_BYTES_PER_READING,
+            "jammed: {jammed}; one cell peaked at {per_reading} heap bytes per \
+             reading, above {MAX_BYTES_PER_READING}"
+        );
         let four = run_peak_bytes(4, jammed);
         let sixteen = run_peak_bytes(16, jammed);
         assert!(

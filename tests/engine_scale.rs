@@ -1,10 +1,10 @@
 //! The sharded analytic engine at scale: collision accounting against a
-//! brute-force oracle, calendar-queue vs. binary-heap equivalence, traffic
+//! brute-force oracle, scheduled-queue vs. plain-heap equivalence, traffic
 //! monotonicity, and partition/worker invariance of the merged report —
 //! without a jammer and with one, whose scans run up to the scan horizon.
 
 use netsim::engine::occupancy::ChannelOccupancy;
-use netsim::engine::scheduler::{CalendarQueue, EventQueue};
+use netsim::engine::scheduler::EventQueue;
 use netsim::engine::{
     EngineReport, EngineScenario, JammerSpec, MacPolicy, NetworkEngine, TrafficModel,
 };
@@ -217,50 +217,67 @@ proptest! {
         }
     }
 
-    /// The calendar queue and the reference binary heap pop identical
-    /// `(time, payload)` sequences — including FIFO tie order and
-    /// `pop_before` horizon cuts — under interleaved push/pop traffic
-    /// (pushes landing behind the drain cursor included).
+    /// A queue built on a pre-sorted schedule pops exactly what a plain
+    /// heap that got every event pushed in the same order pops: the
+    /// schedule first, then the run-time pushes. The times sit on a
+    /// quarter-second grid, so the schedule has equal-time ties and
+    /// run-time pushes tie with scheduled events; pushes land before the
+    /// last popped time too (the feedback pattern), and `pop_before` cuts
+    /// at random horizons and exactly at the next event's time.
     #[test]
-    fn the_calendar_queue_matches_the_heap(
-        raw_times in collection::vec(0.0f64..100.0, 2..120),
-        horizons in collection::vec(0.0f64..130.0, 1..5),
+    fn a_scheduled_queue_matches_the_heap(
+        raw_schedule in collection::vec(0.0f64..100.0, 0..120),
+        ops in collection::vec(0u8..4, 0..240),
+        offsets in collection::vec(-20.0f64..40.0, 240),
     ) {
-        // Quantize so duplicate timestamps (FIFO ties) actually occur.
-        let times: Vec<f64> = raw_times.iter().map(|t| (t * 4.0).round() / 4.0).collect();
+        let grid = |t: f64| (t * 4.0).round() / 4.0;
+        let schedule: Vec<(f64, usize)> =
+            raw_schedule.iter().enumerate().map(|(i, &t)| (grid(t), i)).collect();
         let mut heap = EventQueue::new();
-        let mut calendar = CalendarQueue::for_span(0.0, 40.0, 64);
-
-        let split = times.len() / 2;
-        for (i, &t) in times[..split].iter().enumerate() {
+        for &(t, i) in &schedule {
             heap.push(t, i);
-            calendar.push(t, i);
         }
-        // Drain a prefix, then push the rest — some of it behind the
-        // calendar's drain cursor.
-        for _ in 0..split / 2 {
-            prop_assert_eq!(calendar.pop(), heap.pop());
-        }
-        for (i, &t) in times[split..].iter().enumerate() {
-            heap.push(t, split + i);
-            calendar.push(t, split + i);
-        }
-        let mut sorted_horizons = horizons;
-        sorted_horizons.sort_by(f64::total_cmp);
-        for h in sorted_horizons {
-            loop {
-                let a = calendar.pop_before(h);
-                let b = heap.pop_before(h);
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
+        let mut queue = EventQueue::with_schedule(schedule);
+        let mut next_id = raw_schedule.len();
+        let mut last = 0.0;
+        for (op, x) in ops.into_iter().zip(offsets) {
+            match op {
+                0 => {
+                    heap.push(grid(last + x), next_id);
+                    queue.push(grid(last + x), next_id);
+                    next_id += 1;
+                }
+                1 => {
+                    let popped = queue.pop();
+                    prop_assert_eq!(popped, heap.pop());
+                    last = popped.map_or(last, |(t, _)| t);
+                }
+                2 => {
+                    let horizon = grid(last + x);
+                    loop {
+                        let popped = queue.pop_before(horizon);
+                        prop_assert_eq!(popped, heap.pop_before(horizon));
+                        match popped {
+                            Some((t, _)) => last = t,
+                            None => break,
+                        }
+                    }
+                }
+                _ => {
+                    // An event exactly at the horizon stays queued.
+                    if let Some(t) = heap.peek_time() {
+                        prop_assert_eq!(queue.pop_before(t), None);
+                        prop_assert_eq!(heap.pop_before(t), None);
+                    }
                 }
             }
+            prop_assert_eq!(queue.peek_time(), heap.peek_time());
+            prop_assert_eq!(queue.len(), heap.len());
         }
         while !heap.is_empty() {
-            prop_assert_eq!(calendar.pop(), heap.pop());
+            prop_assert_eq!(queue.pop(), heap.pop());
         }
-        prop_assert!(calendar.is_empty());
+        prop_assert!(queue.is_empty());
     }
 
     /// Bursty arrivals stay strictly monotone under adversarial
