@@ -18,16 +18,22 @@
 //!   anchored phasor-recurrence oscillator. This is the profile the
 //!   multi-channel gateway deploys.
 //!
-//! The binary exits non-zero if any row, exact or production, decodes fewer
-//! than every packet or makes a symbol error. With `--check-floor <x>` it
-//! also exits non-zero if the *headline* (production, slowest variant)
-//! realtime factor drops below `x` — the CI regression gate. Results land in
-//! `results/stream_throughput.json`.
+//! Every row is timed over [`PASSES`] passes in one process and reports the
+//! median rate with its min–max. The binary exits non-zero if any pass of
+//! any row, exact or production, decodes fewer than every packet or makes a
+//! symbol error. With `--check-floor <x>` it also exits non-zero if the
+//! *headline* (the slowest production variant's median) realtime factor
+//! drops below `x` — the CI regression gate. A median over several passes
+//! rides out one pass slowed by a neighbour on a shared machine, which a
+//! single sample does not. Results land in `results/stream_throughput.json`.
 
 use std::time::Instant;
 
+use lora_phy::iq::SampleBuffer;
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
-use netsim::longtrace::{generate_long_trace, random_payloads, LongTraceConfig, TracePacket};
+use netsim::longtrace::{
+    generate_long_trace, random_payloads, LongTraceConfig, TraceGroundTruth, TracePacket,
+};
 use saiyan::config::{SaiyanConfig, Variant};
 use saiyan::StreamingDemodulator;
 use saiyan_bench::{check_floor_arg, enforce_floor, fmt, print_simd_report, write_json, Table};
@@ -35,6 +41,8 @@ use saiyan_bench::{check_floor_arg, enforce_floor, fmt, print_simd_report, write
 const PACKETS: usize = 12;
 const PAYLOAD_SYMBOLS: usize = 16;
 const CHUNK_SAMPLES: usize = 4096;
+/// Timed passes per row; the rates reported and gated are their median.
+const PASSES: usize = 7;
 
 fn main() {
     let lora = LoraParams::new(
@@ -67,7 +75,7 @@ fn main() {
     );
 
     let mut table = Table::new(
-        "Streaming demodulation throughput (chunked, 4096-sample chunks)",
+        format!("Streaming demodulation throughput (chunked, {CHUNK_SAMPLES}-sample chunks; median of {PASSES} passes)"),
         &[
             "profile",
             "variant",
@@ -75,6 +83,7 @@ fn main() {
             "symbol errors",
             "Msamples/s",
             "x realtime",
+            "min–max",
         ],
     );
     let mut json_rows = Vec::new();
@@ -89,43 +98,26 @@ fn main() {
             } else {
                 base
             };
-            let mut demod = StreamingDemodulator::new(cfg, PAYLOAD_SYMBOLS);
-            let start = Instant::now();
-            let mut results = Vec::new();
-            for chunk in trace.samples.chunks(CHUNK_SAMPLES) {
-                results.extend(demod.push_samples(chunk));
-            }
-            results.extend(demod.finish());
-            let elapsed = start.elapsed().as_secs_f64();
-            let samples_per_sec = trace.len() as f64 / elapsed;
-            // Match decoded packets to ground truth by payload time.
-            let mut symbol_errors = 0usize;
-            let mut decoded = 0usize;
-            for t in &truth {
-                let t_payload = t.payload_start_sample as f64 / trace.sample_rate;
-                if let Some(r) = results
-                    .iter()
-                    .find(|r| (r.payload_start_time - t_payload).abs() < lora.symbol_duration())
-                {
-                    decoded += 1;
-                    symbol_errors += r
-                        .symbols
-                        .iter()
-                        .zip(&t.symbols)
-                        .filter(|(a, b)| a != b)
-                        .count();
+            let mut realtimes = Vec::with_capacity(PASSES);
+            let (mut decoded, mut symbol_errors) = (truth.len(), 0);
+            for pass in 0..PASSES {
+                let (pass_decoded, pass_errors, elapsed) = decode_pass(&cfg, &trace, &truth);
+                realtimes.push(trace.duration() / elapsed);
+                if pass_decoded < truth.len() || pass_errors > 0 {
+                    failed_rows.push(format!(
+                        "{profile} {} pass {pass}: {pass_decoded}/{} decoded, {pass_errors} symbol errors",
+                        variant.label(),
+                        truth.len()
+                    ));
                 }
+                decoded = decoded.min(pass_decoded);
+                symbol_errors = symbol_errors.max(pass_errors);
             }
-            let realtime = samples_per_sec / trace.sample_rate;
+            realtimes.sort_by(f64::total_cmp);
+            let realtime = realtimes[PASSES / 2];
+            let samples_per_sec = realtime * trace.sample_rate;
             if production {
                 headline = headline.min(realtime);
-            }
-            if decoded < truth.len() || symbol_errors > 0 {
-                failed_rows.push(format!(
-                    "{profile} {}: {decoded}/{} decoded, {symbol_errors} symbol errors",
-                    variant.label(),
-                    truth.len()
-                ));
             }
             table.add_row(vec![
                 profile.to_string(),
@@ -134,6 +126,7 @@ fn main() {
                 symbol_errors.to_string(),
                 fmt(samples_per_sec / 1e6, 2),
                 fmt(realtime, 1),
+                format!("{}–{}", fmt(realtimes[0], 1), fmt(realtimes[PASSES - 1], 1)),
             ]);
             json_rows.push(serde_json::json!({
                 "profile": profile,
@@ -143,6 +136,9 @@ fn main() {
                 "symbol_errors": symbol_errors,
                 "samples_per_sec": samples_per_sec,
                 "realtime_factor": realtime,
+                "realtime_min": realtimes[0],
+                "realtime_max": realtimes[PASSES - 1],
+                "passes": PASSES,
             }));
         }
     }
@@ -160,8 +156,45 @@ fn main() {
         std::process::exit(1);
     }
     enforce_floor(
-        "production realtime factor (slowest variant)",
+        "production realtime factor (slowest variant's median)",
         headline,
         check_floor_arg(),
     );
+}
+
+/// Streams `trace` through a fresh demodulator in [`CHUNK_SAMPLES`] chunks
+/// and matches its packets to ground truth by payload time. Returns the
+/// packets decoded, their symbol errors and the wall seconds taken.
+fn decode_pass(
+    cfg: &SaiyanConfig,
+    trace: &SampleBuffer,
+    truth: &[TraceGroundTruth],
+) -> (usize, usize, f64) {
+    let lora = cfg.lora;
+    let mut demod = StreamingDemodulator::new(cfg.clone(), PAYLOAD_SYMBOLS);
+    let start = Instant::now();
+    let mut results = Vec::new();
+    for chunk in trace.samples.chunks(CHUNK_SAMPLES) {
+        results.extend(demod.push_samples(chunk));
+    }
+    results.extend(demod.finish());
+    let elapsed = start.elapsed().as_secs_f64();
+    let mut symbol_errors = 0usize;
+    let mut decoded = 0usize;
+    for t in truth {
+        let t_payload = t.payload_start_sample as f64 / trace.sample_rate;
+        if let Some(r) = results
+            .iter()
+            .find(|r| (r.payload_start_time - t_payload).abs() < lora.symbol_duration())
+        {
+            decoded += 1;
+            symbol_errors += r
+                .symbols
+                .iter()
+                .zip(&t.symbols)
+                .filter(|(a, b)| a != b)
+                .count();
+        }
+    }
+    (decoded, symbol_errors, elapsed)
 }

@@ -140,23 +140,6 @@ impl ArqTracker {
     }
 }
 
-/// Packet reception ratio achieved with up to `max_retransmissions` reactive
-/// retransmissions when a single transmission succeeds with probability `p`
-/// and each retransmission round is independent. Every retransmission also
-/// requires the downlink request to get through, with probability
-/// `downlink_success`.
-pub fn prr_with_retransmissions(p: f64, max_retransmissions: u32, downlink_success: f64) -> f64 {
-    let p = p.clamp(0.0, 1.0);
-    let d = downlink_success.clamp(0.0, 1.0);
-    let mut missing = 1.0 - p;
-    for _ in 0..max_retransmissions {
-        // A missing packet is recovered if the request arrives AND the
-        // retransmission is received.
-        missing *= 1.0 - d * p;
-    }
-    1.0 - missing
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,30 +189,5 @@ mod tests {
         assert_eq!(t.next_request(), Some(1));
         t.record_reception(1);
         assert_eq!(t.next_request(), Some(2));
-    }
-
-    #[test]
-    fn prr_grows_with_retransmissions() {
-        // Matches the shape of Fig. 26: Aloba at ~45 % single-shot PRR climbs
-        // towards ~95 % with three retransmissions.
-        let p = 0.456;
-        let prr0 = prr_with_retransmissions(p, 0, 1.0);
-        let prr1 = prr_with_retransmissions(p, 1, 1.0);
-        let prr3 = prr_with_retransmissions(p, 3, 1.0);
-        assert!((prr0 - 0.456).abs() < 1e-9);
-        assert!(prr1 > 0.65 && prr1 < 0.80, "prr1 {prr1}");
-        assert!(prr3 > 0.90, "prr3 {prr3}");
-        // A lossy downlink slows the recovery.
-        let prr3_lossy = prr_with_retransmissions(p, 3, 0.5);
-        assert!(prr3_lossy < prr3);
-    }
-
-    #[test]
-    fn prr_is_clamped() {
-        assert_eq!(prr_with_retransmissions(1.5, 2, 1.0), 1.0);
-        assert_eq!(
-            prr_with_retransmissions(-0.2, 2, 1.0),
-            prr_with_retransmissions(0.0, 2, 1.0)
-        );
     }
 }

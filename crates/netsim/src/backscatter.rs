@@ -11,7 +11,7 @@ use baselines::{aloba_uplink_ber, plora_uplink_ber};
 use rfsim::link::{BackscatterLink, BackscatterTagModel, Radio};
 use rfsim::noise::NoiseModel;
 use rfsim::pathloss::{Environment, PathLossModel};
-use rfsim::units::{Db, Dbm, Hertz, Meters};
+use rfsim::units::{sum_dbm, Db, Dbm, Hertz, Meters};
 
 /// The backscatter systems whose uplink we evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,6 +90,13 @@ impl BackscatterScenario {
     /// Uplink SNR at the receiver.
     pub fn snr(&self) -> Db {
         NoiseModel::new(self.noise_figure, self.bandwidth).snr(self.received_power())
+    }
+
+    /// The SINR penalty (dB, at most 0) an interferer received at
+    /// `interference` costs the uplink: its power adds to the noise floor.
+    pub fn interference_penalty(&self, interference: Dbm) -> Db {
+        let noise = self.received_power() - self.snr();
+        noise - sum_dbm(&[noise, interference])
     }
 
     /// Uplink BER for the given system.

@@ -7,10 +7,14 @@
 //! A transmission occupies its channel for the packet's real airtime;
 //! same-channel overlaps collide (every overlapped party dies exactly once
 //! — [`ChannelOccupancy`] tracks the full in-flight set, not just the
-//! latest-ending transmission), surviving transmissions are delivered with
-//! the scenario's [`LinkModel`](super::scenario::LinkModel) probability,
-//! and a co-channel jammer suppresses its channel outright until the access
-//! point hops away.
+//! latest-ending transmission), and surviving transmissions are delivered
+//! with the scenario's [`LinkModel`](super::scenario::LinkModel)
+//! probability. While a co-channel jammer is on, a transmission on its
+//! channel succeeds with the link's probability at its SNR plus
+//! [`JammerSpec::penalty_db`](super::scenario::JammerSpec::penalty_db), the
+//! penalty the waveform backend takes off the emission's power, until the
+//! access point hops away. The link models without an SNR (`Ideal`,
+//! `FixedPrr`) lose every jammed transmission.
 //!
 //! ## Sharding
 //!
@@ -67,7 +71,6 @@ struct PendingRx {
 /// transmission, airtime collisions per channel, and a `Reception` event
 /// at the end of each airtime.
 struct AnalyticAir {
-    link_p: f64,
     occupancy: Vec<ChannelOccupancy>,
     pending: Vec<PendingRx>,
     newly_collided: Vec<u32>,
@@ -75,11 +78,20 @@ struct AnalyticAir {
 
 impl Air for AnalyticAir {
     fn transmit(cell: &mut Cell<Self>, p: &RunParams, t: f64, tag: u32, seq: u8, channel: usize) {
+        // A lossy link draws once per transmission, jammed or not, so the
+        // draw pattern is the link's alone; a lossless link draws only where
+        // the jammer leaves its outcome in doubt.
+        let p_ok = if p.jammer_on(t, channel).is_some() {
+            p.jammed_p
+        } else {
+            p.link_p
+        };
+        let mut ok = if p.link_p < 1.0 || (p_ok > 0.0 && p_ok < 1.0) {
+            cell.phy_rng.gen::<f64>() < p_ok
+        } else {
+            p_ok >= 1.0
+        };
         let air = &mut cell.air;
-        let mut ok = air.link_p >= 1.0 || cell.phy_rng.gen::<f64>() < air.link_p;
-        if p.jammer_on(t, channel).is_some() {
-            ok = false;
-        }
         let rx_end = t + p.packet_dur;
         let index = air.pending.len() as u32;
         air.newly_collided.clear();
@@ -122,7 +134,6 @@ impl Air for AnalyticAir {
 pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
     let start_wall = Instant::now();
     let p = RunParams::new(scenario);
-    let link_p = scenario.link_success_p();
     let n_cells = scenario.analytic_cells;
     let workers = scenario.analytic_workers.min(n_cells).max(1);
 
@@ -132,7 +143,6 @@ pub(crate) fn run(scenario: &EngineScenario) -> EngineOutcome {
         range
             .map(|c| {
                 let air = AnalyticAir {
-                    link_p,
                     occupancy: vec![ChannelOccupancy::new(); scenario.n_channels],
                     pending: Vec::new(),
                     newly_collided: Vec::new(),

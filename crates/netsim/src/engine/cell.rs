@@ -103,6 +103,11 @@ pub(crate) enum CellEv {
 pub(crate) struct RunParams<'a> {
     pub scenario: &'a EngineScenario,
     pub packet_dur: f64,
+    /// The analytic air's success probability for an unjammed transmission
+    /// ([`EngineScenario::link_success_p`]) and for one the jammer hits
+    /// ([`EngineScenario::jammed_success_p`]).
+    pub link_p: f64,
+    pub jammed_p: f64,
     /// Inter-packet guard a tag's half-duplex radio needs (4 symbols).
     guard_s: f64,
     energy_per_command_j: f64,
@@ -131,6 +136,8 @@ impl<'a> RunParams<'a> {
         RunParams {
             scenario,
             packet_dur,
+            link_p: scenario.link_success_p(),
+            jammed_p: scenario.jammed_success_p(),
             guard_s: 4.0 * scenario.lora.symbol_duration(),
             energy_per_command_j: TagPowerModel::asic().packet_energy_joules(&scenario.lora, 8),
             scan_horizon,
@@ -266,11 +273,7 @@ impl<A: Air> Cell<A> {
         let table = ChannelTable {
             channels: (0..n_ch).map(|i| 433.0e6 + i as f64 * 0.5e6).collect(),
         };
-        let initial = s
-            .jammer
-            .map(|j| j.channel as u8)
-            .unwrap_or(0)
-            .min((n_ch - 1) as u8);
+        let initial = s.jammer.map_or(0, |j| j.channel as u8);
         Cell {
             base,
             len,

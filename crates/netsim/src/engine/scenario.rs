@@ -9,10 +9,12 @@
 //! workload definition.
 
 use lora_phy::params::{Bandwidth, BitsPerChirp, LoraParams, SpreadingFactor};
-use rfsim::units::Meters;
+use rfsim::units::{Db, Meters};
+use saiyan::metrics::packet_error_rate;
 
 use crate::backscatter::{BackscatterScenario, UplinkSystem};
 use crate::multichannel::MultiChannelConfig;
+use crate::scenario::Scenario;
 
 use super::traffic::TrafficModel;
 
@@ -50,11 +52,17 @@ impl MacPolicy {
 
 /// Per-transmission delivery model for the analytical backend. The waveform
 /// backend ignores this — its losses come out of the actual demodulation.
+///
+/// A transmission the jammer hits succeeds with the model's probability at
+/// its SNR plus [`JammerSpec::penalty_db`]. Only `Backscatter` has an SNR:
+/// `Ideal` and `FixedPrr` have none to lower, so a jammed transmission on
+/// them is always lost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkModel {
-    /// Every non-colliding transmission is delivered.
+    /// Every non-colliding, unjammed transmission is delivered.
     Ideal,
-    /// Every non-colliding transmission succeeds with this probability.
+    /// Every non-colliding, unjammed transmission succeeds with this
+    /// probability (clamped to `[0, 1]`; NaN is rejected).
     FixedPrr(f64),
     /// PRR from the calibrated two-hop backscatter link (Fig. 2).
     Backscatter {
@@ -75,8 +83,9 @@ pub struct JammerSpec {
     pub at_s: f64,
     /// The jammed channel index.
     pub channel: usize,
-    /// Power penalty (dB, negative) applied to waveform-path emissions on
-    /// the jammed channel — the SINR collapse a co-channel jammer causes.
+    /// SINR penalty (dB, at most 0) on the jammed channel: the waveform
+    /// path lowers each emission's power by it, the analytic path the
+    /// link model's SNR (see [`LinkModel`]).
     pub penalty_db: f64,
 }
 
@@ -202,6 +211,77 @@ impl EngineScenario {
         scenario
     }
 
+    /// The §5.3.1 retransmission study (Fig. 26) as a collision-free
+    /// workload: four tags, one per channel, each sending 250 readings a
+    /// second apart over the calibrated backscatter uplink, with up to
+    /// `max_retries` requests per lost reading. PLoRa tags sit 3.55 m and
+    /// Aloba tags 2.8 m from the carrier, where one packet gets through
+    /// about 84% and 49% of the time. The 27-byte payload makes the wire
+    /// frame the study's 256-bit packet, and the tags demodulate the access
+    /// point's requests 100 m away. 250 readings stay within one lap of a
+    /// tag's 8-bit sequence numbers.
+    pub fn retransmission_study(system: UplinkSystem, max_retries: u32) -> Self {
+        let tag_to_tx_m = match system {
+            UplinkSystem::PLoRa => 3.55,
+            UplinkSystem::Aloba => 2.8,
+        };
+        let mut s = EngineScenario::grid(4, 4, 250).with_seed(0xF1626);
+        s.traffic = TrafficModel::Periodic {
+            interval_s: 1.0,
+            jitter_s: 0.0,
+        };
+        s.payload_bytes = 27;
+        s.feedback_delay_s = s.min_feedback_delay_s();
+        s.link = LinkModel::Backscatter {
+            tag_to_tx_m,
+            system,
+        };
+        s.max_retries = max_retries;
+        s.downlink_success = Scenario::outdoor_default(Meters(100.0)).command_success();
+        s
+    }
+
+    /// One observation window of the §5.3.2 channel-hopping study
+    /// (Fig. 27): a PLoRa tag 3.05 m from the carrier sends 40 readings a
+    /// second apart (256-bit frames, no ARQ) on channel 0 of two, under a
+    /// jammer with the given SINR penalty.
+    ///
+    /// * Jammed (`hopped = false`): the jammer is on throughout, and the
+    ///   access point does not scan before the last reading.
+    /// * Post-hop: the access point scans one symbol after the first
+    ///   reading, as the jammer switches on, and its hopping controller
+    ///   broadcasts a hop. A tag that demodulates it (downlink at 100 m)
+    ///   sends the rest of its readings on the clean channel.
+    pub fn hopping_window(hopped: bool, penalty_db: f64) -> Self {
+        const READINGS: usize = 40;
+        let mut s = EngineScenario::grid(1, 2, READINGS).with_seed(0xF1627);
+        s.traffic = TrafficModel::Periodic {
+            interval_s: 1.0,
+            jitter_s: 0.0,
+        };
+        s.payload_bytes = 27;
+        s.feedback_delay_s = s.min_feedback_delay_s();
+        s.link = LinkModel::Backscatter {
+            tag_to_tx_m: 3.05,
+            system: UplinkSystem::PLoRa,
+        };
+        s.max_retries = 0;
+        s.downlink_success = Scenario::outdoor_default(Meters(100.0)).command_success();
+        let at_s = if hopped {
+            s.scan_interval_s = s.lora.symbol_duration();
+            s.lead_in_s + s.scan_interval_s
+        } else {
+            s.scan_interval_s = READINGS as f64;
+            0.0
+        };
+        s.jammer = Some(JammerSpec {
+            at_s,
+            channel: 0,
+            penalty_db,
+        });
+        s
+    }
+
     /// Returns a copy with a different MAC policy.
     pub fn with_mac(mut self, mac: MacPolicy) -> Self {
         self.mac = mac;
@@ -266,6 +346,26 @@ impl EngineScenario {
                 tag_to_tx_m,
                 system,
             } => BackscatterScenario::fig2(Meters(tag_to_tx_m)).prr(system, self.frame_bytes() * 8),
+        }
+    }
+
+    /// The analytic path's success probability for a transmission the
+    /// jammer hits: the backscatter link's PRR at its SNR plus the jammer's
+    /// penalty, and 0 for the models without an SNR (or without a jammer).
+    pub fn jammed_success_p(&self) -> f64 {
+        match (self.link, self.jammer) {
+            (
+                LinkModel::Backscatter {
+                    tag_to_tx_m,
+                    system,
+                },
+                Some(jammer),
+            ) => {
+                let snr =
+                    BackscatterScenario::fig2(Meters(tag_to_tx_m)).snr() + Db(jammer.penalty_db);
+                1.0 - packet_error_rate(system.ber(snr), self.frame_bytes() * 8)
+            }
+            _ => 0.0,
         }
     }
 
@@ -385,6 +485,30 @@ impl EngineScenario {
             "scan_interval_s must be finite and positive, got {}",
             self.scan_interval_s
         );
+        if let LinkModel::FixedPrr(p) = self.link {
+            assert!(!p.is_nan(), "link FixedPrr must be a probability, got NaN");
+        }
+        // A jammer must be able to act: on a channel of the grid (the AP's
+        // scans start there), from a real onset, lowering the SINR. A NaN
+        // onset never fires, and a NaN or positive penalty is no probability.
+        if let Some(j) = self.jammer {
+            assert!(
+                j.channel < self.n_channels,
+                "jammer.channel {} is not one of the {} channels",
+                j.channel,
+                self.n_channels
+            );
+            assert!(
+                j.at_s.is_finite(),
+                "jammer.at_s must be finite, got {}",
+                j.at_s
+            );
+            assert!(
+                j.penalty_db.is_finite() && j.penalty_db <= 0.0,
+                "jammer.penalty_db must be finite and at most 0, got {}",
+                j.penalty_db
+            );
+        }
         assert!(self.analytic_cells >= 1, "need at least one analytic cell");
         assert!(
             self.analytic_cells <= self.n_tags,
@@ -542,6 +666,65 @@ mod tests {
         let mut s = EngineScenario::grid(4, 4, 1);
         s.lead_in_s = f64::NAN;
         s.validate();
+    }
+
+    fn jammed(channel: usize, at_s: f64, penalty_db: f64) -> EngineScenario {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.jammer = Some(JammerSpec {
+            at_s,
+            channel,
+            penalty_db,
+        });
+        s
+    }
+
+    #[test]
+    #[should_panic(expected = "jammer.channel 4 is not one of the 4 channels")]
+    fn a_jammer_off_the_grid_is_rejected() {
+        jammed(4, 0.0, -60.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "jammer.at_s must be finite")]
+    fn a_nan_jammer_onset_is_rejected() {
+        jammed(0, f64::NAN, -60.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "jammer.penalty_db must be finite and at most 0")]
+    fn a_nan_jammer_penalty_is_rejected() {
+        jammed(0, 0.0, f64::NAN).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "jammer.penalty_db must be finite and at most 0")]
+    fn a_positive_jammer_penalty_is_rejected() {
+        jammed(0, 0.0, 3.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "link FixedPrr must be a probability")]
+    fn a_nan_fixed_prr_is_rejected() {
+        let mut s = EngineScenario::grid(4, 4, 1);
+        s.link = LinkModel::FixedPrr(f64::NAN);
+        s.validate();
+    }
+
+    #[test]
+    fn only_the_backscatter_link_survives_a_jammer() {
+        let mut s = jammed(0, 0.0, -7.0);
+        assert_eq!(s.jammed_success_p(), 0.0, "Ideal has no SNR");
+        s.link = LinkModel::FixedPrr(0.9);
+        assert_eq!(s.jammed_success_p(), 0.0, "FixedPrr has no SNR");
+        s.link = LinkModel::Backscatter {
+            tag_to_tx_m: 3.05,
+            system: UplinkSystem::PLoRa,
+        };
+        let (clean, jammed) = (s.link_success_p(), s.jammed_success_p());
+        assert!(0.0 < jammed && jammed < clean, "{jammed} vs {clean}");
+        // A zero penalty leaves the link as it is.
+        s.jammer.as_mut().unwrap().penalty_db = 0.0;
+        assert_eq!(s.jammed_success_p(), clean);
     }
 
     #[test]

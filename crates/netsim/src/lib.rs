@@ -13,16 +13,15 @@
 //!   hopping schedules, per-packet power/CFO) for the gateway (both trace
 //!   generators are layout presets over [`synthesis::EmissionMixer`]);
 //! * [`backscatter`] — the two-hop backscatter uplink (Fig. 2);
-//! * [`casestudy`] — retransmission, channel hopping and multi-tag ALOHA
-//!   case studies (Figs. 26/27, §4.4);
 //! * [`synthesis`] — the one emission mixer every IQ synthesizer (trace
 //!   generators and the engine's waveform path) rotates and sums through:
 //!   start-sorted emissions with fused CFO/channel rotation, anchored on the
 //!   absolute sample grid for chunk invariance;
 //! * [`engine`] — **the discrete-event network engine**: one
 //!   scenario-driven simulator with pluggable traffic models and MAC
-//!   policies, runnable analytically (the §5.3 deployment studies run on
-//!   its calibrated backscatter link model) or at waveform level with
+//!   policies, runnable analytically (the §5.3 case studies, Figs. 26 and
+//!   27, and the deployment studies run on its calibrated backscatter link
+//!   model) or at waveform level with
 //!   chunked IQ streamed through a real receiver and live MAC feedback.
 //!
 //! `docs/ARCHITECTURE.md` §6 describes the engine; the README's "Headline
@@ -31,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod backscatter;
-pub mod casestudy;
 pub mod engine;
 pub mod longtrace;
 pub mod multichannel;
@@ -41,10 +39,6 @@ pub mod synthesis;
 pub mod trial;
 
 pub use backscatter::{BackscatterScenario, UplinkSystem};
-pub use casestudy::{
-    empirical_cdf, median, multi_tag_acknowledgement, ChannelHoppingStudy, HoppingWindow,
-    MultiTagRound, RetransmissionStudy,
-};
 pub use engine::{
     EngineOutcome, EngineReport, EngineScenario, JammerSpec, LinkModel, MacPolicy, NetworkEngine,
     TrafficModel, WaveformSpec,

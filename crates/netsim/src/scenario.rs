@@ -163,6 +163,12 @@ impl Scenario {
     pub fn ber(&self) -> f64 {
         self.sensitivity_config().ber(self.effective_rss())
     }
+
+    /// Probability the tag demodulates one feedback command (a
+    /// retransmission request or a hop, ~40 bits) at this scenario's BER.
+    pub fn command_success(&self) -> f64 {
+        1.0 - saiyan::metrics::packet_error_rate(self.ber(), 40)
+    }
 }
 
 #[cfg(test)]

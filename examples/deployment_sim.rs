@@ -14,7 +14,6 @@ use netsim::engine::{
 };
 use netsim::{Scenario, UplinkSystem};
 use rfsim::units::Meters;
-use saiyan::metrics::packet_error_rate;
 
 /// Five tags on the paper's 4-channel grid, each sending 50 readings 2 s
 /// apart over the given backscatter uplink.
@@ -28,8 +27,7 @@ fn deployment(system: UplinkSystem, tag_to_tx_m: f64) -> EngineScenario {
         system,
     };
     scenario.max_retries = 3;
-    let downlink = Scenario::outdoor_default(Meters(100.0));
-    scenario.downlink_success = 1.0 - packet_error_rate(downlink.ber(), 40);
+    scenario.downlink_success = Scenario::outdoor_default(Meters(100.0)).command_success();
     scenario
 }
 

@@ -1,29 +1,15 @@
 //! Integration test: the MAC-layer feedback loop built on top of Saiyan
-//! (retransmission, channel hopping, rate adaptation, multi-tag ACK).
+//! (channel hopping, rate adaptation, command sizes), and the §5.3.2
+//! channel-hopping study on the network engine.
 
 use lora_phy::params::BitsPerChirp;
-use netsim::{
-    multi_tag_acknowledgement, ChannelHoppingStudy, RetransmissionStudy, Scenario, UplinkSystem,
-};
-use rfsim::units::Meters;
+use netsim::engine::{EngineScenario, NetworkEngine};
+use netsim::{BackscatterScenario, Scenario};
+use rfsim::units::{Dbm, Meters};
 use saiyan_mac::{
     apply_rate_command, ChannelTable, Command, HoppingController, RateAdapter, TagChannelState,
     TagId,
 };
-
-#[test]
-fn retransmissions_recover_most_losses() {
-    for system in [UplinkSystem::PLoRa, UplinkSystem::Aloba] {
-        let study = RetransmissionStudy::paper(system);
-        let base = study.prr(0);
-        let with3 = study.prr(3);
-        assert!(with3 > base, "{system:?}");
-        assert!(
-            with3 > 0.9,
-            "{system:?} PRR after 3 retransmissions: {with3}"
-        );
-    }
-}
 
 #[test]
 fn hopping_controller_and_tag_agree_on_the_new_channel() {
@@ -45,15 +31,26 @@ fn hopping_controller_and_tag_agree_on_the_new_channel() {
 
 #[test]
 fn channel_hopping_case_study_recovers_prr() {
-    let windows = ChannelHoppingStudy::paper().run();
-    let jammed: Vec<f64> = windows
-        .iter()
-        .filter(|w| !w.hopped)
-        .map(|w| w.prr)
-        .collect();
-    let clean: Vec<f64> = windows.iter().filter(|w| w.hopped).map(|w| w.prr).collect();
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    assert!(mean(&clean) > mean(&jammed) + 0.3);
+    // Fig. 27's windows on the engine: ten jammed, ten after the hop.
+    let penalty_db = BackscatterScenario::fig2(Meters(3.05))
+        .interference_penalty(Dbm(-105.0))
+        .value();
+    let mean_prr = |hopped: bool| {
+        let total: f64 = (0..10)
+            .map(|seed| {
+                let window = EngineScenario::hopping_window(hopped, penalty_db).with_seed(seed);
+                let r = NetworkEngine::new(window).run_analytic().report;
+                assert_eq!(r.channel_hops, hopped as usize, "{r:?}");
+                r.prr()
+            })
+            .sum();
+        total / 10.0
+    };
+    let (jammed, clean) = (mean_prr(false), mean_prr(true));
+    assert!(
+        clean > jammed + 0.3,
+        "jammed {jammed} vs after the hop {clean}"
+    );
 }
 
 #[test]
@@ -98,15 +95,6 @@ fn rate_adaptation_tracks_link_margin_end_to_end() {
         *commanded.last().unwrap() <= 2,
         "far-out rate should be low"
     );
-}
-
-#[test]
-fn broadcast_acknowledgement_scales_with_slot_count() {
-    let downlink = Scenario::outdoor_default(Meters(60.0));
-    let few = multi_tag_acknowledgement(16, &downlink, 8, 11);
-    let many = multi_tag_acknowledgement(16, &downlink, 64, 11);
-    assert!(many.acked >= few.acked);
-    assert!(few.acked + few.collided == few.demodulated);
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! End-to-end MAC behaviour of the discrete-event network engine: ARQ
 //! recovery of injected losses, hopping-schedule conformance on the real
-//! waveform path, jammer-driven channel hops, ALOHA collisions, the
-//! detection-only baseline backends, and the §5.3 deployment studies over
-//! the calibrated backscatter link model.
+//! waveform path, jammer-driven channel hops, the analytic jammer rule,
+//! ALOHA collisions, the detection-only baseline backends, and the §5.3
+//! studies (Figs. 26 and 27 and the deployments) over the calibrated
+//! backscatter link model.
 
 use std::sync::{Arc, Mutex};
 
@@ -11,7 +12,8 @@ use lora_phy::iq::Iq;
 use netsim::engine::{
     EngineReport, EngineScenario, JammerSpec, LinkModel, MacPolicy, NetworkEngine, TrafficModel,
 };
-use netsim::UplinkSystem;
+use netsim::{BackscatterScenario, UplinkSystem};
+use rfsim::units::{Dbm, Meters};
 use saiyan::gateway::{Gateway, GatewayPacket};
 use saiyan::receiver::Receiver;
 use saiyan_mac::packet::UplinkPacket;
@@ -169,6 +171,39 @@ fn aloha_random_channels_collide_while_fixed_stays_clean() {
 }
 
 #[test]
+fn aloha_transmissions_either_deliver_or_collide() {
+    // On an ideal link every transmission is received unless it collides,
+    // and a received frame delivers its reading or is a duplicate.
+    let r = run_analytic(EngineScenario::grid(16, 4, 3).with_mac(MacPolicy::Aloha));
+    assert!(r.collisions > 0, "{r:?}");
+    assert_eq!(
+        r.uplink_transmissions,
+        r.readings_delivered + r.duplicates + r.collisions,
+        "{r:?}"
+    );
+    // A tag alone never collides: its radio sends one packet at a time.
+    let alone = run_analytic(EngineScenario::grid(1, 4, 20).with_mac(MacPolicy::Aloha));
+    assert_eq!(alone.collisions, 0);
+    assert_eq!(alone.readings_delivered, 20);
+}
+
+#[test]
+fn more_channels_reduce_aloha_collisions() {
+    let traffic = EngineScenario::grid(32, 2, 4).traffic;
+    let collisions = |channels| {
+        let scenario = EngineScenario::grid(32, channels, 4)
+            .with_mac(MacPolicy::Aloha)
+            .with_traffic(traffic.clone());
+        run_analytic(scenario).collisions
+    };
+    let (two, four) = (collisions(2), collisions(4));
+    assert!(
+        four < two,
+        "4 channels: {four} collisions vs 2 channels: {two}"
+    );
+}
+
+#[test]
 fn detection_only_backends_count_detections_instead_of_deliveries() {
     let mut scenario = EngineScenario::grid(2, 1, 2);
     scenario.decimation = 1; // single channel at the channel rate
@@ -262,4 +297,138 @@ fn backscatter_deployment_statistics_are_internally_consistent() {
         assert_eq!(r.latencies_s.len(), r.readings_delivered);
         assert!(r.duration_s > 0.0 && r.tag_demodulation_energy_j >= 0.0);
     }
+}
+
+/// 95% Wilson score interval for `k` successes in `n` trials.
+fn wilson(k: usize, n: usize) -> (f64, f64) {
+    let (k, n, z) = (k as f64, n as f64, 1.96);
+    let p = k / n;
+    let centre = (p + z * z / (2.0 * n)) / (1.0 + z * z / n);
+    let half = z * (p * (1.0 - p) / n + z * z / (4.0 * n * n)).sqrt() / (1.0 + z * z / n);
+    (centre - half, centre + half)
+}
+
+/// PRR of a reading that gets up to `retries` requests, each of which the
+/// tag demodulates with probability `d` and whose replay survives the uplink
+/// with probability `p`, as the first one did.
+fn prr_with_retransmissions(p: f64, retries: u32, d: f64) -> f64 {
+    1.0 - (1.0 - p) * (1.0 - d * p).powi(retries as i32)
+}
+
+#[test]
+fn retransmissions_lift_prr_like_fig26() {
+    // The paper's points (%) for a retry budget of 0, 1, ...; the engine
+    // must land within 5 points of each.
+    let paper = [
+        (UplinkSystem::PLoRa, &[81.8][..]),
+        (UplinkSystem::Aloba, &[45.6, 70.1][..]),
+    ];
+    for (system, paper) in paper {
+        let study = |retries| EngineScenario::retransmission_study(system, retries);
+        let (p, d) = (study(0).link_success_p(), study(0).downlink_success);
+        let curve: Vec<EngineReport> = (0..=4).map(|n| run_analytic(study(n))).collect();
+        for (n, r) in curve.iter().enumerate() {
+            assert_eq!(r.readings_generated, 1000);
+            assert_eq!(r.collisions, 0, "one tag per channel: {r:?}");
+            if let Some(&target) = paper.get(n) {
+                let prr = r.prr() * 100.0;
+                assert!(
+                    (prr - target).abs() <= 5.0,
+                    "{system:?} retries {n}: {prr:.1}% vs the paper's {target}%"
+                );
+            }
+        }
+        assert!(curve[1].prr() > curve[0].prr() + 0.1, "{system:?}");
+        for pair in curve.windows(2) {
+            assert!(pair[1].prr() >= pair[0].prr(), "{system:?} fell");
+        }
+        // Without a request, and with the one request gap-detected ARQ makes
+        // per lost reading, the closed form holds. Larger budgets buy no
+        // second request: a lost retransmission leaves no gap to detect.
+        for (n, r) in curve.iter().enumerate().take(2) {
+            let (lo, hi) = wilson(r.readings_delivered, r.readings_generated);
+            let oracle = prr_with_retransmissions(p, n as u32, d);
+            assert!(
+                lo <= oracle && oracle <= hi,
+                "{system:?} retries {n}: closed form {oracle:.3} outside [{lo:.3}, {hi:.3}]"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_analytic_jammer_takes_its_penalty_off_the_link_snr() {
+    // Eight tags on one jammed channel, staggered so nothing collides, no
+    // ARQ and no scan before the last reading: every transmission meets
+    // the jammer.
+    let jammed = |link| {
+        let mut s = EngineScenario::grid(8, 1, 250).with_traffic(TrafficModel::Periodic {
+            interval_s: 1.0,
+            jitter_s: 0.0,
+        });
+        s.payload_bytes = 27;
+        s.link = link;
+        s.max_retries = 0;
+        s.scan_interval_s = 300.0;
+        s.jammer = Some(JammerSpec {
+            at_s: 0.0,
+            channel: 0,
+            penalty_db: -7.0,
+        });
+        s
+    };
+    let backscatter = jammed(LinkModel::Backscatter {
+        tag_to_tx_m: 3.05,
+        system: UplinkSystem::PLoRa,
+    });
+    let jammed_p = backscatter.jammed_success_p();
+    assert!(jammed_p > 0.2 && jammed_p < backscatter.link_success_p() - 0.2);
+    let r = run_analytic(backscatter);
+    assert_eq!(r.collisions, 0, "{r:?}");
+    assert_eq!(r.uplink_transmissions, 2000, "{r:?}");
+    let (lo, hi) = wilson(r.readings_delivered, r.readings_generated);
+    assert!(
+        lo <= jammed_p && jammed_p <= hi,
+        "PRR at SNR + penalty {jammed_p:.3} outside [{lo:.3}, {hi:.3}]"
+    );
+    // The link models without an SNR deliver nothing on the jammed channel
+    // until the access point hops away.
+    for link in [LinkModel::Ideal, LinkModel::FixedPrr(0.9)] {
+        let r = run_analytic(jammed(link));
+        assert_eq!(r.readings_delivered, 0, "{link:?}: {r:?}");
+        assert_eq!(r.channel_hops, 0);
+    }
+}
+
+#[test]
+fn channel_hopping_restores_prr_like_fig27() {
+    // exp_fig27_channel_hopping's windows: seeds 0xF1627 + 0..25 under the
+    // jammer, + 25..50 after the hop, with the jammer's -105 dBm leakage
+    // against the 3.05 m PLoRa link. Each median must land within 5 points
+    // of the paper's 47% and 92%.
+    let penalty_db = BackscatterScenario::fig2(Meters(3.05))
+        .interference_penalty(Dbm(-105.0))
+        .value();
+    assert!((-8.0..-6.0).contains(&penalty_db), "{penalty_db}");
+    let median_prr = |hopped: bool| {
+        let first = if hopped { 25 } else { 0 };
+        let mut prrs: Vec<f64> = (first..first + 25)
+            .map(|i| {
+                let window =
+                    EngineScenario::hopping_window(hopped, penalty_db).with_seed(0xF1627 + i);
+                run_analytic(window).prr()
+            })
+            .collect();
+        prrs.sort_by(f64::total_cmp);
+        prrs[12] * 100.0
+    };
+    let (jammed, hopped) = (median_prr(false), median_prr(true));
+    assert!(
+        (jammed - 47.0).abs() <= 5.0,
+        "median {jammed:.1}% while jammed"
+    );
+    assert!(
+        (hopped - 92.0).abs() <= 5.0,
+        "median {hopped:.1}% after the hop"
+    );
 }

@@ -103,27 +103,6 @@ proptest! {
     }
 
     #[test]
-    fn prr_with_retransmissions_is_monotone(
-        p in 0.0f64..1.0,
-        downlink in 0.5f64..1.0,
-        n in 0u32..5,
-    ) {
-        let base = saiyan_mac::prr_with_retransmissions(p, n, downlink);
-        let more = saiyan_mac::prr_with_retransmissions(p, n + 1, downlink);
-        prop_assert!(more >= base - 1e-12);
-        prop_assert!((0.0..=1.0).contains(&base));
-    }
-
-    #[test]
-    fn aloha_success_probability_bounds(tags in 1u32..50, slots in 1u32..128) {
-        let p = saiyan_mac::analytic_success_probability(tags, slots);
-        prop_assert!((0.0..=1.0).contains(&p));
-        // More slots never hurt.
-        let p_more = saiyan_mac::analytic_success_probability(tags, slots + 1);
-        prop_assert!(p_more >= p - 1e-12);
-    }
-
-    #[test]
     fn db_dbm_arithmetic_is_consistent(p in -100.0f64..20.0, g in -30.0f64..30.0) {
         let power = Dbm(p);
         let gain = Db(g);

@@ -26,7 +26,7 @@ fn umbrella_reexports_resolve() {
     let _ = saiyan_suite::analog::saw::SawFilter::paper_b3790();
     let _ = saiyan_suite::saiyan::SaiyanConfig::paper_default(params, Variant::Super);
     let _ = saiyan_suite::baselines::EnvelopeReceiver::new(params);
-    let _ = saiyan_suite::saiyan_mac::analytic_success_probability(10, 16);
+    let _ = saiyan_suite::saiyan_mac::ChannelTable::paper_433mhz();
     let _ =
         saiyan_suite::netsim::Scenario::outdoor_default(saiyan_suite::rfsim::units::Meters(50.0));
 }
