@@ -190,4 +190,32 @@ mod tests {
         t.record_reception(1);
         assert_eq!(t.next_request(), Some(2));
     }
+
+    #[test]
+    fn prr_grows_with_retransmissions() {
+        // Packet `seq` is lost on its first transmission and on the next
+        // `seq % 5` replays, so a budget of `n` recovers the packets that
+        // need at most `n` requests: PRR climbs 0.2 per extra request.
+        let delivered = |max_retries: u32| {
+            let mut t = ArqTracker::new(TagId(3), max_retries);
+            let mut delivered = 0;
+            for seq in 0..20u8 {
+                t.record_loss(seq);
+                let mut requests = 0;
+                while let Some(s) = t.next_request() {
+                    assert_eq!(s, seq, "earlier packets are given up");
+                    requests += 1;
+                    if requests > u32::from(seq % 5) {
+                        t.record_reception(seq);
+                        delivered += 1;
+                        break;
+                    }
+                }
+            }
+            assert_eq!(t.given_up().len(), 20 - delivered);
+            delivered
+        };
+        let prr: Vec<usize> = (0..=5).map(delivered).collect();
+        assert_eq!(prr, vec![0, 4, 8, 12, 16, 20]);
+    }
 }

@@ -10,8 +10,8 @@
 //! | [`analog`] | SAW filter, LNA, envelope detector, shifting chain, comparator, power |
 //! | [`saiyan`] | the Saiyan demodulator (vanilla / shifting / super) |
 //! | [`baselines`] | PLoRa, Aloba and conventional envelope-detector baselines |
-//! | [`saiyan_mac`] | feedback-loop MAC: ARQ, channel hopping, rate adaptation, ALOHA |
-//! | [`netsim`] | scenarios, Monte-Carlo trials, range searches, case studies |
+//! | [`saiyan_mac`] | feedback-loop MAC: ARQ, channel hopping, rate adaptation |
+//! | [`netsim`] | scenarios, Monte-Carlo trials, range searches, the network engine |
 //! | `saiyan_serve` | always-on gateway daemon: stream ingest, backpressure, wire formats, telemetry |
 
 #![warn(missing_docs)]

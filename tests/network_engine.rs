@@ -181,7 +181,11 @@ fn aloha_transmissions_either_deliver_or_collide() {
         r.readings_delivered + r.duplicates + r.collisions,
         "{r:?}"
     );
-    // A tag alone never collides: its radio sends one packet at a time.
+}
+
+#[test]
+fn a_lone_aloha_tag_never_collides() {
+    // Its radio sends one packet at a time, whichever channel it picks.
     let alone = run_analytic(EngineScenario::grid(1, 4, 20).with_mac(MacPolicy::Aloha));
     assert_eq!(alone.collisions, 0);
     assert_eq!(alone.readings_delivered, 20);

@@ -103,6 +103,30 @@ proptest! {
     }
 
     #[test]
+    fn prr_with_retransmissions_is_monotone(
+        p in 0.0f64..1.0,
+        downlink in 0.5f64..1.0,
+        n in 0u32..5,
+    ) {
+        use netsim::engine::{EngineScenario, LinkModel, NetworkEngine};
+        use netsim::UplinkSystem;
+        // Fig. 26's collision-free layout on a fixed-PRR link; both budgets
+        // run on the same seed.
+        let prr = |retries| {
+            let mut s = EngineScenario::retransmission_study(UplinkSystem::PLoRa, retries);
+            s.link = LinkModel::FixedPrr(p);
+            s.downlink_success = downlink;
+            NetworkEngine::new(s).run_analytic().report
+        };
+        let (base, more) = (prr(n), prr(n + 1));
+        // Four binomial standard deviations of the difference of two
+        // independent 1000-reading PRRs.
+        let slack = 4.0 * (2.0 * 0.25 / base.readings_generated as f64).sqrt();
+        prop_assert!(more.prr() >= base.prr() - slack, "{} -> {}", base.prr(), more.prr());
+        prop_assert!((0.0..=1.0).contains(&base.prr()));
+    }
+
+    #[test]
     fn db_dbm_arithmetic_is_consistent(p in -100.0f64..20.0, g in -30.0f64..30.0) {
         let power = Dbm(p);
         let gain = Db(g);
