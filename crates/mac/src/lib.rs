@@ -7,9 +7,9 @@
 //! * [`retransmission`] — on-demand ARQ (tag-side buffer, AP-side tracker);
 //! * [`hopping`] — interference-driven channel hopping;
 //! * [`rate`] — margin-based rate adaptation;
-//! * [`ap`] — the access point: per-tag sequence windows ([`SequenceWindow`],
-//!   shared with the network engine's access-point shard), delivery
-//!   statistics and ARQ requests;
+//! * [`ap`] — the access point, the one model of it the gateway and every
+//!   network engine cell run: per-source sequence windows
+//!   ([`SequenceWindow`]), ARQ requests and the hopping controller;
 //! * [`session_table`] — flat struct-of-arrays tag-side session state for
 //!   simulated populations.
 
@@ -23,7 +23,7 @@ pub mod rate;
 pub mod retransmission;
 pub mod session_table;
 
-pub use ap::{AccessPoint, IngestReport, SequenceWindow, TagStats};
+pub use ap::{AccessPoint, FxHashMap, SequenceWindow};
 pub use error::MacError;
 pub use hopping::{ChannelTable, HoppingController, TagChannelState};
 pub use packet::{Addressing, Command, DownlinkPacket, TagId, UplinkPacket};

@@ -8,7 +8,6 @@
 use std::collections::VecDeque;
 
 use crate::error::MacError;
-use crate::packet::TagId;
 
 /// Tag-side retransmission buffer: remembers the last few transmitted uplink
 /// payloads so they can be replayed on request.
@@ -69,18 +68,15 @@ impl RetransmissionBuffer {
 /// and which need a retransmission request.
 #[derive(Debug, Clone)]
 pub struct ArqTracker {
-    /// The tag being tracked.
-    pub tag: TagId,
     /// Maximum number of retransmission requests per packet.
     pub max_retries: u32,
     outstanding: Vec<(u8, u32)>,
 }
 
 impl ArqTracker {
-    /// Creates a tracker for a tag.
-    pub fn new(tag: TagId, max_retries: u32) -> Self {
+    /// Creates a tracker with the given retry budget.
+    pub fn new(max_retries: u32) -> Self {
         ArqTracker {
-            tag,
             max_retries,
             outstanding: Vec::new(),
         }
@@ -168,7 +164,7 @@ mod tests {
 
     #[test]
     fn tracker_requests_until_budget_exhausted() {
-        let mut t = ArqTracker::new(TagId(1), 2);
+        let mut t = ArqTracker::new(2);
         t.record_loss(5);
         assert_eq!(t.next_request(), Some(5));
         assert_eq!(t.next_request(), Some(5));
@@ -182,7 +178,7 @@ mod tests {
 
     #[test]
     fn tracker_handles_multiple_losses() {
-        let mut t = ArqTracker::new(TagId(2), 3);
+        let mut t = ArqTracker::new(3);
         t.record_loss(1);
         t.record_loss(2);
         assert_eq!(t.outstanding(), 2);
@@ -197,7 +193,7 @@ mod tests {
         // `seq % 5` replays, so a budget of `n` recovers the packets that
         // need at most `n` requests: PRR climbs 0.2 per extra request.
         let delivered = |max_retries: u32| {
-            let mut t = ArqTracker::new(TagId(3), max_retries);
+            let mut t = ArqTracker::new(max_retries);
             let mut delivered = 0;
             for seq in 0..20u8 {
                 t.record_loss(seq);

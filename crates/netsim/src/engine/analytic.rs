@@ -21,7 +21,7 @@
 //! Tags are partitioned into [`EngineScenario::analytic_cells`] contiguous
 //! ranges — spatial cells, each an independent collision domain: one
 //! [`Cell`] (event queue over its pre-sorted arrival schedule, session
-//! table, access-point shard, salted RNG sub-streams; cell 0 reproduces the
+//! table, access point, salted RNG sub-streams; cell 0 reproduces the
 //! single-cell engine's streams exactly) with its own [`AnalyticAir`]. Each
 //! worker of a pool owns a contiguous chunk of cells and takes them one at
 //! a time: build (arrival schedule included), run to completion, reduce to
@@ -40,11 +40,10 @@
 //! workloads).
 //!
 //! The MAC is the [`cell`](super::cell) module the waveform backend runs
-//! too; its access-point shard steps the same
-//! [`SequenceWindow`](saiyan_mac::SequenceWindow) as
-//! [`AccessPoint::ingest_frame`](saiyan_mac::AccessPoint::ingest_frame),
-//! pinned against it by a differential property test, and the session
-//! table's replay window is pinned against the tag's
+//! too. Each cell's access point is the gateway's
+//! [`AccessPoint`](saiyan_mac::AccessPoint), so the sequence, duplicate and
+//! ARQ decisions exist once, and the session table's replay window is
+//! pinned against the tag's
 //! [`RetransmissionBuffer`](saiyan_mac::RetransmissionBuffer) by the
 //! `saiyan_mac` unit suite.
 

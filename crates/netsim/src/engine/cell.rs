@@ -2,14 +2,13 @@
 //!
 //! A [`Cell`] is a contiguous tag range with its own [`EventQueue`] (the
 //! pre-sorted arrival schedule plus a heap of the few events in flight),
-//! flat struct-of-arrays session state ([`SessionTable`]), access-point
-//! shard (forward-only sequence expectations, reception bitmaps, lazy ARQ
-//! trackers, a hopping controller) and salted RNG sub-streams. It owns
+//! flat struct-of-arrays session state ([`SessionTable`]), an
+//! [`AccessPoint`] over the range and salted RNG sub-streams. It owns
 //! everything on the MAC side of the air interface: the arrival schedule
 //! and activity watermark, sequence allocation, the transmit prelude
 //! (radio-busy deferral, airtime reservation, hopping round, policy
-//! channel, injected-loss suppression), access-point ingest, downlink
-//! delivery and spectrum scans.
+//! channel, injected-loss suppression), delivery and latency accounting,
+//! scheduling the downlinks its access point returns, and spectrum scans.
 //!
 //! What a transmission does on the air is the business of the cell's
 //! [`Air`], a statically dispatched seam. The analytic backend's air flips
@@ -20,22 +19,18 @@
 //! one cell with index 0, so its RNG streams are those of analytic cell 0,
 //! and the two fidelity levels can not drift apart in MAC behaviour.
 //!
-//! The AP shard steps the same [`SequenceWindow`] record as
-//! `AccessPoint::ingest_frame`, over a dense per-tag `Vec`; a differential
-//! property test below pins how each composes it with ARQ and delivery.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! The sequence, duplicate and ARQ decisions are the access point's: the
+//! cell's [`AccessPoint`] is the type the gateway feeds, with a dense
+//! window per tag of the range ([`AccessPoint::with_population`]).
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use saiyan::TagPowerModel;
-use saiyan_mac::hopping::{ChannelTable, HoppingController};
-use saiyan_mac::packet::{Addressing, Command, DownlinkPacket, TagId};
-use saiyan_mac::retransmission::ArqTracker;
+use saiyan_mac::hopping::ChannelTable;
+use saiyan_mac::packet::{Addressing, Command, DownlinkPacket};
 use saiyan_mac::session_table::SessionTable;
-use saiyan_mac::SequenceWindow;
+use saiyan_mac::{AccessPoint, FxHashMap};
 
 use super::report::EngineReport;
 use super::scenario::{EngineScenario, JammerSpec, MacPolicy};
@@ -45,43 +40,6 @@ use super::scheduler::EventQueue;
 const TRAFFIC_SALT: u64 = 0x7123_4AB1;
 const MAC_SALT: u64 = 0x00C4_71F3;
 const PHY_SALT: u64 = 0x9E37_79B9;
-
-/// A multiply-rotate hasher in the style of rustc-hash's `FxHasher`, for
-/// the cell's per-reading maps: their keys are small integers the
-/// simulation itself assigns, so SipHash's flood resistance buys nothing.
-/// The final rotate brings the product's well-mixed high bits down to the
-/// low bits the table indexes by. Nothing iterates these maps, so no report
-/// depends on their order.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    const K: u64 = 0xf135_7aea_2e62_a9c5;
-
-    fn add(&mut self, word: u64) {
-        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.add(b as u64));
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Compact per-cell event: payloads are regenerated from the tag id, never
 /// stored, so an event is a couple of words however large the population.
@@ -93,9 +51,9 @@ pub(crate) enum CellEv {
     Transmit { tag: u32, sequence: u8, attempt: u8 },
     /// A transmission the air scheduled finishes its airtime.
     Reception { index: u32 },
-    /// The access-point shard transmits a downlink command.
+    /// The access point transmits a downlink command.
     Downlink { packet: DownlinkPacket },
-    /// The access-point shard scans its current channel.
+    /// The access point scans its current channel.
     SpectrumScan,
 }
 
@@ -111,7 +69,7 @@ pub(crate) struct RunParams<'a> {
     /// Inter-packet guard a tag's half-duplex radio needs (4 symbols).
     guard_s: f64,
     energy_per_command_j: f64,
-    /// How long an access-point shard on the jammer's channel keeps
+    /// How long a cell's access point on the jammer's channel keeps
     /// scanning, at least: the end of the latest scheduled arrival's
     /// airtime over the whole population (the lead-in, absent arrivals).
     /// Only scans read it, and cells scan only when the scenario has a
@@ -174,18 +132,12 @@ pub(crate) struct Cell<A> {
     len: u32,
     pub queue: EventQueue<CellEv>,
     sessions: SessionTable,
-    /// AP shard: per-tag sequence windows, indexed by local id.
-    ap: Vec<SequenceWindow>,
-    /// AP shard: sources outside the population that decoded frames
-    /// claimed. A corrupt decode still reads as a frame from its source, so
-    /// the shard tracks it as `AccessPoint` registers any source it hears.
-    strangers: FxHashMap<u32, SequenceWindow>,
-    /// AP shard: ARQ trackers by source, materialised lazily for lossy
-    /// sources only.
-    arq: FxHashMap<u32, ArqTracker>,
+    /// The access point, over local ids: the id on the wire and in
+    /// downlink addresses. A corrupt decode still reads as a frame from its
+    /// source, so a source outside the range registers like any other.
+    ap: AccessPoint,
     /// Outstanding readings: `(local tag, sequence)` → generation time.
     outstanding: FxHashMap<(u32, u8), f64>,
-    hopping: HoppingController,
     /// `(delivery time, latency)` pairs, recorded in ingest order.
     deliveries: Vec<(f64, f64)>,
     mac_rng: ChaCha8Rng,
@@ -197,7 +149,6 @@ pub(crate) struct Cell<A> {
     /// whichever is later.
     pub end_time: f64,
     pub report: EngineReport,
-    missing_scratch: Vec<u8>,
     pub air: A,
 }
 
@@ -279,17 +230,14 @@ impl<A: Air> Cell<A> {
             len,
             queue,
             sessions,
-            ap: vec![SequenceWindow::default(); len as usize],
-            strangers: FxHashMap::default(),
-            arq: FxHashMap::default(),
+            ap: AccessPoint::with_population(table, initial, s.max_retries, len as usize)
+                .expect("initial channel exists"),
             outstanding: FxHashMap::default(),
-            hopping: HoppingController::new(table, initial, -70.0).expect("initial channel exists"),
             deliveries: Vec::new(),
             mac_rng: cell_stream(s.seed ^ MAC_SALT, cell_idx),
             phy_rng: cell_stream(s.seed ^ PHY_SALT, cell_idx),
             end_time,
             report: EngineReport::default(),
-            missing_scratch: Vec::new(),
             air,
         }
     }
@@ -367,19 +315,18 @@ impl<A: Air> Cell<A> {
         A::transmit(self, p, t, tag, sequence, channel);
     }
 
-    /// The AP shard ingests one frame from cell-local source `local` (the
-    /// id on the wire and in downlink addresses): the source's
-    /// [`SequenceWindow`] step, then delivery bookkeeping and ARQ requests
-    /// (scheduled as downlinks), as in `AccessPoint::ingest_frame`.
+    /// Ingests one frame from cell-local source `local`. The access point
+    /// decides whether it is a duplicate and which sequences to request
+    /// again; the cell delivers the frame's reading if it is new and
+    /// outstanding, and schedules the requests as downlinks (what
+    /// [`Self::schedule`] does, on the fields the access point leaves free).
     pub fn ingest(&mut self, p: &RunParams, t: f64, local: u32, sequence: u8, is_ack: bool) {
-        let window = match self.ap.get_mut(local as usize) {
-            Some(window) => window,
-            None => self.strangers.entry(local).or_default(),
-        };
-        let duplicate = window.step(sequence, is_ack, &mut self.missing_scratch);
-        if let Some(tracker) = self.arq.get_mut(&local) {
-            tracker.record_reception(sequence);
-        }
+        let (queue, end_time) = (&mut self.queue, &mut self.end_time);
+        let duplicate = self.ap.ingest(local, sequence, is_ack, |packet| {
+            let at = t + p.scenario.feedback_delay_s;
+            *end_time = end_time.max(at + p.packet_dur);
+            queue.push(at, CellEv::Downlink { packet });
+        });
         if duplicate {
             self.report.duplicates += 1;
         } else if let Some(gen_t) = self.outstanding.remove(&(local, sequence)) {
@@ -387,27 +334,6 @@ impl<A: Air> Cell<A> {
             self.report.delivered_payload_bits += (p.scenario.payload_bytes * 8) as u64;
             self.deliveries.push((t, t - gen_t));
         }
-        let missing = std::mem::take(&mut self.missing_scratch);
-        for &seq in &missing {
-            let tracker = self
-                .arq
-                .entry(local)
-                .or_insert_with(|| ArqTracker::new(TagId(local as u16), p.scenario.max_retries));
-            tracker.record_loss(seq);
-            if tracker.request_for(seq) {
-                self.schedule(
-                    t + p.scenario.feedback_delay_s,
-                    p.packet_dur,
-                    CellEv::Downlink {
-                        packet: DownlinkPacket {
-                            addressing: Addressing::Unicast(TagId(local as u16)),
-                            command: Command::Retransmit { sequence: seq },
-                        },
-                    },
-                );
-            }
-        }
-        self.missing_scratch = missing;
     }
 
     fn on_downlink(&mut self, p: &RunParams, t: f64, packet: &DownlinkPacket) {
@@ -466,14 +392,14 @@ impl<A: Air> Cell<A> {
     }
 
     fn on_scan(&mut self, p: &RunParams, t: f64) {
-        let current = self.hopping.current;
+        let current = self.ap.hopping.current;
         let level = if p.jammer_on(t, current as usize).is_some() {
             -40.0
         } else {
             -95.0
         };
-        if self.hopping.record_interference(current, level).is_ok() {
-            if let Some(hop) = self.hopping.maybe_hop() {
+        if self.ap.hopping.record_interference(current, level).is_ok() {
+            if let Some(hop) = self.ap.hopping.maybe_hop() {
                 self.schedule(
                     t + p.scenario.feedback_delay_s,
                     p.packet_dur,
@@ -481,17 +407,17 @@ impl<A: Air> Cell<A> {
                 );
             }
         }
-        // Keep scanning while the shard sits on the jammer's channel and
-        // the deployment is still active — anywhere: the scan horizon
-        // keeps an idle cell's scan chain alive while other cells' tags
-        // still transmit. The jammer holds one channel and a hop fires only
-        // on a jammed reading, so once the shard is off that channel no
-        // later scan could change anything. A raw push so scans never
-        // extend the watermark.
+        // Keep scanning while the access point sits on the jammer's
+        // channel and the deployment is still active — anywhere: the scan
+        // horizon keeps an idle cell's scan chain alive while other cells'
+        // tags still transmit. The jammer holds one channel and a hop fires
+        // only on a jammed reading, so once the access point is off that
+        // channel no later scan could change anything. A raw push so scans
+        // never extend the watermark.
         let on_jammer = p
             .scenario
             .jammer
-            .is_some_and(|j| j.channel == self.hopping.current as usize);
+            .is_some_and(|j| j.channel == self.ap.hopping.current as usize);
         let horizon = self.end_time.max(p.scan_horizon);
         if on_jammer && t + p.scenario.scan_interval_s < horizon {
             self.queue
@@ -502,7 +428,7 @@ impl<A: Air> Cell<A> {
 
 /// What a finished cell leaves behind: its counters, its `(delivery time,
 /// latency)` pairs in ingest order and its activity watermark. The queue,
-/// session table and AP shard are gone, so an outcome is a few words plus
+/// session table and access point are gone, so an outcome is a few words plus
 /// one pair per delivery.
 pub(crate) struct CellOutcome {
     pub report: EngineReport,
@@ -562,15 +488,11 @@ pub(crate) fn merge_report(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
-
-    use proptest::prelude::*;
-    use saiyan_mac::packet::UplinkPacket;
-    use saiyan_mac::AccessPoint;
+    use saiyan_mac::packet::{TagId, UplinkPacket};
 
     use super::*;
 
-    /// An air that carries nothing: these tests drive the AP shard directly.
+    /// An air that carries nothing: these tests drive the ingest directly.
     struct NoAir;
 
     impl Air for NoAir {
@@ -624,8 +546,8 @@ mod tests {
         let p = RunParams::new(&s);
         let mut cell = idle_cell(&p);
         cell.outstanding.insert((1, 0), 0.0);
-        // Sources beyond the population, up to the broadcast id; the gaps
-        // raise requests to the strangers, as `AccessPoint` does.
+        // Sources beyond the population, up to the broadcast id, register
+        // with the access point; the gaps raise requests to them.
         for source in [4u16, 5, 1000, u16::MAX] {
             for sequence in [0u8, 3, 3, 200] {
                 ingest_frame(&mut cell, &p, 1.0, &frame(source, sequence, false));
@@ -636,7 +558,10 @@ mod tests {
         cell.advance(&p, f64::INFINITY);
         assert_eq!(cell.report.retransmission_requests, 8);
         assert!(cell.queue.is_empty(), "a stranger's request replayed");
-        assert!(cell.ap.iter().all(|a| *a == SequenceWindow::default()));
+        // The strangers left the tags' windows alone: tag 3's first frame
+        // reveals no gap.
+        ingest_frame(&mut cell, &p, 1.5, &frame(3, 3, false));
+        assert!(drain_downlinks(&mut cell).is_empty());
 
         // An ACK moves the expectation but marks nothing received: the
         // data frame behind it is no duplicate.
@@ -646,6 +571,14 @@ mod tests {
         assert_eq!(cell.report.readings_delivered, 0);
         assert_eq!(cell.report.uplink_transmissions, 0);
         assert_eq!(cell.outstanding.len(), 1);
+
+        // A data frame delivers its outstanding reading once; its repeat is
+        // a duplicate.
+        ingest_frame(&mut cell, &p, 3.0, &frame(1, 0, false));
+        ingest_frame(&mut cell, &p, 3.5, &frame(1, 0, false));
+        assert_eq!(cell.report.readings_delivered, 1);
+        assert_eq!(cell.report.duplicates, 5);
+        assert_eq!(cell.deliveries, vec![(3.0, 3.0)]);
     }
 
     #[test]
@@ -663,82 +596,10 @@ mod tests {
             let t = cell.queue.peek_time().expect("the shard hops");
             cell.advance(&p, t + 1e-9);
         }
-        assert_ne!(cell.hopping.current, 0, "the shard stayed on the jammer");
+        assert_ne!(cell.ap.hopping.current, 0, "the shard stayed on the jammer");
         let scans = std::iter::from_fn(|| cell.queue.pop())
             .filter(|(_, ev)| matches!(ev, CellEv::SpectrumScan))
             .count();
         assert_eq!(scans, 0, "scans outlived the hop");
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The flat AP shard is `AccessPoint::ingest_frame`: frame by frame,
-        /// the same duplicate flag, the same delivery and the same ordered
-        /// retransmission requests, over in-order frames, gaps within and
-        /// beyond the gap limit, replays within and beyond the replay
-        /// window, duplicates, resets, ACKs and a stranger source.
-        #[test]
-        fn ap_shard_ingest_matches_access_point_ingest_frame(
-            ops in collection::vec(any::<u32>(), 1..160),
-            generated in collection::vec(any::<bool>(), 256),
-            max_retries in 0u32..4,
-        ) {
-            const TAGS: u16 = 3;
-            const STRANGER: u16 = 1000;
-            let s = scenario(TAGS as usize, max_retries);
-            let p = RunParams::new(&s);
-            let mut cell = idle_cell(&p);
-            let table = ChannelTable { channels: vec![433.0e6, 433.5e6] };
-            let mut ap = AccessPoint::new(table, 0, max_retries).expect("channel 0 exists");
-            // Both sides start with the same outstanding readings.
-            let mut outstanding = HashSet::new();
-            for tag in 0..TAGS as u32 {
-                for seq in (0..=255u8).filter(|&q| generated[q as usize]) {
-                    cell.outstanding.insert((tag, seq), 0.0);
-                    outstanding.insert((tag, seq));
-                }
-            }
-            let mut cursor = [0u8; TAGS as usize + 1];
-            for (i, &op) in ops.iter().enumerate() {
-                let slot = (op % (TAGS as u32 + 1)) as usize;
-                let amount = (op >> 16) as u8;
-                let next = &mut cursor[slot];
-                let sequence = match (op >> 8) % 6 {
-                    0 | 1 => *next,
-                    2 => next.wrapping_add(amount % 12),
-                    3 => next.wrapping_sub(2 + amount % 20),
-                    4 => next.wrapping_sub(1),
-                    _ => amount,
-                };
-                if !matches!((op >> 8) % 6, 3 | 4) {
-                    *next = sequence.wrapping_add(1);
-                }
-                let source = if slot == TAGS as usize { STRANGER } else { slot as u16 };
-                let f = frame(source, sequence, (op >> 24) % 8 == 0);
-                let t = i as f64;
-
-                let reference = ap.ingest_frame(0, t, &f.to_bytes()).expect("well-formed");
-                let delivered =
-                    !reference.duplicate && outstanding.remove(&(source as u32, sequence));
-                let before = cell.report.clone();
-                ingest_frame(&mut cell, &p, t, &f);
-                prop_assert_eq!(
-                    cell.report.duplicates - before.duplicates,
-                    reference.duplicate as usize,
-                    "frame {} {:?}", i, f
-                );
-                prop_assert_eq!(
-                    cell.report.readings_delivered - before.readings_delivered,
-                    delivered as usize,
-                    "frame {} {:?}", i, f
-                );
-                prop_assert_eq!(
-                    drain_downlinks(&mut cell),
-                    reference.retransmission_requests,
-                    "frame {} {:?}", i, f
-                );
-            }
-        }
     }
 }

@@ -24,7 +24,7 @@
 //!   chunk sizes and worker counts.
 //!
 //! Both paths run one MAC state model: a cell (a tag range with its
-//! session table, access-point shard, salted RNG streams and
+//! session table, `saiyan_mac::AccessPoint`, salted RNG streams and
 //! [`scheduler::EventQueue`] — the pre-sorted arrival schedule plus a heap
 //! of the few events in flight) driven through a statically dispatched air
 //! seam — the link abstraction or the synthesis mixer. They fill the same

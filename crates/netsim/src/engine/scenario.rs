@@ -146,7 +146,7 @@ pub struct EngineScenario {
     pub chunk_samples: usize,
     /// Analytic-path spatial cells: tags are partitioned into this many
     /// contiguous ranges, each an independent collision domain with its own
-    /// event queue, access-point shard and RNG streams. `1` reproduces the
+    /// event queue, access point and RNG streams. `1` reproduces the
     /// single-cell engine exactly.
     pub analytic_cells: usize,
     /// Worker threads running analytic cells, each a contiguous chunk of
@@ -218,8 +218,8 @@ impl EngineScenario {
     /// Aloba tags 2.8 m from the carrier, where one packet gets through
     /// about 84% and 49% of the time. The 27-byte payload makes the wire
     /// frame the study's 256-bit packet, and the tags demodulate the access
-    /// point's requests 100 m away. 250 readings stay within one lap of a
-    /// tag's 8-bit sequence numbers.
+    /// point's requests 100 m away. A longer study would wrap a tag's 8-bit
+    /// sequence numbers, which the access point's window allows for.
     pub fn retransmission_study(system: UplinkSystem, max_retries: u32) -> Self {
         let tag_to_tx_m = match system {
             UplinkSystem::PLoRa => 3.55,

@@ -5,8 +5,8 @@
 //! The MAC is one [`Cell`] (index 0, so its RNG streams are those of the
 //! analytic backend's first cell) over the whole population. Its
 //! [`WaveformAir`] turns each transmission into an emission; the frames the
-//! receiver decodes are parsed and fed back to the cell's access-point
-//! shard through [`Cell::ingest`].
+//! receiver decodes are parsed and fed back through [`Cell::ingest`] to
+//! the cell's access point, the one the analytic backend's cells run.
 //!
 //! The synthesis never materialises the full capture. Tag transmissions
 //! become *emissions* — power-scaled waveforms assembled from the
@@ -249,8 +249,8 @@ pub(crate) fn run(scenario: &EngineScenario, receiver: &mut dyn Receiver) -> Eng
     }
 }
 
-/// Parses released receiver packets and feeds them to the cell's
-/// access-point shard, which schedules the feedback downlinks.
+/// Parses released receiver packets and feeds them to the cell's access
+/// point; the cell schedules the feedback downlinks it raises.
 fn ingest_packets(cell: &mut Cell<WaveformAir>, p: &RunParams, packets: Vec<GatewayPacket>) {
     let s = p.scenario;
     let payload_s = s.payload_symbols() as f64 * s.lora.symbol_duration();

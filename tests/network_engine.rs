@@ -192,6 +192,15 @@ fn a_lone_aloha_tag_never_collides() {
 }
 
 #[test]
+fn a_tag_keeps_delivering_after_its_sequence_numbers_wrap() {
+    // 600 readings take a tag's 8-bit sequence numbers round twice; each
+    // lap's readings are new to the access point, not duplicates.
+    let r = run_analytic(EngineScenario::grid(1, 1, 600));
+    assert_eq!(r.readings_generated, 600);
+    assert_eq!((r.readings_delivered, r.duplicates), (600, 0));
+}
+
+#[test]
 fn more_channels_reduce_aloha_collisions() {
     let traffic = EngineScenario::grid(32, 2, 4).traffic;
     let collisions = |channels| {

@@ -375,33 +375,39 @@ proptest! {
     fn access_point_ingest_never_panics_on_byte_soup(
         frames in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..24),
     ) {
-        use saiyan_mac::{AccessPoint, ChannelTable, TagId};
+        use saiyan_mac::{AccessPoint, ChannelTable, UplinkPacket};
         let mut ap = AccessPoint::new(ChannelTable::paper_433mhz(), 0, 2).unwrap();
-        let mut tags = Vec::new();
-        let mut accepted = 0u64;
+        let (mut accepted, mut new, mut duplicates) = (0u64, 0u64, 0u64);
+        // The data frames taken as new, by source and sequence.
+        let mut delivered = Vec::new();
         for (i, mut frame) in frames.into_iter().enumerate() {
             // Steer about half the soups past the length check, so the
             // sequence windows see a stream of well-formed frames.
             if frame.len() >= 5 && frame[0] % 2 == 0 {
                 frame[4] = (frame.len() - 5) as u8;
             }
-            if let Ok(report) = ap.ingest_frame((i % 8) as u8, i as f64 * 0.1, &frame) {
+            let parsed = UplinkPacket::from_bytes(&frame);
+            let ingested = ap.ingest_frame((i % 8) as u8, i as f64 * 0.1, &frame);
+            // The access point accepts exactly the frames that parse.
+            prop_assert_eq!(parsed.is_ok(), ingested.is_ok());
+            if let (Ok(packet), Ok((duplicate, requests))) = (parsed, ingested) {
                 accepted += 1;
-                if !tags.contains(&report.tag) {
-                    tags.push(report.tag);
+                prop_assert!(requests.len() <= AccessPoint::MAX_SEQUENCE_GAP as usize);
+                let key = (packet.source, packet.sequence);
+                if duplicate {
+                    duplicates += 1;
+                    prop_assert!(!packet.is_ack, "an ACK read as a duplicate");
+                    prop_assert!(delivered.contains(&key), "a duplicate of nothing");
+                } else {
+                    new += 1;
+                    if !packet.is_ack {
+                        delivered.push(key);
+                    }
                 }
             }
         }
         // Every accepted frame is counted once: as new or as a duplicate.
-        let counted: u64 = tags
-            .iter()
-            .map(|&tag: &TagId| {
-                let stats = ap.tag_stats(tag).unwrap();
-                stats.frames + stats.duplicates
-            })
-            .sum();
-        prop_assert_eq!(counted, accepted);
-        prop_assert_eq!(ap.tag_count(), tags.len());
+        prop_assert_eq!(new + duplicates, accepted);
     }
 
     #[test]
